@@ -26,6 +26,7 @@ from .graph import (
     MatchingCheck,
     assert_graph_invariants,
     build_graph,
+    build_graph_arrays,
     matching_from_edge_ids,
     validate_matching,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "MatchingCheck",
     "assert_graph_invariants",
     "build_graph",
+    "build_graph_arrays",
     "matching_from_edge_ids",
     "validate_matching",
     "read_edge_list",

@@ -93,9 +93,9 @@ class InstanceSpec:
         if self.family == "file":
             return read_graph(self.path)
         if self.family == "random":
-            g = GeneratorSpec("random", self.x, alpha=self.alpha, seed=seed).build()
             if self.weights == "euclidean":
                 raise ValueError("euclidean weights are undefined for the random family")
+            g = GeneratorSpec("random", self.x, alpha=self.alpha, seed=seed).build()
         elif self.family == "rgg":
             mode = "euclidean" if self.weights in ("euclidean", "default") else "random"
             g = GeneratorSpec("rgg", self.x, seed=seed, weight_mode=mode).build()

@@ -23,7 +23,6 @@ from .bench import (
     shrink_report,
     write_bench_csv,
 )
-from .generate import GeneratorSpec, with_unit_weights
 from .graph import validate_matching
 from .graphio import read_graph, write_csv, write_edge_list
 from .matchers import MATCHERS
@@ -63,13 +62,7 @@ def _add_family_flags(sp, multi_x: bool = True) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "random":
-        g = GeneratorSpec("random", args.x, alpha=args.alpha, seed=args.seed).build()
-    else:
-        mode = "euclidean" if args.weights in ("euclidean", "default") else "random"
-        g = GeneratorSpec("rgg", args.x, seed=args.seed, weight_mode=mode).build()
-    if args.weights == "unit":
-        g = with_unit_weights(g)
+    g = InstanceSpec(args.family, args.x, args.alpha, args.weights).build(args.seed)
     write_edge_list(g, args.out)
     print(f"wrote {args.out}: n={g.num_vertices} m={g.num_edges}")
     return 0
@@ -248,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=4)
     sp.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     sp.add_argument("--rerandomize", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--format", choices=("csv",), default="csv")
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(func=_cmd_bench)
 

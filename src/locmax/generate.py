@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import Graph, _assemble
 
 RGG_THRESHOLD_FACTOR = 0.55
 
@@ -33,11 +34,6 @@ class GeneratorSpec:
     @property
     def num_vertices(self) -> int:
         return 1 << self.x
-
-    def label(self) -> str:
-        if self.family == "random":
-            return f"random-x{self.x}-a{self.alpha}"
-        return f"rgg-x{self.x}-{self.weight_mode}"
 
     def build(self) -> Graph:
         if self.family == "random":
@@ -65,10 +61,7 @@ def gen_random(n: int, alpha: int, seed: int) -> Graph:
         # dense request: rejection would thrash, sample pair indices directly
         lo, hi = np.triu_indices(n, k=1)
         pick = rng.choice(capacity, size=m, replace=False)
-        chosen = lo[pick] * n + hi[pick]
-        weights = rng.random(m)
-        edges = zip((chosen // n).tolist(), (chosen % n).tolist(), weights.tolist())
-        return build_graph(edges, num_vertices=n)
+        return _assemble(lo[pick], hi[pick], rng.random(m), n)
     chosen = np.empty(0, dtype=np.int64)
     while chosen.size < m:
         need = m - chosen.size
@@ -84,9 +77,8 @@ def gen_random(n: int, alpha: int, seed: int) -> Graph:
         packed = packed[np.sort(first)]
         packed = packed[~np.isin(packed, chosen)]
         chosen = np.concatenate([chosen, packed[:need]])
-    weights = rng.random(m)
-    edges = zip((chosen // n).tolist(), (chosen % n).tolist(), weights.tolist())
-    return build_graph(edges, num_vertices=n)
+    lo, hi = np.divmod(chosen, n)
+    return _assemble(lo, hi, rng.random(m), n)
 
 
 def rgg_threshold(n: int) -> float:
@@ -135,20 +127,25 @@ def gen_rgg(x: int, seed: int, weight_mode: str = "euclidean") -> Graph:
     points = points[_morton_order(points)]
     radius = rgg_threshold(n)
     eu, ev, dist = radius_edges_grid(points, radius)
-    if weight_mode == "euclidean":
-        weights = dist
-    else:
-        weights = rng.random(eu.size)
-    edges = zip(eu.tolist(), ev.tolist(), weights.tolist())
-    return build_graph(edges, num_vertices=n)
+    weights = dist if weight_mode == "euclidean" else rng.random(eu.size)
+    return _assemble(eu, ev, weights, n)
+
+
+# The 3x3 cell stencil, in the order its candidates are listed.
+_STENCIL = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+# Owners per pass of radius_edges_grid: bounds its candidate arrays to a few
+# MB at rgg densities.
+_GRID_CHUNK = 1 << 15
 
 
 def radius_edges_grid(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All pairs at Euclidean distance < radius, via a uniform spatial hash.
 
-    Returns (u, v, distance) arrays with u < v, ordered deterministically.
-    Exact (not approximate): any pair within the radius lies in the same or
-    an adjacent grid cell because the cell width equals the radius.
+    Returns (u, v, distance) arrays with u < v. Exact (not approximate): any
+    pair within the radius lies in the same or an adjacent grid cell because
+    the cell width equals the radius. Points are sorted by cell, then index;
+    pairs are ordered by the sorted position of u, then by stencil offset
+    of v's cell, then by the sorted position of v.
     """
     n = points.shape[0]
     if n == 0 or radius <= 0:
@@ -158,65 +155,55 @@ def radius_edges_grid(points: np.ndarray, radius: float) -> tuple[np.ndarray, np
     cx = np.minimum((points[:, 0] / (1.0 / side)).astype(np.int64), side - 1)
     cy = np.minimum((points[:, 1] / (1.0 / side)).astype(np.int64), side - 1)
     cell = cx * side + cy
-    order = np.lexsort((np.arange(n), cell))
-    sorted_cell = cell[order]
-    uniq, starts = np.unique(sorted_cell, return_index=True)
-    starts = np.concatenate([starts, [n]])
-    cell_slice = {int(c): (int(starts[i]), int(starts[i + 1])) for i, c in enumerate(uniq)}
+    order = np.argsort(cell, kind="stable")
+    cells, starts, sizes = np.unique(cell[order], return_index=True, return_counts=True)
+    sorted_points = points[order]
+    point_cell = np.repeat(np.arange(cells.size), sizes)
 
+    # candidate range [lo, lo + count) of sorted positions per cell and offset
+    lo = np.zeros((cells.size, len(_STENCIL)), dtype=np.int64)
+    count = np.zeros_like(lo)
+    for s, (dx, dy) in enumerate(_STENCIL):
+        qx, qy = cells // side + dx, cells % side + dy
+        q = qx * side + qy
+        at = np.minimum(np.searchsorted(cells, q), cells.size - 1)
+        hit = (qx >= 0) & (qx < side) & (qy >= 0) & (qy < side) & (cells[at] == q)
+        lo[hit, s] = starts[at[hit]]
+        count[hit, s] = sizes[at[hit]]
+
+    r2 = radius * radius
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
     ds: list[np.ndarray] = []
-    r2 = radius * radius
-    for i, c in enumerate(uniq):
-        px, py = int(c) // side, int(c) % side
-        own = order[starts[i]:starts[i + 1]]
-        cand_parts = []
-        for dx in (-1, 0, 1):
-            qx = px + dx
-            if not 0 <= qx < side:
-                continue
-            for dy in (-1, 0, 1):
-                qy = py + dy
-                if not 0 <= qy < side:
-                    continue
-                sl = cell_slice.get(qx * side + qy)
-                if sl is not None:
-                    cand_parts.append(order[sl[0]:sl[1]])
-        cand = np.concatenate(cand_parts)
-        diff = points[own][:, None, :] - points[cand][None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        pi, qi = np.nonzero((d2 < r2) & (own[:, None] < cand[None, :]))
-        if pi.size:
-            us.append(own[pi])
-            vs.append(cand[qi])
-            ds.append(np.sqrt(d2[pi, qi]))
-    if not us:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), np.empty(0, dtype=np.float64)
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ds)
-
-
-def radius_edges_bruteforce(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadratic all-pairs reference for :func:`radius_edges_grid`."""
-    n = points.shape[0]
-    us, vs, ds = [], [], []
-    r2 = radius * radius
-    for u in range(n):
-        diff = points[u + 1:] - points[u]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        hit = np.nonzero(d2 < r2)[0]
-        if hit.size:
-            us.append(np.full(hit.size, u, dtype=np.int64))
-            vs.append(hit + u + 1)
-            ds.append(np.sqrt(d2[hit]))
-    if not us:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), np.empty(0, dtype=np.float64)
+    for a in range(0, n, _GRID_CHUNK):
+        owners = np.arange(a, min(a + _GRID_CHUNK, n))
+        owner_cell = point_cell[owners]
+        own_parts, cand_parts, d2_parts = [], [], []
+        for s in range(len(_STENCIL)):
+            c = count[owner_cell, s]
+            own = np.repeat(owners, c)
+            first = np.repeat(lo[owner_cell, s] - (np.cumsum(c) - c), c)
+            cand = first + np.arange(own.size)
+            keep = order[own] < order[cand]
+            own, cand = own[keep], cand[keep]
+            diff = sorted_points[own] - sorted_points[cand]
+            d2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+            near = d2 < r2
+            own_parts.append(own[near])
+            cand_parts.append(cand[near])
+            d2_parts.append(d2[near])
+        own = np.concatenate(own_parts)
+        # stable: within one owner the stencil blocks keep their order
+        by_owner = np.argsort(own, kind="stable")
+        us.append(order[own[by_owner]])
+        vs.append(order[np.concatenate(cand_parts)[by_owner]])
+        ds.append(np.sqrt(np.concatenate(d2_parts)[by_owner]))
     return np.concatenate(us), np.concatenate(vs), np.concatenate(ds)
 
 
 def with_unit_weights(g: Graph) -> Graph:
-    """Copy of the graph with every weight forced to 1.0 (cardinality runs)."""
-    edges = zip(g.edge_u.tolist(), g.edge_v.tolist(), [1.0] * g.num_edges)
-    return build_graph(edges, num_vertices=g.num_vertices)
+    """The graph with every weight forced to 1.0 (cardinality runs); the
+    adjacency arrays are shared, since they do not depend on the weights."""
+    ones = np.ones(g.num_edges, dtype=np.float64)
+    ones.setflags(write=False)
+    return dataclasses.replace(g, edge_weight=ones)

@@ -10,7 +10,6 @@ which is what the PRAM-style engine relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -52,8 +51,15 @@ class Graph:
         return int(self.edge_v[edge_id]) if u == v else u
 
     def total_weight(self, edge_ids: Iterable[int]) -> float:
-        ids = np.fromiter(sorted(int(k) for k in edge_ids), dtype=np.int64)
+        """Sum of the edges' weights, added in ascending edge-id order."""
+        ids = np.sort(_id_array(edge_ids))
         return float(self.edge_weight[ids].sum()) if ids.size else 0.0
+
+
+def _id_array(edge_ids: Iterable[int]) -> np.ndarray:
+    if isinstance(edge_ids, np.ndarray):
+        return edge_ids.astype(np.int64, copy=False)
+    return np.fromiter(edge_ids, dtype=np.int64)
 
 
 def build_graph(
@@ -62,61 +68,94 @@ def build_graph(
 ) -> Graph:
     """Build an adjacency-array graph from (u, v, weight) triples.
 
-    Self-loops are dropped. Among parallel edges only the heaviest is kept
-    (ties resolved toward the earlier input position). Vertex ids must lie
-    in [0, num_vertices); when ``num_vertices`` is omitted it is inferred as
-    max id + 1.
-
-    Raises ValueError for out-of-range ids and NaN, infinite or negative
-    weights, naming the offending input position.
+    Same rules and errors as :func:`build_graph_arrays`, which it calls.
     """
-    kept: dict[tuple[int, int], int] = {}
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
-    max_id = -1
-    for pos, (u, v, w) in enumerate(edge_list):
-        ui, vi = int(u), int(v)
-        if ui < 0 or vi < 0:
-            raise ValueError(f"edge {pos}: negative vertex id ({ui}, {vi})")
-        if num_vertices is not None and (ui >= num_vertices or vi >= num_vertices):
-            raise ValueError(
-                f"edge {pos}: vertex id out of range for n={num_vertices}: ({ui}, {vi})"
-            )
-        wf = float(w)
-        if math.isnan(wf) or math.isinf(wf) or wf < 0.0:
-            raise ValueError(f"edge {pos}: weight must be finite and >= 0, got {w!r}")
-        if ui == vi:
-            continue  # self-loops can never be matched
-        max_id = max(max_id, ui, vi)
-        pair = (ui, vi) if ui < vi else (vi, ui)
-        at = kept.get(pair)
-        if at is None:
-            kept[pair] = len(us)
-            us.append(ui)
-            vs.append(vi)
-            ws.append(wf)
-        elif wf > ws[at]:
-            us[at], vs[at], ws[at] = ui, vi, wf
+    triples = list(edge_list)
+    u, v, w = zip(*triples) if triples else ((), (), ())
+    return build_graph_arrays(u, v, w, num_vertices)
 
-    n = num_vertices if num_vertices is not None else max_id + 1
-    m = len(us)
-    edge_u = np.asarray(us, dtype=np.int64)
-    edge_v = np.asarray(vs, dtype=np.int64)
-    edge_weight = np.asarray(ws, dtype=np.float64)
 
-    slot_vertex = np.concatenate([edge_u, edge_v]) if m else np.empty(0, dtype=np.int64)
-    slot_eid = np.concatenate([np.arange(m), np.arange(m)]).astype(np.int64)
-    order = np.lexsort((slot_eid, slot_vertex))
-    slot_vertex = slot_vertex[order]
-    slot_eid = slot_eid[order]
+def build_graph_arrays(u, v, w, num_vertices: int | None = None) -> Graph:
+    """Build an adjacency-array graph from parallel endpoint and weight arrays.
 
-    degrees = np.bincount(slot_vertex, minlength=n).astype(np.int64)
-    offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    Self-loops are dropped. Among parallel edges only the heaviest is kept
+    (ties resolved toward the earlier input position), with the orientation
+    of the kept entry; edges are numbered by first occurrence of their pair.
+    Vertex ids must lie in [0, num_vertices); when ``num_vertices`` is
+    omitted it is inferred as max id + 1 over the non-loop edges.
 
-    for arr in (offsets, slot_vertex, slot_eid, edge_u, edge_v, edge_weight):
+    Raises ValueError for negative or out-of-range ids and NaN, infinite or
+    negative weights, naming the first offending input position.
+    """
+    u = np.array(u, dtype=np.int64)
+    v = np.array(v, dtype=np.int64)
+    w = np.array(w, dtype=np.float64)
+    if u.ndim != 1 or u.shape != v.shape or u.shape != w.shape:
+        raise ValueError("u, v and w must be 1-d arrays of equal length")
+    bad = (u < 0) | (v < 0) | ~(w >= 0.0) | (w == np.inf)
+    if num_vertices is not None:
+        bad |= (u >= num_vertices) | (v >= num_vertices)
+    if bad.any():
+        _raise_bad_edge(int(np.argmax(bad)), u, v, w, num_vertices)
+    loop = u == v
+    if loop.any():  # self-loops can never be matched
+        u, v, w = u[~loop], v[~loop], w[~loop]
+    if num_vertices is not None:
+        n = num_vertices
+    else:
+        n = int(max(u.max(), v.max())) + 1 if u.size else 0
+
+    # Group the entries by vertex pair; the stable sort keeps each group in
+    # input order, so its first entry is the pair's first occurrence.
+    pair = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    head = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+    if head.size < order.size:
+        sizes = np.diff(np.append(head, order.size))
+        group = np.repeat(np.arange(head.size), sizes)
+        ws = w[order]
+        heaviest = np.flatnonzero(ws == np.maximum.reduceat(ws, head)[group])
+        # the earliest heaviest entry of each group wins
+        firsts = heaviest[np.concatenate(([True], group[heaviest[1:]] != group[heaviest[:-1]]))]
+        # number the winners by their group's first occurrence
+        by_first = np.full(u.size, -1, dtype=np.int64)
+        by_first[order[head]] = order[firsts]
+        keep = by_first[by_first >= 0]
+        u, v, w = u[keep], v[keep], w[keep]
+    return _assemble(u, v, w, n)
+
+
+def _raise_bad_edge(pos: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
+                    num_vertices: int | None) -> None:
+    ui, vi, wf = int(u[pos]), int(v[pos]), float(w[pos])
+    if ui < 0 or vi < 0:
+        raise ValueError(f"edge {pos}: negative vertex id ({ui}, {vi})")
+    if num_vertices is not None and (ui >= num_vertices or vi >= num_vertices):
+        raise ValueError(
+            f"edge {pos}: vertex id out of range for n={num_vertices}: ({ui}, {vi})"
+        )
+    raise ValueError(f"edge {pos}: weight must be finite and >= 0, got {wf!r}")
+
+
+def _assemble(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> Graph:
+    """Lay out a simple graph whose edges are already valid and deduplicated.
+
+    Takes ownership of the int64 endpoint and float64 weight arrays (they
+    are made read-only). Each vertex's slots list its edges in ascending id
+    order.
+    """
+    m = u.size
+    eid = np.arange(m, dtype=np.int64)
+    # one sort of (vertex, edge id) packed into a single key
+    slot_key = np.concatenate([u, v]) * max(m, 1) + np.concatenate([eid, eid])
+    slot_key.sort()
+    slot_vertex, slot_edge = np.divmod(slot_key, max(m, 1))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot_vertex, minlength=n), out=offsets[1:])
+    for arr in (offsets, slot_vertex, slot_edge, u, v, w):
         arr.setflags(write=False)
-    return Graph(n, offsets, slot_vertex, slot_eid, edge_u, edge_v, edge_weight)
+    return Graph(n, offsets, slot_vertex, slot_edge, u, v, w)
 
 
 def assert_graph_invariants(g: Graph) -> None:
@@ -194,13 +233,17 @@ class Matching:
 
 def matching_from_edge_ids(g: Graph, edge_ids: Iterable[int]) -> Matching:
     """Assemble a Matching from edge ids assumed pairwise vertex-disjoint."""
-    ids = np.fromiter((int(k) for k in edge_ids), dtype=np.int64)
-    mate = np.full(g.num_vertices, -1, dtype=np.int64)
-    if ids.size:
-        mate[g.edge_u[ids]] = g.edge_v[ids]
-        mate[g.edge_v[ids]] = g.edge_u[ids]
+    ids = _id_array(edge_ids)
+    mate = _induced_mate(g, ids)
     mate.setflags(write=False)
-    return Matching(frozenset(int(k) for k in ids), mate)
+    return Matching(frozenset(ids.tolist()), mate)
+
+
+def _induced_mate(g: Graph, ids: np.ndarray) -> np.ndarray:
+    mate = np.full(g.num_vertices, -1, dtype=np.int64)
+    mate[g.edge_u[ids]] = g.edge_v[ids]
+    mate[g.edge_v[ids]] = g.edge_u[ids]
+    return mate
 
 
 class MatchingCheck(NamedTuple):
@@ -214,24 +257,46 @@ def validate_matching(g: Graph, m: Matching) -> MatchingCheck:
 
     ``valid`` holds when the edge set is pairwise vertex-disjoint and the
     mate table is exactly the one induced by it. ``maximal`` additionally
-    requires that no remaining edge has both endpoints unmatched.
+    requires that no remaining edge has both endpoints unmatched. The
+    detail of an invalid matching names its first failing edge, in the
+    set's iteration order.
     """
     n = g.num_vertices
     if m.mate.shape != (n,):
         return MatchingCheck(False, False, "mate table has wrong length")
-    seen = np.zeros(n, dtype=bool)
-    for k in m.edges:
-        if not 0 <= k < g.num_edges:
-            return MatchingCheck(False, False, f"edge id {k} out of range")
-        u, v = g.endpoints(k)
-        if seen[u] or seen[v]:
-            return MatchingCheck(False, False, f"vertex shared by two matched edges (edge {k})")
-        seen[u] = seen[v] = True
-        if m.mate[u] != v or m.mate[v] != u:
-            return MatchingCheck(False, False, f"mate table disagrees with matched edge {k}")
-    if np.any(m.mate[~seen] != -1):
-        return MatchingCheck(False, False, "mate entry set for an unmatched vertex")
-    unmatched_u = m.mate[g.edge_u] == -1
-    unmatched_v = m.mate[g.edge_v] == -1
-    addable = bool(np.any(unmatched_u & unmatched_v))
-    return MatchingCheck(True, not addable, "")
+    try:
+        ids = np.fromiter(m.edges, dtype=np.int64, count=len(m.edges))
+    except OverflowError:
+        return MatchingCheck(False, False, "edge id out of range")
+    if ids.size == 0 or (ids.min() >= 0 and ids.max() < g.num_edges):
+        induced = _induced_mate(g, ids)
+        free = induced < 0
+        # disjoint edges cover exactly two vertices each
+        if n - np.count_nonzero(free) == 2 * ids.size and np.array_equal(induced, m.mate):
+            return MatchingCheck(True, not np.any(free[g.edge_u] & free[g.edge_v]), "")
+    return MatchingCheck(False, False, _first_fault(g, m.mate, ids))
+
+
+def _first_fault(g: Graph, mate: np.ndarray, ids: np.ndarray) -> str:
+    """Describe what makes ``ids`` with ``mate`` an invalid matching, checking
+    edge by edge (id range, shared vertex, mate entries) and then the mate
+    entries of unmatched vertices."""
+    out_of_range = (ids < 0) | (ids >= g.num_edges)
+    stop = int(np.argmax(out_of_range)) if out_of_range.any() else ids.size
+    u, v = g.edge_u[ids[:stop]], g.edge_v[ids[:stop]]
+    ends = np.stack([u, v], axis=1).ravel()
+    # the first position holding a vertex's second appearance
+    by_vertex = np.argsort(ends, kind="stable")
+    reused = by_vertex[1:][ends[by_vertex[1:]] == ends[by_vertex[:-1]]]
+    shared_at = int(reused.min()) // 2 if reused.size else stop
+    disagree = (mate[u] != v) | (mate[v] != u)
+    mate_at = int(np.argmax(disagree)) if disagree.any() else stop
+    first = min(stop, shared_at, mate_at)
+    if first == ids.size:
+        return "mate entry set for an unmatched vertex"
+    k = int(ids[first])
+    if first == stop:
+        return f"edge id {k} out of range"
+    if first == shared_at:
+        return f"vertex shared by two matched edges (edge {k})"
+    return f"mate table disagrees with matched edge {k}"

@@ -1,15 +1,26 @@
-"""Instance ingestion (Matrix Market, plain edge lists) and CSV output."""
+"""Instance ingestion (Matrix Market, plain edge lists) and CSV output.
+
+Both readers read a file once and parse all its data lines with numpy. A
+line-by-line scan runs only when that parse fails, to name the first
+offending line in the error.
+"""
 
 from __future__ import annotations
 
 import csv
+import io
+import math
 import re
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .graph import Graph, build_graph
+import numpy as np
+
+from .graph import Graph, build_graph_arrays
 
 _MM_FIELDS = ("real", "integer", "pattern")
+_EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_PATTERN_DTYPE = np.dtype([("u", np.int64), ("v", np.int64)])
 
 
 def read_matrix_market(path: str | Path) -> Graph:
@@ -19,76 +30,79 @@ def read_matrix_market(path: str | Path) -> Graph:
     absolute value of the entry (1.0 for pattern files). Diagonal entries
     are dropped, duplicates collapse to the largest absolute value, and
     explicit zero entries are discarded: a zero-weight edge can never beat a
-    positive one and would only pollute quality ratios. Indices are 1-based
-    in the file and 0-based in the result.
+    positive one and would only pollute quality ratios. NaN and infinite
+    entries are rejected. Indices are 1-based in the file and 0-based in the
+    result.
     """
     path = Path(path)
-    with path.open("r", encoding="ascii", errors="replace") as fh:
-        header = fh.readline()
-        tokens = header.strip().split()
-        if len(tokens) != 5 or tokens[0] != "%%MatrixMarket":
-            raise ValueError(f"{path}: malformed MatrixMarket banner: {header.strip()!r}")
-        _, obj, fmt, field, symmetry = (t.lower() for t in tokens)
-        if obj != "matrix" or fmt != "coordinate":
-            raise ValueError(f"{path}: expected 'matrix coordinate', got '{obj} {fmt}'")
-        if field not in _MM_FIELDS:
-            raise ValueError(f"{path}: unsupported field {field!r} (want real/integer/pattern)")
-        if symmetry != "symmetric":
-            raise ValueError(f"{path}: symmetry must be 'symmetric', got {symmetry!r}")
+    data = _read_newline_normalized(path)
+    banner_end = _line_end(data, 0)
+    header = data[:banner_end].decode("ascii", "replace")
+    tokens = header.strip().split()
+    if len(tokens) != 5 or tokens[0] != "%%MatrixMarket":
+        raise ValueError(f"{path}: malformed MatrixMarket banner: {header.strip()!r}")
+    _, obj, fmt, field, symmetry = (t.lower() for t in tokens)
+    if obj != "matrix" or fmt != "coordinate":
+        raise ValueError(f"{path}: expected 'matrix coordinate', got '{obj} {fmt}'")
+    if field not in _MM_FIELDS:
+        raise ValueError(f"{path}: unsupported field {field!r} (want real/integer/pattern)")
+    if symmetry != "symmetric":
+        raise ValueError(f"{path}: symmetry must be 'symmetric', got {symmetry!r}")
 
-        size_line = None
-        lineno = 1
-        for line in fh:
-            lineno += 1
-            s = line.strip()
-            if not s or s.startswith("%"):
-                continue
+    size_line = None
+    lineno = 1
+    pos = banner_end + 1
+    while pos < len(data):
+        end = _line_end(data, pos)
+        lineno += 1
+        s = data[pos:end].decode("ascii", "replace").strip()
+        pos = end + 1
+        if s and not s.startswith("%"):
             size_line = s
             break
-        if size_line is None:
-            raise ValueError(f"{path}: missing size line")
-        parts = size_line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: malformed size line {size_line!r}")
-        try:
-            rows, cols, nnz = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed size line {size_line!r}") from exc
-        if rows != cols:
-            raise ValueError(f"{path}: symmetric matrix must be square, got {rows}x{cols}")
+    if size_line is None:
+        raise ValueError(f"{path}: missing size line")
+    parts = size_line.split()
+    if len(parts) != 3:
+        raise ValueError(f"{path}:{lineno}: malformed size line {size_line!r}")
+    try:
+        rows, cols, nnz = (int(p) for p in parts)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: malformed size line {size_line!r}") from exc
+    if min(rows, cols, nnz) < 0:
+        raise ValueError(f"{path}:{lineno}: malformed size line {size_line!r}")
+    if rows != cols:
+        raise ValueError(f"{path}: symmetric matrix must be square, got {rows}x{cols}")
 
-        want_value = field != "pattern"
-        best: dict[tuple[int, int], float] = {}
-        seen = 0
-        for line in fh:
-            lineno += 1
-            s = line.strip()
-            if not s or s.startswith("%"):
-                continue
-            parts = s.split()
-            if len(parts) != (3 if want_value else 2):
-                raise ValueError(f"{path}:{lineno}: malformed entry {s!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                value = float(parts[2]) if want_value else 1.0
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed entry {s!r}") from exc
-            if not (1 <= i <= rows and 1 <= j <= cols):
-                raise ValueError(
-                    f"{path}:{lineno}: entry ({i},{j}) out of bounds for {rows}x{cols}"
-                )
-            seen += 1
-            if i == j:
-                continue
-            w = abs(value)
-            if w == 0.0:
-                continue
-            pair = (i - 1, j - 1) if i < j else (j - 1, i - 1)
-            if w > best.get(pair, -1.0):
-                best[pair] = w
-        if seen != nnz:
-            raise ValueError(f"{path}: header declares {nnz} entries, found {seen}")
-    return build_graph(((u, v, w) for (u, v), w in best.items()), num_vertices=rows)
+    want_value = field != "pattern"
+
+    def entry_problem(s: str) -> str | None:
+        parts = s.split()
+        if len(parts) != (3 if want_value else 2) or not (
+            _is_int(parts[0]) and _is_int(parts[1]) and (not want_value or _is_float(parts[2]))
+        ):
+            return f"malformed entry {s!r}"
+        i, j = int(parts[0]), int(parts[1])
+        if not (1 <= i <= rows and 1 <= j <= cols):
+            return f"entry ({i},{j}) out of bounds for {rows}x{cols}"
+        value = float(parts[2]) if want_value else 1.0
+        if not math.isfinite(value):
+            return f"entry value must be finite, got {value!r}"
+        return None
+
+    body = _Lines(path, data, min(pos, len(data)), lineno + 1, "%", "ascii", "replace")
+    entries, _ = body.parse(_EDGE_DTYPE if want_value else _PATTERN_DTYPE, entry_problem)
+    i, j = entries["u"], entries["v"]
+    value = entries["w"] if want_value else np.ones(i.size)
+    if np.any((i < 1) | (i > rows) | (j < 1) | (j > cols) | ~np.isfinite(value)):
+        raise body.first_bad_line(entry_problem)
+    if i.size != nnz:
+        raise ValueError(f"{path}: header declares {nnz} entries, found {i.size}")
+    w = np.abs(value)
+    keep = (i != j) & (w != 0.0)
+    return build_graph_arrays(
+        np.minimum(i, j)[keep] - 1, np.maximum(i, j)[keep] - 1, w[keep], num_vertices=rows
+    )
 
 
 _NLINE = re.compile(r"#\s*n\s*=\s*(\d+)")
@@ -102,26 +116,125 @@ def read_edge_list(path: str | Path) -> Graph:
     file). Parse failures report the offending line number.
     """
     path = Path(path)
+
+    def edge_problem(s: str) -> str | None:
+        parts = s.split()
+        if len(parts) != 3:
+            return f"expected 'u v w', got {s!r}"
+        if not (_is_int(parts[0]) and _is_int(parts[1]) and _is_float(parts[2])):
+            return f"cannot parse {s!r}"
+        return None
+
+    lines = _Lines(path, _read_newline_normalized(path), 0, 1, "#", "utf-8", "strict")
+    edges, comments = lines.parse(_EDGE_DTYPE, edge_problem)
     n_override: int | None = None
-    edges: list[tuple[int, int, float]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    for comment in comments:
+        m = _NLINE.search(comment)
+        if m:
+            n_override = int(m.group(1))
+    return build_graph_arrays(edges["u"], edges["v"], edges["w"], num_vertices=n_override)
+
+
+def _read_newline_normalized(path: Path) -> bytes:
+    """The file's bytes, with line ends translated as text-mode reading does."""
+    data = path.read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _line_end(data: bytes, pos: int) -> int:
+    end = data.find(b"\n", pos)
+    return len(data) if end < 0 else end
+
+
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+", re.ASCII)
+
+
+def _is_int(token: str) -> bool:
+    """Whether numpy parses the token as an int64 (Python's int() also
+    takes underscores, non-ASCII digits and unbounded values)."""
+    return _INT_TOKEN.fullmatch(token) is not None and -(2**63) <= int(token) < 2**63
+
+
+def _is_float(token: str) -> bool:
+    """Whether numpy parses the token as a float64: float()'s grammar
+    without underscores or non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+_INK = re.compile(rb"\S")  # a byte that is not ASCII whitespace
+
+
+class _Lines:
+    """The lines of a file from byte ``start`` on; lines whose first
+    non-blank character is ``mark`` are comments, other non-blank lines are
+    data lines."""
+
+    def __init__(self, path: Path, data: bytes, start: int, first_lineno: int,
+                 mark: str, encoding: str, errors: str) -> None:
+        self.path, self.data, self.start, self.first_lineno = path, data, start, first_lineno
+        self.mark, self.encoding, self.errors = mark, encoding, errors
+
+    def parse(self, dtype: np.dtype, problem: Callable[[str], str | None]
+              ) -> tuple[np.ndarray, list[str]]:
+        """All data lines as one structured array, and the comment lines.
+
+        A malformed line raises the error that :meth:`first_bad_line`
+        builds. numpy would drop a comment that trails data on its line, so
+        such a line is found and reported first.
+        """
+        comments = []
+        mark = self.mark.encode()
+        pos = self.data.find(mark, self.start)
+        while pos >= 0:
+            line, end = self._line_at(pos)
+            if not line.startswith(self.mark):
+                raise self.first_bad_line(problem)
+            comments.append(line)
+            pos = self.data.find(mark, end)
+        if not self._has_data():
+            return np.empty(0, dtype=dtype), comments  # numpy would warn on no data
+        stream = io.TextIOWrapper(io.BytesIO(self.data), encoding=self.encoding,
+                                  errors=self.errors)
+        stream.seek(self.start)
+        try:
+            rows = np.loadtxt(stream, dtype=dtype, comments=self.mark, ndmin=1)
+        except ValueError as exc:
+            raise self.first_bad_line(problem) from exc
+        return rows, comments
+
+    def _line_at(self, pos: int) -> tuple[str, int]:
+        """The decoded, stripped line holding byte ``pos``, and its end."""
+        start = max(self.data.rfind(b"\n", self.start, pos) + 1, self.start)
+        end = _line_end(self.data, pos)
+        return self.data[start:end].decode(self.encoding, self.errors).strip(), end
+
+    def _has_data(self) -> bool:
+        pos = self.start
+        while (hit := _INK.search(self.data, pos)) is not None:
+            line, pos = self._line_at(hit.start())
+            if line and not line.startswith(self.mark):
+                return True
+        return False
+
+    def first_bad_line(self, problem: Callable[[str], str | None]) -> ValueError:
+        """A ValueError naming the first data line that ``problem``
+        describes; only built once a fast check has failed."""
+        text = self.data[self.start:].decode(self.encoding, self.errors)
+        for lineno, line in enumerate(text.split("\n"), start=self.first_lineno):
             s = line.strip()
-            if not s:
-                continue
-            if s.startswith("#"):
-                m = _NLINE.search(s)
-                if m:
-                    n_override = int(m.group(1))
-                continue
-            parts = s.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'u v w', got {s!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: cannot parse {s!r}") from exc
-    return build_graph(edges, num_vertices=n_override)
+            if s and not s.startswith(self.mark):
+                found = problem(s)
+                if found is not None:
+                    return ValueError(f"{self.path}:{lineno}: {found}")
+        return ValueError(f"{self.path}: cannot parse the data lines")
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:

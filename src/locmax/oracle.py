@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, Matching, build_graph, validate_matching
+from .graph import Graph, Matching, _assemble, validate_matching
 
 ORACLE_EDGE_CAP = 24
 
@@ -91,28 +91,31 @@ RATIO_EPS = 1e-9
 
 _WEIGHT_REGIMES = ("uniform", "few_values", "all_equal", "powers")
 
+_AUDIT_MAX_VERTICES = 12
+# (u, v) pairs with u < v < 12 in row-major order; those with v < n are the
+# same order for n vertices
+_AUDIT_PAIRS = np.triu_indices(_AUDIT_MAX_VERTICES, k=1)
+
 
 def random_audit_instance(rng: np.random.Generator, max_edges: int = ORACLE_EDGE_CAP) -> Graph:
     """Small random graph in mixed weight regimes, ties included on purpose."""
-    n = int(rng.integers(2, 13))
+    n = int(rng.integers(2, _AUDIT_MAX_VERTICES + 1))
     cap = min(max_edges, n * (n - 1) // 2)
     m = int(rng.integers(0, cap + 1))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    idx = rng.choice(len(pairs), size=m, replace=False) if m else []
+    inside = _AUDIT_PAIRS[1] < n
+    lo, hi = _AUDIT_PAIRS[0][inside], _AUDIT_PAIRS[1][inside]
+    idx = rng.choice(lo.size, size=m, replace=False) if m else np.empty(0, dtype=np.int64)
     regime = _WEIGHT_REGIMES[int(rng.integers(0, len(_WEIGHT_REGIMES)))]
-    edges = []
-    for i in idx:
-        u, v = pairs[int(i)]
-        if regime == "uniform":
-            w = float(rng.random())
-        elif regime == "few_values":
-            w = float(rng.integers(1, 5)) / 4.0
-        elif regime == "all_equal":
-            w = 1.0
-        else:
-            w = float(2 ** rng.integers(0, 5))
-        edges.append((u, v, w))
-    return build_graph(edges, num_vertices=n)
+    # one draw per edge, in edge order, as the regime asks
+    if regime == "uniform":
+        w = rng.random(m)
+    elif regime == "few_values":
+        w = rng.integers(1, 5, size=m) / 4.0
+    elif regime == "all_equal":
+        w = np.ones(m)
+    else:
+        w = 2.0 ** rng.integers(0, 5, size=m)
+    return _assemble(lo[idx], hi[idx], w, n)
 
 
 def approximation_audit(

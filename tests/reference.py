@@ -1,0 +1,413 @@
+"""Reference implementations kept as test oracles.
+
+These are the loop-based versions of the graph builder, the file readers,
+the grid neighbour search, the generators and the matching validator that
+the array-based code in ``locmax`` replaced. The tests check the package
+against them array for array; nothing under ``src/`` imports this module.
+
+Deliberate differences from the original loops, which the package reader
+shares: ``read_matrix_market`` rejects NaN and infinite entries at their
+line, and a size line with a negative count.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from pathlib import Path
+from typing import Iterable
+
+import numpy as np
+
+from locmax import Graph, Matching, MatchingCheck
+from locmax.generate import _morton_order, rgg_threshold
+
+_MM_FIELDS = ("real", "integer", "pattern")
+_WEIGHT_REGIMES = ("uniform", "few_values", "all_equal", "powers")
+ORACLE_EDGE_CAP = 24
+
+
+def build_graph(
+    edge_list: Iterable[tuple[int, int, float]],
+    num_vertices: int | None = None,
+) -> Graph:
+    """Build an adjacency-array graph from (u, v, weight) triples.
+
+    Self-loops are dropped. Among parallel edges only the heaviest is kept
+    (ties resolved toward the earlier input position). Vertex ids must lie
+    in [0, num_vertices); when ``num_vertices`` is omitted it is inferred as
+    max id + 1.
+
+    Raises ValueError for out-of-range ids and NaN, infinite or negative
+    weights, naming the offending input position.
+    """
+    kept: dict[tuple[int, int], int] = {}
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
+    max_id = -1
+    for pos, (u, v, w) in enumerate(edge_list):
+        ui, vi = int(u), int(v)
+        if ui < 0 or vi < 0:
+            raise ValueError(f"edge {pos}: negative vertex id ({ui}, {vi})")
+        if num_vertices is not None and (ui >= num_vertices or vi >= num_vertices):
+            raise ValueError(
+                f"edge {pos}: vertex id out of range for n={num_vertices}: ({ui}, {vi})"
+            )
+        wf = float(w)
+        if math.isnan(wf) or math.isinf(wf) or wf < 0.0:
+            raise ValueError(f"edge {pos}: weight must be finite and >= 0, got {w!r}")
+        if ui == vi:
+            continue  # self-loops can never be matched
+        max_id = max(max_id, ui, vi)
+        pair = (ui, vi) if ui < vi else (vi, ui)
+        at = kept.get(pair)
+        if at is None:
+            kept[pair] = len(us)
+            us.append(ui)
+            vs.append(vi)
+            ws.append(wf)
+        elif wf > ws[at]:
+            us[at], vs[at], ws[at] = ui, vi, wf
+
+    n = num_vertices if num_vertices is not None else max_id + 1
+    m = len(us)
+    edge_u = np.asarray(us, dtype=np.int64)
+    edge_v = np.asarray(vs, dtype=np.int64)
+    edge_weight = np.asarray(ws, dtype=np.float64)
+
+    slot_vertex = np.concatenate([edge_u, edge_v]) if m else np.empty(0, dtype=np.int64)
+    slot_eid = np.concatenate([np.arange(m), np.arange(m)]).astype(np.int64)
+    order = np.lexsort((slot_eid, slot_vertex))
+    slot_vertex = slot_vertex[order]
+    slot_eid = slot_eid[order]
+
+    degrees = np.bincount(slot_vertex, minlength=n).astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+
+    for arr in (offsets, slot_vertex, slot_eid, edge_u, edge_v, edge_weight):
+        arr.setflags(write=False)
+    return Graph(n, offsets, slot_vertex, slot_eid, edge_u, edge_v, edge_weight)
+
+
+def read_matrix_market(path: str | Path) -> Graph:
+    """Read a symmetric MatrixMarket coordinate file as a weighted graph.
+
+    One undirected edge per off-diagonal stored entry, weighted by the
+    absolute value of the entry (1.0 for pattern files). Diagonal entries
+    are dropped, duplicates collapse to the largest absolute value, and
+    explicit zero entries are discarded: a zero-weight edge can never beat a
+    positive one and would only pollute quality ratios. Indices are 1-based
+    in the file and 0-based in the result.
+    """
+    path = Path(path)
+    with path.open("r", encoding="ascii", errors="replace") as fh:
+        header = fh.readline()
+        tokens = header.strip().split()
+        if len(tokens) != 5 or tokens[0] != "%%MatrixMarket":
+            raise ValueError(f"{path}: malformed MatrixMarket banner: {header.strip()!r}")
+        _, obj, fmt, field, symmetry = (t.lower() for t in tokens)
+        if obj != "matrix" or fmt != "coordinate":
+            raise ValueError(f"{path}: expected 'matrix coordinate', got '{obj} {fmt}'")
+        if field not in _MM_FIELDS:
+            raise ValueError(f"{path}: unsupported field {field!r} (want real/integer/pattern)")
+        if symmetry != "symmetric":
+            raise ValueError(f"{path}: symmetry must be 'symmetric', got {symmetry!r}")
+
+        size_line = None
+        lineno = 1
+        for line in fh:
+            lineno += 1
+            s = line.strip()
+            if not s or s.startswith("%"):
+                continue
+            size_line = s
+            break
+        if size_line is None:
+            raise ValueError(f"{path}: missing size line")
+        parts = size_line.split()
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: malformed size line {size_line!r}")
+        try:
+            rows, cols, nnz = (int(p) for p in parts)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed size line {size_line!r}") from exc
+        if min(rows, cols, nnz) < 0:
+            raise ValueError(f"{path}:{lineno}: malformed size line {size_line!r}")
+        if rows != cols:
+            raise ValueError(f"{path}: symmetric matrix must be square, got {rows}x{cols}")
+
+        want_value = field != "pattern"
+        best: dict[tuple[int, int], float] = {}
+        seen = 0
+        for line in fh:
+            lineno += 1
+            s = line.strip()
+            if not s or s.startswith("%"):
+                continue
+            parts = s.split()
+            if len(parts) != (3 if want_value else 2):
+                raise ValueError(f"{path}:{lineno}: malformed entry {s!r}")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                value = float(parts[2]) if want_value else 1.0
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed entry {s!r}") from exc
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise ValueError(
+                    f"{path}:{lineno}: entry ({i},{j}) out of bounds for {rows}x{cols}"
+                )
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: entry value must be finite, got {value!r}")
+            seen += 1
+            if i == j:
+                continue
+            w = abs(value)
+            if w == 0.0:
+                continue
+            pair = (i - 1, j - 1) if i < j else (j - 1, i - 1)
+            if w > best.get(pair, -1.0):
+                best[pair] = w
+        if seen != nnz:
+            raise ValueError(f"{path}: header declares {nnz} entries, found {seen}")
+    return build_graph(((u, v, w) for (u, v), w in best.items()), num_vertices=rows)
+
+
+_NLINE = re.compile(r"#\s*n\s*=\s*(\d+)")
+
+
+def read_edge_list(path: str | Path) -> Graph:
+    """Read a whitespace-separated "u v w" edge list.
+
+    Lines starting with '#' are comments; a "# n=<N>" comment fixes the
+    vertex count (otherwise it is inferred as max id + 1, 0 for an empty
+    file). Parse failures report the offending line number.
+    """
+    path = Path(path)
+    n_override: int | None = None
+    edges: list[tuple[int, int, float]] = []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            s = line.strip()
+            if not s:
+                continue
+            if s.startswith("#"):
+                m = _NLINE.search(s)
+                if m:
+                    n_override = int(m.group(1))
+                continue
+            parts = s.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'u v w', got {s!r}")
+            try:
+                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: cannot parse {s!r}") from exc
+    return build_graph(edges, num_vertices=n_override)
+
+
+def gen_random(n: int, alpha: int, seed: int) -> Graph:
+    """Uniform simple graph with exactly alpha*n edges and U[0,1) weights.
+
+    Edges are drawn uniformly without replacement among the n*(n-1)/2
+    unordered pairs, by batched rejection sampling; the result is a
+    deterministic function of the seed.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    m = alpha * n
+    capacity = n * (n - 1) // 2
+    if m > capacity:
+        raise ValueError(
+            f"density infeasible: requested {m} edges but only {capacity} pairs exist for n={n}"
+        )
+    rng = np.random.default_rng(seed)
+    if 2 * m > capacity:
+        # dense request: rejection would thrash, sample pair indices directly
+        lo, hi = np.triu_indices(n, k=1)
+        pick = rng.choice(capacity, size=m, replace=False)
+        chosen = lo[pick] * n + hi[pick]
+        weights = rng.random(m)
+        edges = zip((chosen // n).tolist(), (chosen % n).tolist(), weights.tolist())
+        return build_graph(edges, num_vertices=n)
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < m:
+        need = m - chosen.size
+        batch = need + need // 8 + 16
+        a = rng.integers(0, n, size=batch, dtype=np.int64)
+        b = rng.integers(0, n, size=batch, dtype=np.int64)
+        ok = a != b
+        lo = np.minimum(a[ok], b[ok])
+        hi = np.maximum(a[ok], b[ok])
+        packed = lo * n + hi
+        # dedup within the batch, keeping first-draw order
+        _, first = np.unique(packed, return_index=True)
+        packed = packed[np.sort(first)]
+        packed = packed[~np.isin(packed, chosen)]
+        chosen = np.concatenate([chosen, packed[:need]])
+    weights = rng.random(m)
+    edges = zip((chosen // n).tolist(), (chosen % n).tolist(), weights.tolist())
+    return build_graph(edges, num_vertices=n)
+
+
+def gen_rgg(x: int, seed: int, weight_mode: str = "euclidean") -> Graph:
+    """Random geometric graph on 2^x uniform points in the unit square.
+
+    Vertices u, v are adjacent iff their Euclidean distance is strictly
+    below the threshold radius (points exactly at the radius are NOT
+    connected). Weights are either the Euclidean distances or fresh U[0,1)
+    draws, per ``weight_mode``. Candidate pairs come from a uniform grid
+    with cell width equal to the radius, so generation is expected
+    O(n + m) rather than quadratic.
+
+    Vertices are numbered along a space-filling (z-order) curve of their
+    positions: geometric instances normally reach a partitioner with a
+    spatially coherent numbering, and contiguous-range partitions of this
+    family are expected to have few cut edges.
+    """
+    if x < 2:
+        raise ValueError("x must be >= 2")
+    if weight_mode not in ("euclidean", "random"):
+        raise ValueError(f"weight_mode must be euclidean or random, got {weight_mode!r}")
+    n = 1 << x
+    rng = np.random.default_rng(seed)
+    points = rng.random((n, 2))
+    points = points[_morton_order(points)]
+    radius = rgg_threshold(n)
+    eu, ev, dist = radius_edges_grid(points, radius)
+    if weight_mode == "euclidean":
+        weights = dist
+    else:
+        weights = rng.random(eu.size)
+    edges = zip(eu.tolist(), ev.tolist(), weights.tolist())
+    return build_graph(edges, num_vertices=n)
+
+
+def radius_edges_grid(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All pairs at Euclidean distance < radius, via a uniform spatial hash.
+
+    Returns (u, v, distance) arrays with u < v, ordered deterministically.
+    Exact (not approximate): any pair within the radius lies in the same or
+    an adjacent grid cell because the cell width equals the radius.
+    """
+    n = points.shape[0]
+    if n == 0 or radius <= 0:
+        e = np.empty(0, dtype=np.int64)
+        return e, e.copy(), np.empty(0, dtype=np.float64)
+    side = max(1, int(math.floor(1.0 / radius)))  # cells are >= radius wide
+    cx = np.minimum((points[:, 0] / (1.0 / side)).astype(np.int64), side - 1)
+    cy = np.minimum((points[:, 1] / (1.0 / side)).astype(np.int64), side - 1)
+    cell = cx * side + cy
+    order = np.lexsort((np.arange(n), cell))
+    sorted_cell = cell[order]
+    uniq, starts = np.unique(sorted_cell, return_index=True)
+    starts = np.concatenate([starts, [n]])
+    cell_slice = {int(c): (int(starts[i]), int(starts[i + 1])) for i, c in enumerate(uniq)}
+
+    us: list[np.ndarray] = []
+    vs: list[np.ndarray] = []
+    ds: list[np.ndarray] = []
+    r2 = radius * radius
+    for i, c in enumerate(uniq):
+        px, py = int(c) // side, int(c) % side
+        own = order[starts[i]:starts[i + 1]]
+        cand_parts = []
+        for dx in (-1, 0, 1):
+            qx = px + dx
+            if not 0 <= qx < side:
+                continue
+            for dy in (-1, 0, 1):
+                qy = py + dy
+                if not 0 <= qy < side:
+                    continue
+                sl = cell_slice.get(qx * side + qy)
+                if sl is not None:
+                    cand_parts.append(order[sl[0]:sl[1]])
+        cand = np.concatenate(cand_parts)
+        diff = points[own][:, None, :] - points[cand][None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        pi, qi = np.nonzero((d2 < r2) & (own[:, None] < cand[None, :]))
+        if pi.size:
+            us.append(own[pi])
+            vs.append(cand[qi])
+            ds.append(np.sqrt(d2[pi, qi]))
+    if not us:
+        e = np.empty(0, dtype=np.int64)
+        return e, e.copy(), np.empty(0, dtype=np.float64)
+    return np.concatenate(us), np.concatenate(vs), np.concatenate(ds)
+
+
+def radius_edges_bruteforce(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadratic all-pairs reference for :func:`radius_edges_grid`."""
+    n = points.shape[0]
+    us, vs, ds = [], [], []
+    r2 = radius * radius
+    for u in range(n):
+        diff = points[u + 1:] - points[u]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        hit = np.nonzero(d2 < r2)[0]
+        if hit.size:
+            us.append(np.full(hit.size, u, dtype=np.int64))
+            vs.append(hit + u + 1)
+            ds.append(np.sqrt(d2[hit]))
+    if not us:
+        e = np.empty(0, dtype=np.int64)
+        return e, e.copy(), np.empty(0, dtype=np.float64)
+    return np.concatenate(us), np.concatenate(vs), np.concatenate(ds)
+
+
+def with_unit_weights(g: Graph) -> Graph:
+    """Copy of the graph with every weight forced to 1.0 (cardinality runs)."""
+    edges = zip(g.edge_u.tolist(), g.edge_v.tolist(), [1.0] * g.num_edges)
+    return build_graph(edges, num_vertices=g.num_vertices)
+
+
+def random_audit_instance(rng: np.random.Generator, max_edges: int = ORACLE_EDGE_CAP) -> Graph:
+    """Small random graph in mixed weight regimes, ties included on purpose."""
+    n = int(rng.integers(2, 13))
+    cap = min(max_edges, n * (n - 1) // 2)
+    m = int(rng.integers(0, cap + 1))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    idx = rng.choice(len(pairs), size=m, replace=False) if m else []
+    regime = _WEIGHT_REGIMES[int(rng.integers(0, len(_WEIGHT_REGIMES)))]
+    edges = []
+    for i in idx:
+        u, v = pairs[int(i)]
+        if regime == "uniform":
+            w = float(rng.random())
+        elif regime == "few_values":
+            w = float(rng.integers(1, 5)) / 4.0
+        elif regime == "all_equal":
+            w = 1.0
+        else:
+            w = float(2 ** rng.integers(0, 5))
+        edges.append((u, v, w))
+    return build_graph(edges, num_vertices=n)
+
+
+def validate_matching(g: Graph, m: Matching) -> MatchingCheck:
+    """Diagnostic validation; never raises.
+
+    ``valid`` holds when the edge set is pairwise vertex-disjoint and the
+    mate table is exactly the one induced by it. ``maximal`` additionally
+    requires that no remaining edge has both endpoints unmatched.
+    """
+    n = g.num_vertices
+    if m.mate.shape != (n,):
+        return MatchingCheck(False, False, "mate table has wrong length")
+    seen = np.zeros(n, dtype=bool)
+    for k in m.edges:
+        if not 0 <= k < g.num_edges:
+            return MatchingCheck(False, False, f"edge id {k} out of range")
+        u, v = g.endpoints(k)
+        if seen[u] or seen[v]:
+            return MatchingCheck(False, False, f"vertex shared by two matched edges (edge {k})")
+        seen[u] = seen[v] = True
+        if m.mate[u] != v or m.mate[v] != u:
+            return MatchingCheck(False, False, f"mate table disagrees with matched edge {k}")
+    if np.any(m.mate[~seen] != -1):
+        return MatchingCheck(False, False, "mate entry set for an unmatched vertex")
+    unmatched_u = m.mate[g.edge_u] == -1
+    unmatched_v = m.mate[g.edge_v] == -1
+    addable = bool(np.any(unmatched_u & unmatched_v))
+    return MatchingCheck(True, not addable, "")

@@ -1,0 +1,302 @@
+"""Array-based builder, generators and readers against the loop references.
+
+Every graph is compared array for array (values, dtypes and weight bits)
+with what the reference implementations in ``reference.py`` produce from
+the same input, and every error with the reference's message.
+"""
+
+from __future__ import annotations
+
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import locmax.generate
+import reference as ref
+from locmax import (
+    Matching,
+    build_graph,
+    build_graph_arrays,
+    gen_random,
+    gen_rgg,
+    read_graph,
+    validate_matching,
+)
+from locmax.generate import radius_edges_grid, with_unit_weights
+from locmax.oracle import random_audit_instance
+
+GRAPH_ARRAYS = ("offsets", "slot_vertex", "slot_edge", "edge_u", "edge_v", "edge_weight")
+
+
+def assert_same_graph(got, want):
+    assert got.num_vertices == want.num_vertices
+    for name in GRAPH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert not a.flags.writeable, name
+        if name == "edge_weight":  # bit for bit, so -0.0 and 0.0 differ
+            a, b = a.view(np.uint64), b.view(np.uint64)
+        assert np.array_equal(a, b), name
+
+
+def outcome(fn, *args):
+    """("ok", graph) or ("error", message); only ValueError is expected."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        assert_same_graph(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+# -- builder -----------------------------------------------------------------
+
+# ties, signed zeros, the smallest subnormal and normal, and the largest
+# magnitudes the builder must keep exactly
+SPECIAL_WEIGHTS = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0, 2.0, 1e308)
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(1, 10))
+    ids = st.integers(0, n - 1)
+    weight = st.one_of(st.sampled_from(SPECIAL_WEIGHTS),
+                       st.floats(0.0, 1e308, allow_nan=False, allow_infinity=False))
+    entries = draw(st.lists(st.tuples(ids, ids, weight), max_size=40))
+    # repeat some entries reversed or unchanged, so parallel edges are common
+    extra = draw(st.lists(st.tuples(st.integers(0, 10**6), st.booleans()),
+                          max_size=len(entries)))
+    for pick, flip in extra:
+        u, v, w = entries[pick % len(entries)]
+        entries.append((v, u, w) if flip else (u, v, w))
+    order = draw(st.permutations(range(len(entries))))
+    entries = [entries[i] for i in order]
+    fix_n = draw(st.sampled_from([None, n, n + 3]))
+    return entries, fix_n
+
+
+def arrays_of(entries):
+    if not entries:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    u, v, w = zip(*entries)
+    return np.array(u, np.int64), np.array(v, np.int64), np.array(w, np.float64)
+
+
+@given(multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_builder_matches_reference(case):
+    entries, fix_n = case
+    want = ref.build_graph(entries, num_vertices=fix_n)
+    assert_same_graph(build_graph_arrays(*arrays_of(entries), num_vertices=fix_n), want)
+    assert_same_graph(build_graph(entries, num_vertices=fix_n), want)
+
+
+BAD_ENTRIES = (
+    (-1, 0, 1.0),
+    (0, -2, 1.0),
+    (0, 99, 1.0),
+    (99, 99, 1.0),    # an out-of-range self-loop is still out of range
+    (0, 1, float("nan")),
+    (0, 1, float("inf")),
+    (0, 1, -1.0),
+    (1, 1, -5e-324),  # a bad weight on a self-loop is still bad
+)
+
+
+@given(multigraphs(), st.lists(st.tuples(st.sampled_from(BAD_ENTRIES), st.integers(0, 10**6)),
+                               min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_builder_errors_match_reference(case, bad):
+    entries, fix_n = case
+    for entry, at in bad:
+        entries.insert(at % (len(entries) + 1), entry)
+    want = outcome(ref.build_graph, entries, fix_n)
+    assert_same_outcome(outcome(build_graph_arrays, *arrays_of(entries), fix_n), want)
+    assert_same_outcome(outcome(build_graph, entries, fix_n), want)
+
+
+# -- matching validation -----------------------------------------------------
+
+@given(multigraphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_validate_matching_matches_reference(case, data):
+    entries, fix_n = case
+    g = build_graph(entries, num_vertices=fix_n)
+    # any subset of edge ids plus stray ones, with a mate table that is
+    # induced, induced and then perturbed, or random
+    ids = data.draw(st.sets(st.integers(-2, g.num_edges + 1), max_size=8))
+    mate = np.full(g.num_vertices, -1, dtype=np.int64)
+    for k in sorted(ids):
+        if 0 <= k < g.num_edges:
+            u, v = g.endpoints(k)
+            mate[u], mate[v] = v, u
+    for vertex, value in data.draw(st.lists(st.tuples(st.integers(0, 30), st.integers(-1, 30)),
+                                            max_size=2)):
+        if vertex < g.num_vertices:
+            mate[vertex] = value
+    m = Matching(frozenset(ids), mate)
+    assert validate_matching(g, m) == ref.validate_matching(g, m)
+
+
+# -- generators --------------------------------------------------------------
+
+@pytest.mark.parametrize("x", range(4, 13))
+def test_rgg_matches_reference(x):
+    for seed in (0, 1, 2):
+        for mode in ("euclidean", "random"):
+            assert_same_graph(gen_rgg(x, seed, mode), ref.gen_rgg(x, seed, mode))
+
+
+@pytest.mark.parametrize("x", range(4, 13))
+def test_random_sparse_and_unit_weights_match_reference(x):
+    for seed in (0, 1, 2):
+        g = gen_random(1 << x, 4, seed)
+        assert_same_graph(g, ref.gen_random(1 << x, 4, seed))
+        assert_same_graph(with_unit_weights(g), ref.with_unit_weights(g))
+
+
+@pytest.mark.parametrize("n,alpha", [(8, 3), (16, 5), (32, 10), (64, 20)])
+def test_random_dense_matches_reference(n, alpha):
+    assert 2 * alpha * n > n * (n - 1) // 2  # the exact-sampler path
+    for seed in range(4):
+        assert_same_graph(gen_random(n, alpha, seed), ref.gen_random(n, alpha, seed))
+
+
+def test_audit_instances_match_reference():
+    for seed in range(3):
+        for t in range(400):
+            got = random_audit_instance(np.random.default_rng((seed, t)))
+            want = ref.random_audit_instance(np.random.default_rng((seed, t)))
+            assert_same_graph(got, want)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 15])
+def test_grid_pairs_match_reference_order(monkeypatch, chunk):
+    monkeypatch.setattr(locmax.generate, "_GRID_CHUNK", chunk)  # also many chunks
+    for x in (6, 9, 12):
+        pts = np.random.default_rng(x).random((1 << x, 2))
+        r = ref.rgg_threshold(1 << x)
+        for a, b in zip(radius_edges_grid(pts, r), ref.radius_edges_grid(pts, r)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# -- readers -----------------------------------------------------------------
+
+# Tokens that both readers parse, mostly, and ones that make a line
+# malformed (float and non-numeric ids, a comment glued to a token) or its
+# entry invalid (negative ids, non-finite and negative weights).
+GOOD_IDS = ("0", "1", "2", "3", "+1", "-0", "00", "7")
+BAD_IDS = ("-1", "1.0", "1e0", "x", "2#", "")
+GOOD_WEIGHTS = ("1", "0.5", "2.0", "1e3", ".5", "5.", "0", "-0.0", "5e-324", "1e308")
+BAD_WEIGHTS = ("-1", "nan", "-inf", "Infinity", "1e400", "abc", "1.5e", "0x1p3", "3%", "1#")
+ID_TOKENS = st.sampled_from(GOOD_IDS * 6 + BAD_IDS)
+WEIGHT_TOKENS = st.sampled_from(GOOD_WEIGHTS * 4 + BAD_WEIGHTS)
+
+
+@st.composite
+def edge_list_lines(draw):
+    kind = draw(st.sampled_from(["edge"] * 6 + ["comment", "nline", "blank", "short", "extra",
+                                                  "trailing"]))
+    u, v, w = draw(ID_TOKENS), draw(ID_TOKENS), draw(WEIGHT_TOKENS)
+    pad = draw(st.sampled_from(["", " ", "\t", "  "]))
+    if kind == "edge":
+        return f"{pad}{u} {v}{pad} {w}{pad}"
+    if kind == "comment":
+        return f"{pad}# {u} {v} {w}"
+    if kind == "nline":
+        return f"# n={draw(st.integers(0, 12))}"
+    if kind == "blank":
+        return pad
+    if kind == "short":
+        return f"{u} {v}"
+    if kind == "extra":
+        return f"{u} {v} {w} {w}"
+    return f"{u} {v} {w} # note"
+
+
+@st.composite
+def mtx_files(draw):
+    field = draw(st.sampled_from(["real", "integer", "pattern"]))
+    rows = draw(st.integers(0, 6))
+    inside = st.integers(1, max(rows, 1))
+    index = st.one_of(inside, inside, inside, st.sampled_from([-1, 0, rows + 1]))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["entry"] * 6 + ["comment", "blank", "short", "extra",
+                                                      "trailing", "bad"]))
+        i, j = draw(index), draw(index)
+        value = draw(WEIGHT_TOKENS)
+        cells = [str(i), str(j)] + ([value] if field != "pattern" else [])
+        if kind == "entry":
+            lines.append(" ".join(cells))
+        elif kind == "comment":
+            lines.append(f"% {value}")
+        elif kind == "blank":
+            lines.append("")
+        elif kind == "short":
+            lines.append(" ".join(cells[:-1]))
+        elif kind == "extra":
+            lines.append(" ".join(cells + ["1"]))
+        elif kind == "trailing":
+            lines.append(" ".join(cells) + " % note")
+        else:
+            lines.append(" ".join([draw(ID_TOKENS)] + cells[1:]))
+    entries = sum(1 for s in lines if s.strip() and not s.strip().startswith("%"))
+    nnz = entries + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    head = [f"%%MatrixMarket matrix coordinate {field} symmetric", "% generated", f"{rows} {rows} {nnz}"]
+    return "\n".join(head + lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def compare_readers(name: str, text: str, reference_reader) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(read_graph, path)
+        assert_same_outcome(got, outcome(reference_reader, path))
+
+
+@given(st.lists(edge_list_lines(), max_size=12), st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_edge_list_reader_matches_reference(lines, newline):
+    compare_readers("g.txt", newline.join(lines) + newline, ref.read_edge_list)
+
+
+@given(mtx_files())
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_matrix_market_reader_matches_reference(text):
+    compare_readers("g.mtx", text, ref.read_matrix_market)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "# n=4\n  \n"])
+def test_edge_list_without_data_is_empty_graph_without_warning(tmp_path, text):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = read_graph(path)
+    assert g.num_edges == 0
+    assert_same_graph(g, ref.read_edge_list(path))
+
+
+@pytest.mark.parametrize("line", ["1_0 2 1.0", "0 1 1_0.5", "١ 2 1.0", "0 1 ٣.5",
+                                  "9223372036854775808 1 1.0"])
+def test_tokens_python_accepts_but_numpy_does_not_are_rejected(tmp_path, line):
+    # underscores, non-ASCII digits and ids beyond int64: the loop reader
+    # parsed these, the numpy reader rejects them naming the line
+    path = tmp_path / "g.txt"
+    path.write_text(f"# n=20\n0 1 1.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path.name}:3: cannot parse"):
+        read_graph(path)

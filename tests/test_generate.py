@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from locmax import assert_graph_invariants, gen_random, gen_rgg, rgg_threshold
-from locmax.generate import (
-    GeneratorSpec,
-    radius_edges_bruteforce,
-    radius_edges_grid,
-    with_unit_weights,
-)
+from locmax.generate import GeneratorSpec, radius_edges_grid, with_unit_weights
+
+from reference import radius_edges_bruteforce
 
 
 def _edge_set(g):

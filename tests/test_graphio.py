@@ -102,6 +102,18 @@ def test_mm_duplicates_keep_max_abs_and_zero_dropped(tmp_path):
     assert pairs == {(0, 1): 9.0, (1, 2): 2.0}
 
 
+def test_mm_rejects_negative_size_naming_its_line(tmp_path):
+    # used to fail inside numpy, naming neither the file nor the line
+    p = _write(
+        tmp_path,
+        "neg.mtx",
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "-1 -1 0\n",
+    )
+    with pytest.raises(ValueError, match=f"{p}:2: malformed size line"):
+        read_matrix_market(p)
+
+
 def test_mm_entry_count_mismatch(tmp_path):
     p = _write(
         tmp_path,
@@ -111,6 +123,36 @@ def test_mm_entry_count_mismatch(tmp_path):
         "2 1 1.0\n",
     )
     with pytest.raises(ValueError, match="declares"):
+        read_matrix_market(p)
+
+
+def test_mm_rejects_nan_entry_naming_its_line(tmp_path):
+    # a NaN used to vanish: it compares False against every kept weight
+    p = _write(
+        tmp_path,
+        "nan.mtx",
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "3 3 2\n"
+        "3 1 1.0\n"
+        "2 1 nan\n",
+    )
+    with pytest.raises(ValueError, match=f"{p}:4: entry value must be finite"):
+        read_matrix_market(p)
+
+
+def test_mm_rejects_inf_entry_naming_its_line(tmp_path):
+    # an infinite entry used to be reported as "edge 0", a position after
+    # deduplication, not a file line
+    p = _write(
+        tmp_path,
+        "inf.mtx",
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "% comment\n"
+        "3 3 2\n"
+        "3 1 1.0\n"
+        "2 1 -inf\n",
+    )
+    with pytest.raises(ValueError, match=f"{p}:5: entry value must be finite"):
         read_matrix_market(p)
 
 
