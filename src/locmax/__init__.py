@@ -54,7 +54,7 @@ from .oracle import (
     max_weight_matching_bruteforce,
 )
 from .pram import PramState, WriteLog, pram_local_max, pram_phase, segmented_broadcast
-from .tiebreak import DUMMY_KEY, TieKey, edge_salts, key_ranks, round_seed, tie_key
+from .tiebreak import edge_salts, key_ranks, round_seed
 
 __version__ = "0.1.0"
 
@@ -106,11 +106,8 @@ __all__ = [
     "pram_local_max",
     "pram_phase",
     "segmented_broadcast",
-    "DUMMY_KEY",
-    "TieKey",
     "edge_salts",
     "key_ranks",
     "round_seed",
-    "tie_key",
     "__version__",
 ]

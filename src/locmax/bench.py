@@ -51,11 +51,19 @@ class BenchRecord:
     engine: str
     seed: int
     weight: float
-    ratio_vs_gpa: float
+    ratio_vs_gpa: float | None  # None where no GPA baseline ran (``locmax match``)
     rounds: int
     mean_removed_fraction: float
     millis: float
     messages: int
+
+    @classmethod
+    def from_run(cls, instance: str, algorithm: str, engine: str, seed: int, weight: float,
+                 ratio_vs_gpa: float | None, trace: PhaseTrace) -> "BenchRecord":
+        """The record of one run; rounds, timing and messages come from its trace."""
+        messages = sum(rm.candidate_records for rm in trace.messages) if trace.messages else 0
+        return cls(instance, algorithm, engine, seed, weight, ratio_vs_gpa, trace.total_rounds,
+                   trace.mean_removed_fraction(), trace.wall_millis, messages)
 
     def as_row(self) -> dict[str, object]:
         return {
@@ -65,7 +73,7 @@ class BenchRecord:
             "engine": self.engine,
             "seed": self.seed,
             "weight": repr(self.weight),
-            "ratio_vs_gpa": repr(self.ratio_vs_gpa),
+            "ratio_vs_gpa": "" if self.ratio_vs_gpa is None else repr(self.ratio_vs_gpa),
             "rounds": self.rounds,
             "mean_removed_fraction": repr(self.mean_removed_fraction),
             "millis": f"{self.millis:.3f}",
@@ -170,24 +178,9 @@ def run_suite(config: SuiteConfig) -> list[BenchRecord]:
                     )
                 weight = matching.weight(g)
                 ratio = weight / gpa_weight if gpa_weight > 0 else 1.0
-                messages = (
-                    sum(rm.candidate_records for rm in trace.messages)
-                    if trace.messages is not None
-                    else 0
-                )
+                engine = config.engine if alg == "localmax" else "seq"
                 records.append(
-                    BenchRecord(
-                        instance=label,
-                        algorithm=alg,
-                        engine=config.engine if alg == "localmax" else "seq",
-                        seed=seed,
-                        weight=weight,
-                        ratio_vs_gpa=ratio,
-                        rounds=trace.total_rounds,
-                        mean_removed_fraction=trace.mean_removed_fraction(),
-                        millis=trace.wall_millis,
-                        messages=messages,
-                    )
+                    BenchRecord.from_run(label, alg, engine, seed, weight, ratio, trace)
                 )
     return records
 

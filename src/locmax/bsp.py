@@ -1,14 +1,16 @@
 """Partitioned bulk-synchronous local max with boundary-message accounting.
 
 Vertices are assigned to workers in contiguous ranges (balanced by degree
-sums); every edge is stored at both endpoint owners, so a worker can settle
-the candidate of any vertex it owns from local data alone. What crosses the
-network per round is (a) candidate records for the endpoints of surviving
-cut edges, exchanged at the first barrier so both owners of a cut edge reach
-the same match verdict, and (b) matched-status flags for cut-edge endpoints
-at the second barrier so both owners agree which edges die. The matching is
-identical to the sequential result for every worker count, because all
-decisions flow from the shared key order.
+sums), and each holds its vertices' slice of the slot array: every edge is
+stored at both endpoint owners, so a worker settles the candidate of any
+vertex it owns from local data alone, by the staged (weight, salt, id)
+maximum the sequential engine uses. What crosses the network per round is
+(a) candidate records for the endpoints of surviving cut edges, exchanged at
+the first barrier so both owners of a cut edge reach the same match verdict,
+and (b) matched-status flags for cut-edge endpoints at the second barrier so
+both owners agree which edges die. The matching is identical to the
+sequential result for every worker count, because all decisions flow from
+the shared key order.
 
 Workers here are logical: the supersteps are simulated sequentially, worker
 by worker, each writing only to vertices it owns. The message accounting
@@ -24,7 +26,8 @@ import numpy as np
 
 from .graph import Graph, Matching, matching_from_edge_ids
 from .matchers import PhaseTrace, RoundStats
-from .tiebreak import edge_salts, key_ranks, round_seed
+from .tiebreak import _new_candidates, _raise_candidates, _reset_candidates
+from .tiebreak import edge_salts, round_seed, weight_bits
 
 #: Bytes per candidate record: vertex id, weight, salt, edge id.
 CANDIDATE_RECORD_BYTES = 32
@@ -98,6 +101,12 @@ def partition_graph(g: Graph, p: int) -> Partition:
     return Partition(p, bounds, owner, local, cut, imbalance)
 
 
+def _distinct_count(keys: np.ndarray) -> int:
+    """Number of distinct values: sort, then count the steps between neighbours."""
+    k = np.sort(keys)
+    return int(k.size and 1 + np.count_nonzero(k[1:] != k[:-1]))
+
+
 def bsp_local_max(
     g: Graph,
     p: int,
@@ -107,7 +116,7 @@ def bsp_local_max(
     """Bulk-synchronous local max over a p-way contiguous partition.
 
     Per round and per worker: settle the candidates of owned vertices from
-    the local edge list; after the first barrier (candidate exchange for
+    their live incidences; after the first barrier (candidate exchange for
     cut edges) every owner of an edge reaches the same match verdict; after
     the second barrier (matched-status exchange) dead local edges are
     dropped and surviving candidates reset. The returned matching equals
@@ -119,66 +128,54 @@ def bsp_local_max(
     n, m = g.num_vertices, g.num_edges
     trace = PhaseTrace(messages=[])
 
-    cand = np.full(n, -1, dtype=np.int64)
+    cand = _new_candidates(n)
+    cand_id = cand[2]
     vertex_matched = np.zeros(n, dtype=bool)
-    rank_of = np.full(m, -1, dtype=np.int64)
     is_cut = np.zeros(m, dtype=bool)
     is_cut[part.cut_edges] = True
 
-    local_live = [e.copy() for e in part.local_edges]
+    # per worker: the live incidences of its owned vertices (its slice of
+    # the slot array) with the far endpoint, the edge and its weight bits;
+    # filtered together as edges die
+    local = []
+    for w in range(p):
+        lo, hi = g.offsets[part.bounds[w]], g.offsets[part.bounds[w + 1]]
+        ends, el = g.slot_vertex[lo:hi], g.slot_edge[lo:hi]
+        far = g.edge_u[el] ^ g.edge_v[el] ^ ends
+        local.append((ends, far, el, weight_bits(g.edge_weight[el])))
     matched_ever = np.zeros(m, dtype=bool)
     live_union = np.arange(m, dtype=np.int64)
     round_index = 0
     while live_union.size:
         rs = round_seed(seed, round_index, rerandomize)
-        rank_of[live_union] = key_ranks(
-            g.edge_weight[live_union], edge_salts(rs, live_union), live_union
-        )
 
         # superstep 1: each worker raises candidates for its owned vertices
-        for w in range(p):
-            el = local_live[w]
-            us, vs = g.edge_u[el], g.edge_v[el]
-            r = rank_of[el]
-            mine_u = owner[us] == w
-            mine_v = owner[vs] == w
-            np.maximum.at(cand, us[mine_u], r[mine_u])
-            np.maximum.at(cand, vs[mine_v], r[mine_v])
+        for ends, _, el, wbits in local:
+            _raise_candidates(cand, ((ends, wbits, edge_salts(rs, el), el),))
 
         # barrier 1: candidate records for surviving cut-edge endpoints,
         # deduplicated per (vertex, receiving worker)
         cut_live = live_union[is_cut[live_union]]
         cu, cv = g.edge_u[cut_live], g.edge_v[cut_live]
-        sent_u = np.unique(cu * np.int64(p) + owner[cv]).size
-        sent_v = np.unique(cv * np.int64(p) + owner[cu]).size
-        records = int(sent_u + sent_v)
+        records = _distinct_count(cu * np.int64(p) + owner[cv]) + _distinct_count(
+            cv * np.int64(p) + owner[cu]
+        )
 
         # superstep 2: with reconciled candidates, every owner of an edge
         # reaches the same verdict; owners mark their matched vertices
-        for w in range(p):
-            el = local_live[w]
-            us, vs = g.edge_u[el], g.edge_v[el]
-            r = rank_of[el]
-            won = (cand[us] == r) & (cand[vs] == r)
+        for ends, far, el, _ in local:
+            won = (cand_id[ends] == el) & (cand_id[far] == el)
             matched_ever[el[won]] = True
-            mine_u = owner[us] == w
-            mine_v = owner[vs] == w
-            vertex_matched[us[won & mine_u]] = True
-            vertex_matched[vs[won & mine_v]] = True
+            vertex_matched[ends[won]] = True
 
         # barrier 2: matched-status flags for cut-edge endpoints
         status_records = 2 * int(cut_live.size)
 
         # superstep 3: drop edges with a matched endpoint, reset survivors
-        for w in range(p):
-            el = local_live[w]
-            us, vs = g.edge_u[el], g.edge_v[el]
-            alive = ~(vertex_matched[us] | vertex_matched[vs])
-            mine_u = owner[us] == w
-            mine_v = owner[vs] == w
-            cand[us[alive & mine_u]] = -1
-            cand[vs[alive & mine_v]] = -1
-            local_live[w] = el[alive]
+        for w, (ends, far, _, _) in enumerate(local):
+            alive = ~(vertex_matched[ends] | vertex_matched[far])
+            _reset_candidates(cand, ends[alive])
+            local[w] = tuple(a[alive] for a in local[w])
 
         newly_matched = int(matched_ever[live_union].sum())
         still = ~(

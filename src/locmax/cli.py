@@ -1,7 +1,8 @@
 """Command-line harness: generate instances, run matchers, reproduce stats.
 
 Exit status is nonzero whenever a requested check fails (shrink bounds,
-oracle audit, engine cross-check), so the harness can gate CI runs.
+oracle audit, engine cross-check), so the harness can gate CI runs. Bad
+flags and rejected input (a ValueError) exit 2 with a one-line message.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    BENCH_COLUMNS,
     SHRINK_COLUMNS,
     CSV_SCHEMA_VERSION,
+    BenchRecord,
     InstanceSpec,
     SuiteConfig,
     engine_cross_check,
@@ -80,30 +81,17 @@ def _cmd_match(args) -> int:
         g, args.alg, args.seed, args.engine, args.p, args.rerandomize
     )
     check = validate_matching(g, matching)
-    messages = (
-        sum(rm.candidate_records for rm in trace.messages) if trace.messages else 0
+    record = BenchRecord.from_run(
+        label, args.alg, args.engine, args.seed, matching.weight(g), None, trace
     )
     print(
         f"{label} alg={args.alg} engine={args.engine} seed={args.seed} "
-        f"weight={matching.weight(g):.6f} size={matching.size} "
-        f"rounds={trace.total_rounds} millis={trace.wall_millis:.2f} "
-        f"messages={messages} valid={check.valid} maximal={check.maximal}"
+        f"weight={record.weight:.6f} size={matching.size} "
+        f"rounds={record.rounds} millis={record.millis:.2f} "
+        f"messages={record.messages} valid={check.valid} maximal={check.maximal}"
     )
     if args.out:
-        row = {
-            "schema": CSV_SCHEMA_VERSION,
-            "instance": label,
-            "algorithm": args.alg,
-            "engine": args.engine,
-            "seed": args.seed,
-            "weight": repr(matching.weight(g)),
-            "ratio_vs_gpa": "",
-            "rounds": trace.total_rounds,
-            "mean_removed_fraction": repr(trace.mean_removed_fraction()),
-            "millis": f"{trace.wall_millis:.3f}",
-            "messages": messages,
-        }
-        write_csv([row], args.out, BENCH_COLUMNS, append=True)
+        write_bench_csv([record], args.out, append=True)
     return 0 if check.valid and check.maximal else 1
 
 
@@ -273,8 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a bad argument or a malformed input exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"locmax: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

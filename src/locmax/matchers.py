@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .graph import Graph, Matching, matching_from_edge_ids
-from .tiebreak import edge_salts, key_ranks, round_seed, vertex_coins, weight_bits
+from .tiebreak import _new_candidates, _raise_candidates, _reset_candidates
+from .tiebreak import edge_salts, round_seed, vertex_coins, weight_bits
 
 
 @dataclass(frozen=True)
@@ -69,17 +70,13 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
     surviving edges (no sorting, no vertex scans), so total work stays
     linear under geometric shrinkage.
 
-    Pass 1 takes the lexicographic (weight, salt, id) maximum per vertex in
-    three scatter-max stages: max weight, then max salt among weight ties,
-    then max id among full ties. The id stage pins down the candidate edge
-    uniquely, so pass 2 is an id comparison at both endpoints.
+    Pass 1 is the staged (weight, salt, id) maximum of
+    :func:`_raise_candidates`, so pass 2 is an id comparison at both
+    endpoints.
     """
     t0 = time.perf_counter()
     trace = PhaseTrace()
-    # staged candidate key per vertex; cand_id == -1 is the dummy below all edges
-    cand_w = np.zeros(g.num_vertices, dtype=np.uint64)
-    cand_s = np.zeros(g.num_vertices, dtype=np.uint64)
-    cand_id = np.full(g.num_vertices, -1, dtype=np.int64)
+    cand = _new_candidates(g.num_vertices)
     vertex_matched = np.zeros(g.num_vertices, dtype=bool)
     live = np.arange(g.num_edges, dtype=np.int64)
     matched_parts: list[np.ndarray] = []
@@ -90,17 +87,8 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
         salts = edge_salts(rs, live)
         us = g.edge_u[live]
         vs = g.edge_v[live]
-        # pass 1: lexicographic max per endpoint, one key component at a time
-        np.maximum.at(cand_w, us, wbits)
-        np.maximum.at(cand_w, vs, wbits)
-        tie_u = cand_w[us] == wbits
-        tie_v = cand_w[vs] == wbits
-        np.maximum.at(cand_s, us[tie_u], salts[tie_u])
-        np.maximum.at(cand_s, vs[tie_v], salts[tie_v])
-        tie_u &= cand_s[us] == salts
-        tie_v &= cand_s[vs] == salts
-        np.maximum.at(cand_id, us[tie_u], live[tie_u])
-        np.maximum.at(cand_id, vs[tie_v], live[tie_v])
+        # pass 1: lexicographic max per endpoint
+        cand_id = _raise_candidates(cand, ((us, wbits, salts, live), (vs, wbits, salts, live)))
         # pass 2: an edge wins iff it is the candidate at both endpoints
         won = (cand_id[us] == live) & (cand_id[vs] == live)
         new_edges = live[won]
@@ -109,10 +97,7 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
         vertex_matched[vs[won]] = True
         # pass 3: drop edges with a matched endpoint, reset survivors' candidates
         alive = ~(vertex_matched[us] | vertex_matched[vs])
-        for ends in (us[alive], vs[alive]):
-            cand_w[ends] = 0
-            cand_s[ends] = 0
-            cand_id[ends] = -1
+        _reset_candidates(cand, us[alive], vs[alive])
         survivors = live[alive]
         trace.rounds.append(RoundStats(live.size, new_edges.size, live.size - survivors.size))
         live = survivors
@@ -367,8 +352,8 @@ def rbm(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     t0 = time.perf_counter()
     n = g.num_vertices
     trace = PhaseTrace()
-    prop = np.full(n, -1, dtype=np.int64)   # chosen proposal rank per blue vertex
-    acc = np.full(n, -1, dtype=np.int64)    # best incoming proposal rank per red vertex
+    prop = _new_candidates(n)   # heaviest outgoing proposal per blue vertex
+    acc = _new_candidates(n)    # heaviest incoming proposal per red vertex
     vertex_matched = np.zeros(n, dtype=bool)
     live = np.arange(g.num_edges, dtype=np.int64)
     matched_parts: list[np.ndarray] = []
@@ -378,29 +363,30 @@ def rbm(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
         if round_index >= max_rounds:
             raise RbmDidNotConverge(f"no progress after {max_rounds} rounds")
         rs = round_seed(seed, round_index, rerandomize=True)
-        ranks = key_ranks(g.edge_weight[live], edge_salts(rs, live), live)
+        wbits = weight_bits(g.edge_weight[live])
+        salts = edge_salts(rs, live)
         us = g.edge_u[live]
         vs = g.edge_v[live]
         blue_u = vertex_coins(rs, us)
         blue_v = vertex_coins(rs, vs)
         fwd = blue_u & ~blue_v   # u may propose along this edge
         bwd = blue_v & ~blue_u
-        np.maximum.at(prop, us[fwd], ranks[fwd])
-        np.maximum.at(prop, vs[bwd], ranks[bwd])
-        prop_fwd = fwd & (prop[us] == ranks)
-        prop_bwd = bwd & (prop[vs] == ranks)
-        np.maximum.at(acc, vs[prop_fwd], ranks[prop_fwd])
-        np.maximum.at(acc, us[prop_bwd], ranks[prop_bwd])
-        won = (prop_fwd & (acc[vs] == ranks)) | (prop_bwd & (acc[us] == ranks))
+
+        def offer(*sides):  # each side: the vertex column and the edges it offers
+            return [(ends[sel], wbits[sel], salts[sel], live[sel]) for ends, sel in sides]
+
+        prop_id = _raise_candidates(prop, offer((us, fwd), (vs, bwd)))
+        prop_fwd = fwd & (prop_id[us] == live)
+        prop_bwd = bwd & (prop_id[vs] == live)
+        acc_id = _raise_candidates(acc, offer((vs, prop_fwd), (us, prop_bwd)))
+        won = (prop_fwd & (acc_id[vs] == live)) | (prop_bwd & (acc_id[us] == live))
         new_edges = live[won]
         matched_parts.append(new_edges)
         vertex_matched[us[won]] = True
         vertex_matched[vs[won]] = True
         alive = ~(vertex_matched[us] | vertex_matched[vs])
-        prop[us[alive]] = -1
-        prop[vs[alive]] = -1
-        acc[us[alive]] = -1
-        acc[vs[alive]] = -1
+        for cand in (prop, acc):
+            _reset_candidates(cand, us[alive], vs[alive])
         survivors = live[alive]
         trace.rounds.append(RoundStats(live.size, new_edges.size, live.size - survivors.size))
         live = survivors

@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import Graph, Matching, assert_graph_invariants, matching_from_edge_ids
 from .matchers import PhaseTrace, RoundStats
-from .tiebreak import edge_salts, key_ranks, round_seed
+from .tiebreak import edge_salts, round_seed, weight_bits
 
 
 @dataclass
@@ -58,8 +58,9 @@ class PramState:
     ``edge_orig`` keeps each surviving edge's id in the input graph, so the
     per-round tie-breaking keys and the reported matching are immune to the
     renumbering done by compaction. ``cross`` maps each incidence slot to
-    the partner slot of the same edge; ``scratch`` is the per-edge cell the
-    pointer-exchange steps write through.
+    the partner slot of the same edge and ``min_side`` marks the slot at the
+    smaller endpoint id; both are set by :func:`compute_cross_pointers`.
+    ``scratch`` is the per-edge cell the pointer-exchange steps write through.
     """
 
     num_vertices: int
@@ -73,6 +74,7 @@ class PramState:
     edge_orig: np.ndarray
     scratch: np.ndarray
     flags: np.ndarray
+    min_side: np.ndarray | None = None
 
     @classmethod
     def from_graph(cls, g: Graph) -> "PramState":
@@ -122,6 +124,9 @@ class PramState:
                 raise ValueError("cross pointer leaves its edge")
             if np.any(self.slot_vertex[self.cross] == self.slot_vertex):
                 raise ValueError("cross pointer fails to switch endpoints")
+            lo = np.minimum(self.edge_u, self.edge_v)
+            if not np.array_equal(self.min_side, self.slot_vertex == lo[self.slot_edge]):
+                raise ValueError("min-side slot marks disagree with the endpoints")
 
 
 def compute_cross_pointers(state: PramState, log: WriteLog | None = None) -> None:
@@ -137,6 +142,7 @@ def compute_cross_pointers(state: PramState, log: WriteLog | None = None) -> Non
         raise ValueError("slot array length disagrees with the edge count")
     if m == 0:
         state.cross = np.empty(0, dtype=np.int64)
+        state.min_side = np.empty(0, dtype=bool)
         return
     counts = np.bincount(state.slot_edge, minlength=m)
     if not np.all(counts == 2):
@@ -145,25 +151,27 @@ def compute_cross_pointers(state: PramState, log: WriteLog | None = None) -> Non
     min_side = state.slot_vertex == lo[state.slot_edge]
     if int(min_side.sum()) != m:
         raise ValueError("inconsistent incidence: endpoints and slot owners disagree")
-    idx = np.arange(2 * m, dtype=np.int64)
+    min_slots = np.flatnonzero(min_side)
+    max_slots = np.flatnonzero(~min_side)
+    min_edges = state.slot_edge[min_slots]
+    max_edges = state.slot_edge[max_slots]
     cross = np.empty(2 * m, dtype=np.int64)
 
-    targets = state.slot_edge[min_side]
-    state.scratch[targets] = idx[min_side]
+    state.scratch[min_edges] = min_slots
     if log is not None:
-        log.record("cross/min-writes", "edge.scratch", targets)
-    cross[~min_side] = state.scratch[state.slot_edge[~min_side]]
+        log.record("cross/min-writes", "edge.scratch", min_edges)
+    cross[max_slots] = state.scratch[max_edges]
     if log is not None:
-        log.record("cross/max-reads", "slot.cross", idx[~min_side])
+        log.record("cross/max-reads", "slot.cross", max_slots)
 
-    targets = state.slot_edge[~min_side]
-    state.scratch[targets] = idx[~min_side]
+    state.scratch[max_edges] = max_slots
     if log is not None:
-        log.record("cross/max-writes", "edge.scratch", targets)
-    cross[min_side] = state.scratch[state.slot_edge[min_side]]
+        log.record("cross/max-writes", "edge.scratch", max_edges)
+    cross[min_slots] = state.scratch[min_edges]
     if log is not None:
-        log.record("cross/min-reads", "slot.cross", idx[min_side])
+        log.record("cross/min-reads", "slot.cross", min_slots)
     state.cross = cross
+    state.min_side = min_side
 
 
 def compaction_addresses(delete_flags: np.ndarray) -> np.ndarray:
@@ -186,10 +194,14 @@ def segmented_broadcast(state: PramState, per_edge_value: np.ndarray, op=np.maxi
     """
     if state.num_slots == 0:
         return np.empty(0, dtype=per_edge_value.dtype)
-    slot_val = per_edge_value[state.slot_edge]
+    return _segment_reduce(state, per_edge_value[state.slot_edge], op)
+
+
+def _segment_reduce(state: PramState, slot_value: np.ndarray, op=np.maximum) -> np.ndarray:
+    """:func:`segmented_broadcast` of a value already laid out per slot."""
     lengths = np.diff(state.offsets)
     nonempty = lengths > 0
-    seg_totals = op.reduceat(slot_val, state.offsets[:-1][nonempty])
+    seg_totals = op.reduceat(slot_value, state.offsets[:-1][nonempty])
     return np.repeat(seg_totals, lengths[nonempty])
 
 
@@ -200,9 +212,10 @@ def pram_phase(
 ) -> np.ndarray:
     """One parallel local max phase; returns the matched original edge ids.
 
-    Steps: (1) per-edge keys, (2) per-vertex heaviest edge by segmented max
-    broadcast, (3) the smaller-id endpoint matches an edge that is heaviest
-    on both sides (partner checked through the cross pointer) and flags it,
+    Steps: (1) per-slot keys, (2) per-vertex heaviest key by three segmented
+    max broadcasts (weight bits, salts among weight ties, ids among full
+    ties), (3) the smaller-id endpoint matches an edge that is heaviest on
+    both sides (partner checked through the cross pointer) and flags it,
     (4) deletion flags spread over all edges of matched vertices, (5)
     prefix sums over edge and slot deletion flags give every survivor its
     compacted address (old index minus deletions before it), (6) survivors
@@ -212,22 +225,22 @@ def pram_phase(
     m = state.num_edges
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    idx = np.arange(2 * m, dtype=np.int64)
 
-    # step 1: per-edge tie-breaking keys, encoded as dense ranks
-    salts = edge_salts(round_seed_value, state.edge_orig)
-    ranks = key_ranks(state.edge_weight, salts, state.edge_orig)
+    # step 1: the tie-breaking key of every slot's edge (concurrent reads)
+    slot_id = state.edge_orig[state.slot_edge]
+    slot_w = weight_bits(state.edge_weight[state.slot_edge])
+    slot_s = edge_salts(round_seed_value, slot_id)
 
-    # step 2: heaviest incident edge at every vertex, delivered per slot
-    best = segmented_broadcast(state, ranks, np.maximum)
+    # step 2: heaviest incident key at every vertex, one component per
+    # broadcast; slots out of the running offer 0, the least salt and id
+    tie = _segment_reduce(state, slot_w) == slot_w
+    tie &= _segment_reduce(state, np.where(tie, slot_s, 0)) == slot_s
+    best = _segment_reduce(state, np.where(tie, slot_id, 0))
 
     # step 3: match edges that are heaviest at both endpoints
-    lo = np.minimum(state.edge_u, state.edge_v)
-    min_side = state.slot_vertex == lo[state.slot_edge]
-    slot_rank = ranks[state.slot_edge]
-    wins_here = best == slot_rank
-    wins_there = best[state.cross] == slot_rank  # concurrent read, exclusive write
-    winner_slots = min_side & wins_here & wins_there
+    min_side = state.min_side
+    wins_there = best[state.cross] == slot_id  # concurrent read, exclusive write
+    winner_slots = min_side & (best == slot_id) & wins_there
     state.flags[:] = 0
     matched_edges = state.slot_edge[winner_slots]
     state.flags[matched_edges] = 1
@@ -237,7 +250,7 @@ def pram_phase(
 
     # step 4: spread deletion over every edge incident to a matched vertex
     spread = segmented_broadcast(state, state.flags, np.maximum)
-    min_slots = idx[min_side]
+    min_slots = np.flatnonzero(min_side)
     dead_edge = np.zeros(m, dtype=bool)
     dead_edge[state.slot_edge[min_slots]] = (
         spread[min_slots] | spread[state.cross[min_slots]]

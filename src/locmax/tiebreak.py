@@ -5,12 +5,12 @@ lexicographically. The salt is a 64-bit value derived from a counter-based
 hash of (experiment seed, round number, edge id), so the same edge gets the
 same salt in the sequential, PRAM and bulk-synchronous engines regardless of
 scheduling. Because the edge id is part of the key, no two edges ever
-compare equal, even when weights and salts collide.
+compare equal, even when weights and salts collide. Every engine takes
+per-vertex maxima of this order with the staged scatter-max of
+:func:`_raise_candidates`; none sorts keys.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,30 +71,12 @@ def vertex_coins(round_seed_value: int, vertex_ids) -> np.ndarray:
     return (h & np.uint64(1)).astype(bool)
 
 
-class TieKey(NamedTuple):
-    """Strict-total-order key for a single edge; compares lexicographically."""
-
-    weight: float
-    salt: int
-    edge_id: int
-
-
-#: Orders below every real edge; stands in for the uninitialized candidate.
-DUMMY_KEY = TieKey(float("-inf"), 0, -1)
-
-
-def tie_key(edge_id: int, weight: float, round_seed_value: int) -> TieKey:
-    """The tie-breaking key of one edge under a given per-round seed."""
-    salt = int(edge_salts(round_seed_value, np.array([edge_id], dtype=np.uint64))[0])
-    return TieKey(float(weight), salt, int(edge_id))
-
-
 def key_ranks(weights: np.ndarray, salts: np.ndarray, edge_ids: np.ndarray) -> np.ndarray:
     """Dense ranks of (weight, salt, id) keys; rank order equals key order.
 
     Ranks are only meaningful within the edge set they were computed for,
     but any two subsets containing the same edges agree on their relative
-    order, which is what the engine-equivalence guarantees rest on.
+    order. No engine sorts keys; tests check the staged maxima against this.
     """
     order = np.lexsort((edge_ids, salts, weights))
     ranks = np.empty(order.size, dtype=np.int64)
@@ -111,3 +93,41 @@ def weight_bits(weights: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(weights, dtype=np.float64) + 0.0
     return w.view(np.uint64)
+
+
+def _new_candidates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-vertex staged keys (weight bits, salt, id), all at the dummy
+    (0, 0, -1), which orders below every edge."""
+    return np.zeros(n, np.uint64), np.zeros(n, np.uint64), np.full(n, -1, np.int64)
+
+
+def _raise_candidates(cand, offers) -> np.ndarray:
+    """Raise vertex candidates to the heaviest (weight, salt, id) key offered.
+
+    Each ``(ends, wbits, salts, ids)`` group in ``offers`` offers the key of
+    edge ``ids[i]`` to vertex ``ends[i]``. Three scatter-max stages take max
+    weight, then max salt among weight ties, then max id among full ties;
+    each completes over all groups before the next reads it. Ids are unique,
+    so the returned per-vertex candidate ids name the winning edges.
+    """
+    cand_w, cand_s, cand_id = cand
+    for ends, wbits, _, _ in offers:
+        np.maximum.at(cand_w, ends, wbits)
+    ties = []
+    for ends, wbits, salts, _ in offers:
+        tie = cand_w[ends] == wbits
+        np.maximum.at(cand_s, ends[tie], salts[tie])
+        ties.append(tie)
+    for (ends, _, salts, ids), tie in zip(offers, ties):
+        tie &= cand_s[ends] == salts
+        np.maximum.at(cand_id, ends[tie], ids[tie])
+    return cand_id
+
+
+def _reset_candidates(cand, *ends: np.ndarray) -> None:
+    """Put the candidates of the given vertices back to the dummy."""
+    cand_w, cand_s, cand_id = cand
+    for e in ends:
+        cand_w[e] = 0
+        cand_s[e] = 0
+        cand_id[e] = -1

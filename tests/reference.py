@@ -2,8 +2,12 @@
 
 These are the loop-based versions of the graph builder, the file readers,
 the grid neighbour search, the generators and the matching validator that
-the array-based code in ``locmax`` replaced. The tests check the package
+the array-based code in ``locmax`` replaced, and the rank-based PRAM, BSP
+and red-blue engines that sorted every round's keys before the staged
+(weight, salt, id) maximum replaced the sort. The tests check the package
 against them array for array; nothing under ``src/`` imports this module.
+The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
+independent statement of the key order.
 
 Deliberate differences from the original loops, which the package reader
 shares: ``read_matrix_market`` rejects NaN and infinite entries at their
@@ -14,13 +18,24 @@ from __future__ import annotations
 
 import math
 import re
+import time
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from locmax import Graph, Matching, MatchingCheck
+from locmax import Graph, Matching, MatchingCheck, matching_from_edge_ids
+from locmax.bsp import CANDIDATE_RECORD_BYTES, RoundMessages, partition_graph
 from locmax.generate import _morton_order, rgg_threshold
+from locmax.matchers import PhaseTrace, RbmDidNotConverge, RoundStats
+from locmax.pram import (
+    PramState,
+    WriteLog,
+    compaction_addresses,
+    compute_cross_pointers,
+    segmented_broadcast,
+)
+from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins
 
 _MM_FIELDS = ("real", "integer", "pattern")
 _WEIGHT_REGIMES = ("uniform", "few_values", "all_equal", "powers")
@@ -411,3 +426,243 @@ def validate_matching(g: Graph, m: Matching) -> MatchingCheck:
     unmatched_v = m.mate[g.edge_v] == -1
     addable = bool(np.any(unmatched_u & unmatched_v))
     return MatchingCheck(True, not addable, "")
+
+
+class TieKey(NamedTuple):
+    """Strict-total-order key for a single edge; compares lexicographically."""
+
+    weight: float
+    salt: int
+    edge_id: int
+
+
+#: Orders below every real edge; stands in for the uninitialized candidate.
+DUMMY_KEY = TieKey(float("-inf"), 0, -1)
+
+
+def tie_key(edge_id: int, weight: float, round_seed_value: int) -> TieKey:
+    """The tie-breaking key of one edge under a given per-round seed."""
+    salt = int(edge_salts(round_seed_value, np.array([edge_id], dtype=np.uint64))[0])
+    return TieKey(float(weight), salt, int(edge_id))
+
+
+def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:
+    """One parallel local max phase with the keys encoded as dense ranks."""
+    m = state.num_edges
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    idx = np.arange(2 * m, dtype=np.int64)
+
+    salts = edge_salts(round_seed_value, state.edge_orig)
+    ranks = key_ranks(state.edge_weight, salts, state.edge_orig)
+    best = segmented_broadcast(state, ranks, np.maximum)
+
+    lo = np.minimum(state.edge_u, state.edge_v)
+    min_side = state.slot_vertex == lo[state.slot_edge]
+    slot_rank = ranks[state.slot_edge]
+    wins_here = best == slot_rank
+    wins_there = best[state.cross] == slot_rank
+    winner_slots = min_side & wins_here & wins_there
+    state.flags[:] = 0
+    matched_edges = state.slot_edge[winner_slots]
+    state.flags[matched_edges] = 1
+    if log is not None:
+        log.record("match/flag-writes", "edge.flag", matched_edges)
+    matched_orig = state.edge_orig[matched_edges]
+
+    spread = segmented_broadcast(state, state.flags, np.maximum)
+    min_slots = idx[min_side]
+    dead_edge = np.zeros(m, dtype=bool)
+    dead_edge[state.slot_edge[min_slots]] = (
+        spread[min_slots] | spread[state.cross[min_slots]]
+    ).astype(bool)
+    if log is not None:
+        log.record("spread/edge-writes", "edge.flag", state.slot_edge[min_slots])
+
+    dead_slot = dead_edge[state.slot_edge]
+    new_edge_index = compaction_addresses(dead_edge)
+    new_slot_index = compaction_addresses(dead_slot)
+
+    keep_e = ~dead_edge
+    if log is not None:
+        log.record("compact/edge-copies", "edge.records", new_edge_index[keep_e])
+    state.edge_u = state.edge_u[keep_e]
+    state.edge_v = state.edge_v[keep_e]
+    state.edge_weight = state.edge_weight[keep_e]
+    state.edge_orig = state.edge_orig[keep_e]
+    state.scratch = np.full(state.edge_u.size, -1, dtype=np.int64)
+    state.flags = np.zeros(state.edge_u.size, dtype=np.int64)
+
+    keep_s = ~dead_slot
+    if log is not None:
+        log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
+    state.slot_vertex = state.slot_vertex[keep_s]
+    state.slot_edge = new_edge_index[state.slot_edge[keep_s]]
+
+    surviving_deg = np.bincount(state.slot_vertex, minlength=state.num_vertices)
+    state.offsets = np.concatenate([[0], np.cumsum(surviving_deg)]).astype(np.int64)
+    compute_cross_pointers(state, log)
+    return matched_orig
+
+
+def pram_local_max(g: Graph, seed: int, checked: bool = False, rerandomize: bool = True):
+    """The PRAM engine driving the rank-based :func:`pram_phase`."""
+    t0 = time.perf_counter()
+    state = PramState.from_graph(g)
+    log = WriteLog() if checked else None
+    trace = PhaseTrace(write_log=log)
+    slot_ops = g.num_vertices + 3 * g.num_edges
+    compute_cross_pointers(state, log)
+    if checked:
+        state.check_consistent()
+    matched_parts: list[np.ndarray] = []
+    round_index = 0
+    while state.num_edges:
+        before = state.num_edges
+        slot_ops += state.num_edges + state.num_slots
+        matched = pram_phase(state, round_seed(seed, round_index, rerandomize), log)
+        if checked:
+            state.check_consistent()
+        matched_parts.append(matched)
+        trace.rounds.append(RoundStats(before, matched.size, before - state.num_edges))
+        round_index += 1
+    all_matched = (
+        np.concatenate(matched_parts) if matched_parts else np.empty(0, dtype=np.int64)
+    )
+    trace.slot_ops = int(slot_ops)
+    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
+    return matching_from_edge_ids(g, all_matched), trace
+
+
+def bsp_local_max(g: Graph, p: int, seed: int, rerandomize: bool = True):
+    """Bulk-synchronous local max comparing per-round dense key ranks."""
+    t0 = time.perf_counter()
+    part = partition_graph(g, p)
+    owner = part.owner
+    n, m = g.num_vertices, g.num_edges
+    trace = PhaseTrace(messages=[])
+
+    cand = np.full(n, -1, dtype=np.int64)
+    vertex_matched = np.zeros(n, dtype=bool)
+    rank_of = np.full(m, -1, dtype=np.int64)
+    is_cut = np.zeros(m, dtype=bool)
+    is_cut[part.cut_edges] = True
+
+    local_live = [e.copy() for e in part.local_edges]
+    matched_ever = np.zeros(m, dtype=bool)
+    live_union = np.arange(m, dtype=np.int64)
+    round_index = 0
+    while live_union.size:
+        rs = round_seed(seed, round_index, rerandomize)
+        rank_of[live_union] = key_ranks(
+            g.edge_weight[live_union], edge_salts(rs, live_union), live_union
+        )
+        for w in range(p):
+            el = local_live[w]
+            us, vs = g.edge_u[el], g.edge_v[el]
+            r = rank_of[el]
+            mine_u = owner[us] == w
+            mine_v = owner[vs] == w
+            np.maximum.at(cand, us[mine_u], r[mine_u])
+            np.maximum.at(cand, vs[mine_v], r[mine_v])
+
+        cut_live = live_union[is_cut[live_union]]
+        cu, cv = g.edge_u[cut_live], g.edge_v[cut_live]
+        sent_u = np.unique(cu * np.int64(p) + owner[cv]).size
+        sent_v = np.unique(cv * np.int64(p) + owner[cu]).size
+        records = int(sent_u + sent_v)
+
+        for w in range(p):
+            el = local_live[w]
+            us, vs = g.edge_u[el], g.edge_v[el]
+            r = rank_of[el]
+            won = (cand[us] == r) & (cand[vs] == r)
+            matched_ever[el[won]] = True
+            mine_u = owner[us] == w
+            mine_v = owner[vs] == w
+            vertex_matched[us[won & mine_u]] = True
+            vertex_matched[vs[won & mine_v]] = True
+
+        status_records = 2 * int(cut_live.size)
+
+        for w in range(p):
+            el = local_live[w]
+            us, vs = g.edge_u[el], g.edge_v[el]
+            alive = ~(vertex_matched[us] | vertex_matched[vs])
+            mine_u = owner[us] == w
+            mine_v = owner[vs] == w
+            cand[us[alive & mine_u]] = -1
+            cand[vs[alive & mine_v]] = -1
+            local_live[w] = el[alive]
+
+        newly_matched = int(matched_ever[live_union].sum())
+        still = ~(
+            vertex_matched[g.edge_u[live_union]] | vertex_matched[g.edge_v[live_union]]
+        )
+        survivors = live_union[still]
+        trace.rounds.append(
+            RoundStats(live_union.size, newly_matched, live_union.size - survivors.size)
+        )
+        trace.messages.append(
+            RoundMessages(
+                round_index,
+                records,
+                records * CANDIDATE_RECORD_BYTES,
+                int(cut_live.size),
+                status_records,
+            )
+        )
+        live_union = survivors
+        round_index += 1
+
+    matched = np.nonzero(matched_ever)[0]
+    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
+    return matching_from_edge_ids(g, matched), trace
+
+
+def rbm(g: Graph, seed: int):
+    """Red-blue matching with proposals and acceptances compared as dense ranks."""
+    t0 = time.perf_counter()
+    n = g.num_vertices
+    trace = PhaseTrace()
+    prop = np.full(n, -1, dtype=np.int64)
+    acc = np.full(n, -1, dtype=np.int64)
+    vertex_matched = np.zeros(n, dtype=bool)
+    live = np.arange(g.num_edges, dtype=np.int64)
+    matched_parts: list[np.ndarray] = []
+    round_index = 0
+    max_rounds = 10_000
+    while live.size:
+        if round_index >= max_rounds:
+            raise RbmDidNotConverge(f"no progress after {max_rounds} rounds")
+        rs = round_seed(seed, round_index, rerandomize=True)
+        ranks = key_ranks(g.edge_weight[live], edge_salts(rs, live), live)
+        us = g.edge_u[live]
+        vs = g.edge_v[live]
+        blue_u = vertex_coins(rs, us)
+        blue_v = vertex_coins(rs, vs)
+        fwd = blue_u & ~blue_v
+        bwd = blue_v & ~blue_u
+        np.maximum.at(prop, us[fwd], ranks[fwd])
+        np.maximum.at(prop, vs[bwd], ranks[bwd])
+        prop_fwd = fwd & (prop[us] == ranks)
+        prop_bwd = bwd & (prop[vs] == ranks)
+        np.maximum.at(acc, vs[prop_fwd], ranks[prop_fwd])
+        np.maximum.at(acc, us[prop_bwd], ranks[prop_bwd])
+        won = (prop_fwd & (acc[vs] == ranks)) | (prop_bwd & (acc[us] == ranks))
+        new_edges = live[won]
+        matched_parts.append(new_edges)
+        vertex_matched[us[won]] = True
+        vertex_matched[vs[won]] = True
+        alive = ~(vertex_matched[us] | vertex_matched[vs])
+        prop[us[alive]] = -1
+        prop[vs[alive]] = -1
+        acc[us[alive]] = -1
+        acc[vs[alive]] = -1
+        survivors = live[alive]
+        trace.rounds.append(RoundStats(live.size, new_edges.size, live.size - survivors.size))
+        live = survivors
+        round_index += 1
+    matched = np.concatenate(matched_parts) if matched_parts else np.empty(0, dtype=np.int64)
+    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
+    return matching_from_edge_ids(g, matched), trace

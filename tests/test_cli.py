@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from locmax.cli import main
@@ -37,6 +39,48 @@ def test_match_reads_file_and_appends_csv(tmp_path, capsys):
     lines = csv_file.read_text().splitlines()
     assert lines[0].startswith("schema,instance,algorithm")
     assert len(lines) == 2
+
+
+def test_match_rows_are_bench_rows(tmp_path, capsys):
+    """``match --out`` rows, byte for byte, apart from the timing column."""
+    graph_file = tmp_path / "in.txt"
+    graph_file.write_text("0 1 2.5\n1 2 1.0\n2 3 0.5\n")
+    csv_file = tmp_path / "rows.csv"
+    runs = (
+        ["--family", "random", "--x", "7", "--alpha", "4", "--seed", "5", "--engine", "seq"],
+        ["--family", "random", "--x", "7", "--alpha", "4", "--seed", "5", "--engine", "bsp",
+         "--p", "3"],
+        ["--input", str(graph_file), "--alg", "greedy", "--seed", "1"],
+    )
+    for argv in runs:
+        assert main(["match", *argv, "--out", str(csv_file)]) == 0
+    rows = re.sub(rb",[0-9]+\.[0-9]{3},([0-9]+)\r\n", rb",MILLIS,\1\r\n", csv_file.read_bytes())
+    assert rows == (
+        b"schema,instance,algorithm,engine,seed,weight,ratio_vs_gpa,rounds,"
+        b"mean_removed_fraction,millis,messages\r\n"
+        b"locmax-bench-1,random-x7-a4-wdefault-s5,localmax,seq,5,47.52452502764434,,4,"
+        b"0.8377774003623188,MILLIS,0\r\n"
+        b"locmax-bench-1,random-x7-a4-wdefault-s5,localmax,bsp,5,47.52452502764434,,4,"
+        b"0.8377774003623188,MILLIS,356\r\n"
+        b"locmax-bench-1,in.txt,greedy,seq,1,3.0,,1,1.0,MILLIS,0\r\n"
+    )
+
+
+def test_malformed_input_file_is_a_usage_error(tmp_path, capsys):
+    graph_file = tmp_path / "bad.txt"
+    graph_file.write_text("0 1 2.5\n1 x 1.0\n")
+    assert main(["match", "--input", str(graph_file)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"locmax: error: {graph_file}:2: cannot parse '1 x 1.0'\n"
+
+
+def test_weight_mode_the_family_lacks_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    rc = main(["gen", "--family", "random", "--weights", "euclidean", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "locmax: error: euclidean weights are undefined for the random family\n"
+    assert not out.exists()
 
 
 def test_bench_writes_csv(tmp_path, capsys):

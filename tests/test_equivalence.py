@@ -1,12 +1,16 @@
-"""Array-based builder, generators and readers against the loop references.
+"""Array-based builder, generators, readers and engines against the references.
 
 Every graph is compared array for array (values, dtypes and weight bits)
 with what the reference implementations in ``reference.py`` produce from
-the same input, and every error with the reference's message.
+the same input, and every error with the reference's message. The staged
+(weight, salt, id) engines are compared run for run with the rank-based
+ones they replaced: the matching, every round's statistics, the PRAM work
+count and write log, and the BSP message records.
 """
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 import warnings
 from pathlib import Path
@@ -20,10 +24,14 @@ import locmax.generate
 import reference as ref
 from locmax import (
     Matching,
+    bsp_local_max,
     build_graph,
     build_graph_arrays,
     gen_random,
     gen_rgg,
+    local_max_seq,
+    pram_local_max,
+    rbm,
     read_graph,
     validate_matching,
 )
@@ -189,6 +197,84 @@ def test_grid_pairs_match_reference_order(monkeypatch, chunk):
         r = ref.rgg_threshold(1 << x)
         for a, b in zip(radius_edges_grid(pts, r), ref.radius_edges_grid(pts, r)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# -- engines -----------------------------------------------------------------
+
+@st.composite
+def tie_graphs(draw):
+    """Multigraphs, stars and cliques, often with every weight equal."""
+    shape = draw(st.sampled_from(("multigraph", "star", "clique")))
+    if shape == "multigraph":
+        entries, fix_n = draw(multigraphs())
+    else:
+        k = draw(st.integers(2, 9))
+        label = draw(st.permutations(range(k)))
+        pairs = ([(0, v) for v in range(1, k)] if shape == "star"
+                 else list(itertools.combinations(range(k), 2)))
+        weights = st.sampled_from(SPECIAL_WEIGHTS)
+        entries = [(label[u], label[v], draw(weights)) for u, v in pairs]
+        fix_n = None
+    if draw(st.booleans()):
+        w = draw(st.sampled_from(SPECIAL_WEIGHTS))
+        entries = [(u, v, w) for u, v, _ in entries]
+    return build_graph(entries, num_vertices=fix_n)
+
+
+def assert_same_run(got, want):
+    (got_m, got_t), (want_m, want_t) = got, want
+    assert got_m == want_m
+    assert got_t.rounds == want_t.rounds
+    assert got_t.slot_ops == want_t.slot_ops
+    assert got_t.messages == want_t.messages
+
+
+def worker_counts(g):
+    n = g.num_vertices
+    return sorted({min(p, n) for p in (1, 2, 3, 8, n)} - {0})
+
+
+def assert_engines_match_reference(g, seed, rerandomize):
+    want = ref.pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
+    got = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
+    assert_same_run(got, want)
+    assert got[1].write_log.conflicts == 0
+    assert got[1].write_log == want[1].write_log
+    seq_m, seq_t = local_max_seq(g, seed, rerandomize)
+    assert seq_m == want[0] and seq_t.rounds == want[1].rounds
+    for p in worker_counts(g):
+        assert_same_run(bsp_local_max(g, p, seed, rerandomize),
+                        ref.bsp_local_max(g, p, seed, rerandomize))
+
+
+@given(tie_graphs(), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_engines_match_rank_based_reference(g, seed, rerandomize):
+    assert_engines_match_reference(g, seed, rerandomize)
+
+
+@pytest.mark.parametrize("family", ["unit", "rgg"])
+@pytest.mark.parametrize("x", [6, 8, 10])
+def test_engines_match_rank_based_reference_on_generated_graphs(family, x):
+    for seed in (0, 1):
+        if family == "unit":
+            g = with_unit_weights(gen_random(1 << x, 4, seed))
+        else:
+            g = gen_rgg(x, seed)
+        for rerandomize in (True, False):
+            assert_engines_match_reference(g, seed, rerandomize)
+
+
+@given(tie_graphs(), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_rbm_matches_rank_based_reference(g, seed):
+    assert_same_run(rbm(g, seed), ref.rbm(g, seed))
+
+
+def test_rbm_matches_rank_based_reference_on_generated_graphs():
+    for x in (6, 8, 10):
+        for g in (gen_rgg(x, x), with_unit_weights(gen_random(1 << x, 4, x))):
+            assert_same_run(rbm(g, 3), ref.rbm(g, 3))
 
 
 # -- readers -----------------------------------------------------------------

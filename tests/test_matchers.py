@@ -17,9 +17,10 @@ from locmax import (
     validate_matching,
 )
 from locmax.matchers import MATCHERS, gpa, greedy, hem, local_max_seq, rbm
-from locmax.tiebreak import round_seed, tie_key, vertex_coins
+from locmax.tiebreak import round_seed, vertex_coins
 
 from conftest import random_graph_edges
+from reference import tie_key
 
 
 def _weights(g, matching):
