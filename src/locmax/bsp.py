@@ -49,15 +49,9 @@ class Partition:
     num_workers: int
     bounds: np.ndarray          # (p+1,) range starts; worker i owns [bounds[i], bounds[i+1])
     owner: np.ndarray           # (n,) worker of each vertex
-    local_edges: list[np.ndarray]  # per worker: edge ids incident to an owned vertex
     cut_edges: np.ndarray       # edge ids whose endpoints have different owners
+    cut_fraction: float         # cut edges over all edges
     degree_imbalance: float     # max worker degree-sum over the ideal 2m/p
-
-    @property
-    def cut_fraction(self) -> float:
-        total = sum(int(e.size) for e in self.local_edges)
-        m = total - int(self.cut_edges.size)  # cut edges are stored at both owners
-        return self.cut_edges.size / m if m else 0.0
 
 
 def partition_graph(g: Graph, p: int) -> Partition:
@@ -86,11 +80,7 @@ def partition_graph(g: Graph, p: int) -> Partition:
         bounds = np.array([0, n], dtype=np.int64)
     owner = np.repeat(np.arange(p, dtype=np.int64), np.diff(bounds))
 
-    owner_u = owner[g.edge_u]
-    owner_v = owner[g.edge_v]
-    edge_ids = np.arange(g.num_edges, dtype=np.int64)
-    local = [edge_ids[(owner_u == w) | (owner_v == w)] for w in range(p)]
-    cut = edge_ids[owner_u != owner_v]
+    cut = np.flatnonzero(owner[g.edge_u] != owner[g.edge_v])
 
     if two_m:
         share = two_m / p
@@ -98,7 +88,8 @@ def partition_graph(g: Graph, p: int) -> Partition:
         imbalance = max(sums) / share
     else:
         imbalance = 1.0
-    return Partition(p, bounds, owner, local, cut, imbalance)
+    cut_fraction = cut.size / g.num_edges if g.num_edges else 0.0
+    return Partition(p, bounds, owner, cut, cut_fraction, imbalance)
 
 
 def _distinct_count(keys: np.ndarray) -> int:

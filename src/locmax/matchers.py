@@ -76,111 +76,94 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
     """
     t0 = time.perf_counter()
     trace = PhaseTrace()
+    matched_parts: list[np.ndarray] = []
+    live = np.arange(g.num_edges, dtype=np.int64)
+    for before, new_edges, after in _local_max_rounds(g, live, seed, rerandomize):
+        matched_parts.append(new_edges)
+        trace.rounds.append(RoundStats(before, new_edges.size, before - after))
+    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
+    return matching_from_edge_ids(g, _concat(matched_parts)), trace
+
+
+def _local_max_rounds(g: Graph, live: np.ndarray, seed: int, rerandomize: bool):
+    """Local max on the edges ``live`` of ``g``; yields each round's live
+    edge count, newly matched edge ids and surviving edge count.
+
+    Weight bits are gathered once and filtered with the live set, and so
+    are the salts unless ``rerandomize`` draws new ones every round.
+    """
     cand = _new_candidates(g.num_vertices)
     vertex_matched = np.zeros(g.num_vertices, dtype=bool)
-    live = np.arange(g.num_edges, dtype=np.int64)
-    matched_parts: list[np.ndarray] = []
+    wbits = weight_bits(g.edge_weight[live])
+    salts = edge_salts(round_seed(seed, 0), live)
     round_index = 0
     while live.size:
-        rs = round_seed(seed, round_index, rerandomize)
-        wbits = weight_bits(g.edge_weight[live])
-        salts = edge_salts(rs, live)
         us = g.edge_u[live]
         vs = g.edge_v[live]
         # pass 1: lexicographic max per endpoint
         cand_id = _raise_candidates(cand, ((us, wbits, salts, live), (vs, wbits, salts, live)))
         # pass 2: an edge wins iff it is the candidate at both endpoints
         won = (cand_id[us] == live) & (cand_id[vs] == live)
-        new_edges = live[won]
-        matched_parts.append(new_edges)
         vertex_matched[us[won]] = True
         vertex_matched[vs[won]] = True
         # pass 3: drop edges with a matched endpoint, reset survivors' candidates
         alive = ~(vertex_matched[us] | vertex_matched[vs])
         _reset_candidates(cand, us[alive], vs[alive])
-        survivors = live[alive]
-        trace.rounds.append(RoundStats(live.size, new_edges.size, live.size - survivors.size))
-        live = survivors
+        yield live.size, live[won], int(np.count_nonzero(alive))
+        live, wbits = live[alive], wbits[alive]
         round_index += 1
-    matched = np.concatenate(matched_parts) if matched_parts else np.empty(0, dtype=np.int64)
+        salts = edge_salts(round_seed(seed, round_index), live) if rerandomize else salts[alive]
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _fixed_key_matching(g: Graph, live: np.ndarray, seed: int) -> np.ndarray:
+    """Greedy matching of the edges ``live``, as local max with fixed keys.
+
+    An edge heaviest at both endpoints under the round-0 (weight, salt, id)
+    order is taken by the descending-key scan too (locally dominant edges,
+    Preis 1999), so the rounds match exactly the edges the scan would.
+    """
+    return _concat([new for _, new, _ in _local_max_rounds(g, live, seed, False)])
+
+
+def greedy(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
+    """Match edges by decreasing round-0 key whenever both endpoints are free.
+
+    Computed as local max with fixed keys; the trace reports one pass over
+    all edges, as the scan it replaces did.
+    """
+    t0 = time.perf_counter()
+    matched = _fixed_key_matching(g, np.arange(g.num_edges, dtype=np.int64), seed)
+    trace = PhaseTrace([RoundStats(g.num_edges, matched.size, g.num_edges)])
     trace.wall_millis = (time.perf_counter() - t0) * 1000.0
     return matching_from_edge_ids(g, matched), trace
 
 
 def _descending_key_order(g: Graph, seed: int) -> np.ndarray:
-    ids = np.arange(g.num_edges, dtype=np.int64)
-    salts = edge_salts(round_seed(seed, 0), ids)
-    return np.lexsort((ids, salts, g.edge_weight))[::-1]
+    """Edge ids by decreasing round-0 (weight, salt, id) key: a weight sort
+    in which only the runs of equal weights are sorted again by full key."""
+    w = g.edge_weight
+    order = np.argsort(w)
+    tie = w[order[1:]] == w[order[:-1]]
+    in_run = np.zeros(w.size, dtype=bool)
+    in_run[1:] = tie
+    in_run[:-1] |= tie
+    at = np.flatnonzero(in_run)
+    ids = order[at]
+    order[at] = ids[np.lexsort((ids, edge_salts(round_seed(seed, 0), ids), w[ids]))]
+    return order[::-1]
 
 
-def greedy(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
-    """Scan edges by decreasing key, matching those with both endpoints free."""
-    t0 = time.perf_counter()
-    mate = [-1] * g.num_vertices
-    eu = g.edge_u.tolist()
-    ev = g.edge_v.tolist()
-    matched: list[int] = []
-    for k in _descending_key_order(g, seed).tolist():
-        u, v = eu[k], ev[k]
-        if mate[u] == -1 and mate[v] == -1:
-            mate[u] = v
-            mate[v] = u
-            matched.append(k)
-    trace = PhaseTrace([RoundStats(g.num_edges, len(matched), g.num_edges)])
-    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
-    return matching_from_edge_ids(g, matched), trace
-
-
-class _ParityUnionFind:
-    """Union-find tracking each vertex's path parity to its root.
-
-    parity(u) xor parity(v) is the parity of the u-v path inside the
-    degree-<=2 forest, which is all that is needed to tell an odd cycle
-    (same parity) from an even one (different parity).
-    """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.parity = [0] * n
-        self.rank = [0] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        root = x
-        par = 0
-        while self.parent[root] != root:
-            par ^= self.parity[root]
-            root = self.parent[root]
-        # path compression, re-anchoring parities at the root
-        while self.parent[x] != root:
-            nxt = self.parent[x]
-            nxt_par = par ^ self.parity[x]
-            self.parent[x] = root
-            self.parity[x] = par
-            x = nxt
-            par = nxt_par
-        return root, par
-
-    def union(self, x: int, y: int) -> None:
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-            px, py = py, px
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ py ^ 1  # the new edge flips parity
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-
-
-def _path_dp(edge_seq: list[int], weights: list[float]) -> tuple[float, list[int]]:
+def _path_dp(edge_seq: list[int], ew: list[float]) -> tuple[float, list[int]]:
     """Max-weight matching of a path given its edges in order."""
     k = len(edge_seq)
     best = [0.0] * (k + 1)
     take = [False] * (k + 1)
     for i in range(1, k + 1):
-        with_edge = (best[i - 2] if i >= 2 else 0.0) + weights[i - 1]
+        with_edge = (best[i - 2] if i >= 2 else 0.0) + ew[edge_seq[i - 1]]
         if with_edge > best[i - 1]:
             best[i] = with_edge
             take[i] = True
@@ -201,87 +184,81 @@ def gpa(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     """Global path algorithm: grow paths and even cycles, then solve them.
 
     Edges are scanned by decreasing key and accepted into an auxiliary
-    subgraph while it keeps maximum degree two and no odd cycle (parity
-    union-find); paths are solved by the classic skip/take recurrence and
-    even cycles by the better of the two paths obtained by deleting either
-    of two adjacent edges. A final greedy sweep over the remaining edges
-    restores maximality, which the path solving alone does not guarantee.
+    subgraph while it keeps maximum degree two and no odd cycle. Every
+    component of that subgraph is a path or a cycle, so the only table
+    needed is, at each path end, the other end and the parity of the path
+    length: an edge joining the two ends of one path closes a cycle, which
+    is even iff the path is odd. Paths are solved by the classic skip/take
+    recurrence and even cycles by the better of the two paths obtained by
+    deleting either of two adjacent edges. A final greedy sweep over the
+    edges with both endpoints still free restores maximality, which the
+    path solving alone does not guarantee.
     """
     t0 = time.perf_counter()
     n = g.num_vertices
     order = _descending_key_order(g, seed)
-    eu = g.edge_u.tolist()
-    ev = g.edge_v.tolist()
+    ends = (g.edge_u ^ g.edge_v).tolist()  # ends[k] ^ v is the far end of edge k at v
     ew = g.edge_weight.tolist()
 
-    uf = _ParityUnionFind(n)
     deg = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]  # accepted edges, <= 2 per vertex
-    accepted: list[int] = []
-    for k in order.tolist():
-        u, v = eu[k], ev[k]
-        if deg[u] >= 2 or deg[v] >= 2:
+    slot = [-1] * (2 * n)  # accepted edges of v at 2v and 2v+1, in acceptance order
+    end = list(range(n))  # at a path end: the other end of its path
+    odd = [0] * n  # at a path end: the parity of its path's length
+    for k, u, v in zip(order.tolist(), g.edge_u[order].tolist(), g.edge_v[order].tolist()):
+        du, dv = deg[u], deg[v]
+        if du == 2 or dv == 2:
             continue
-        ru, pu = uf.find(u)
-        rv, pv = uf.find(v)
-        if ru == rv and pu == pv:
-            continue  # would close an odd cycle
-        uf.union(u, v)
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(k)
-        adj[v].append(k)
-        accepted.append(k)
+        a = end[u]
+        if a == v:  # closes a cycle of length |path| + 1
+            if not odd[u]:
+                continue
+        else:
+            b = end[v]
+            end[a] = b
+            end[b] = a
+            odd[a] = odd[b] = odd[u] ^ odd[v] ^ 1
+        slot[2 * u + du] = k
+        slot[2 * v + dv] = k
+        deg[u] = du + 1
+        deg[v] = dv + 1
 
-    # decompose the degree-<=2 subgraph into open paths and (even) cycles
-    consumed = [False] * g.num_edges
-    mate = [-1] * n
+    # decompose into open paths and (even) cycles, each walked from its
+    # smallest vertex along that vertex's first accepted edge
+    seen = [False] * n
     matched: list[int] = []
 
-    def walk_from(v0: int) -> list[int]:
-        seq = []
-        v = v0
+    def walk(v: int) -> list[int]:
+        start, k, seq = v, slot[2 * v], []
+        seen[v] = True
         while True:
-            nxt = next((k for k in adj[v] if not consumed[k]), None)
-            if nxt is None:
+            seq.append(k)
+            v = ends[k] ^ v
+            seen[v] = True
+            if deg[v] == 1 or v == start:
                 return seq
-            consumed[nxt] = True
-            seq.append(nxt)
-            v = ev[nxt] if eu[nxt] == v else eu[nxt]
-
-    def commit(edge_ids: list[int]) -> None:
-        for k in edge_ids:
-            mate[eu[k]] = ev[k]
-            mate[ev[k]] = eu[k]
-            matched.append(k)
+            k = slot[2 * v + 1] if slot[2 * v] == k else slot[2 * v]
 
     for v in range(n):
-        if deg[v] == 1 and any(not consumed[k] for k in adj[v]):
-            _, chosen = _path_dp(*_with_weights(walk_from(v), ew))
-            commit(chosen)
+        if deg[v] == 1 and not seen[v]:
+            matched += _path_dp(walk(v), ew)[1]
     for v in range(n):
-        if deg[v] == 2 and any(not consumed[k] for k in adj[v]):
-            cyc = walk_from(v)
+        if deg[v] == 2 and not seen[v]:
+            cyc = walk(v)
             # delete one of two adjacent edges; every cycle matching misses one
-            opt_a = _path_dp(*_with_weights(cyc[1:], ew))
-            opt_b = _path_dp(*_with_weights(cyc[2:] + cyc[:1], ew))
-            commit(opt_a[1] if opt_a[0] >= opt_b[0] else opt_b[1])
+            opt_a = _path_dp(cyc[1:], ew)
+            opt_b = _path_dp(cyc[2:] + cyc[:1], ew)
+            matched += opt_a[1] if opt_a[0] >= opt_b[0] else opt_b[1]
 
     # maximality sweep: the path/cycle optimum may leave addable edges behind
-    for k in order.tolist():
-        u, v = eu[k], ev[k]
-        if mate[u] == -1 and mate[v] == -1:
-            mate[u] = v
-            mate[v] = u
-            matched.append(k)
-
-    trace = PhaseTrace([RoundStats(g.num_edges, len(matched), g.num_edges)])
+    solved = np.array(matched, dtype=np.int64)
+    covered = np.zeros(n, dtype=bool)
+    covered[g.edge_u[solved]] = True
+    covered[g.edge_v[solved]] = True
+    free = np.flatnonzero(~(covered[g.edge_u] | covered[g.edge_v]))
+    matched_ids = np.concatenate([solved, _fixed_key_matching(g, free, seed)])
+    trace = PhaseTrace([RoundStats(g.num_edges, matched_ids.size, g.num_edges)])
     trace.wall_millis = (time.perf_counter() - t0) * 1000.0
-    return matching_from_edge_ids(g, matched), trace
-
-
-def _with_weights(edge_seq: list[int], ew: list[float]) -> tuple[list[int], list[float]]:
-    return edge_seq, [ew[k] for k in edge_seq]
+    return matching_from_edge_ids(g, matched_ids), trace
 
 
 def hem(g: Graph, seed: int, randomize_order: bool = False) -> tuple[Matching, PhaseTrace]:
@@ -391,9 +368,8 @@ def rbm(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
         trace.rounds.append(RoundStats(live.size, new_edges.size, live.size - survivors.size))
         live = survivors
         round_index += 1
-    matched = np.concatenate(matched_parts) if matched_parts else np.empty(0, dtype=np.int64)
     trace.wall_millis = (time.perf_counter() - t0) * 1000.0
-    return matching_from_edge_ids(g, matched), trace
+    return matching_from_edge_ids(g, _concat(matched_parts)), trace
 
 
 MATCHERS: dict[str, Callable[[Graph, int], tuple[Matching, PhaseTrace]]] = {

@@ -261,7 +261,6 @@ def pram_phase(
     # step 5: prefix sums give each survivor its new address
     dead_slot = dead_edge[state.slot_edge]
     new_edge_index = compaction_addresses(dead_edge)
-    new_slot_index = compaction_addresses(dead_slot)
 
     # step 6: compact edges and slots, rewrite pointers
     keep_e = ~dead_edge
@@ -275,8 +274,8 @@ def pram_phase(
     state.flags = np.zeros(state.edge_u.size, dtype=np.int64)
 
     keep_s = ~dead_slot
-    if log is not None:
-        log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
+    if log is not None:  # the slot addresses only feed the write log
+        log.record("compact/slot-copies", "slot.records", compaction_addresses(dead_slot)[keep_s])
     state.slot_vertex = state.slot_vertex[keep_s]
     state.slot_edge = new_edge_index[state.slot_edge[keep_s]]
 

@@ -17,24 +17,37 @@ import numpy as np
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 
 # SplitMix64 constants.
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
 
 # Stream tag keeping per-vertex coin flips decorrelated from edge salts.
-_COIN_STREAM = np.uint64(0xD6E8FEB86659FD93)
+_COIN_STREAM = 0xD6E8FEB86659FD93
 
 
 def mix64(values: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    with np.errstate(over="ignore"):
-        x = values + _GOLDEN
-        x ^= x >> np.uint64(30)
-        x *= _MIX_A
-        x ^= x >> np.uint64(27)
-        x *= _MIX_B
-        x ^= x >> np.uint64(31)
-    return x
+    return _mix_in_place(np.array(values, dtype=np.uint64))
+
+
+def _mix_in_place(x: np.ndarray) -> np.ndarray:
+    # in-place array arithmetic wraps silently; only numpy scalars warn on
+    # overflow, so a 0-d input stays an array until the result is returned
+    x += _GOLDEN
+    x ^= x >> 30
+    x *= _MIX_A
+    x ^= x >> 27
+    x *= _MIX_B
+    x ^= x >> 31
+    return x if x.ndim else x[()]
+
+
+def _mix64_int(x: int) -> int:
+    """:func:`mix64` of one Python int in [0, 2**64)."""
+    x = (x + _GOLDEN) & _UINT64_MASK
+    x = ((x ^ (x >> 30)) * _MIX_A) & _UINT64_MASK
+    x = ((x ^ (x >> 27)) * _MIX_B) & _UINT64_MASK
+    return x ^ (x >> 31)
 
 
 def round_seed(seed: int, round_index: int, rerandomize: bool = True) -> int:
@@ -46,17 +59,14 @@ def round_seed(seed: int, round_index: int, rerandomize: bool = True) -> int:
     if round_index < 0:
         raise ValueError(f"round_index must be nonnegative, got {round_index}")
     r = round_index if rerandomize else 0
-    base = np.array([seed & _UINT64_MASK], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        mixed = mix64(mix64(base) ^ np.uint64(r))
-    return int(mixed[0])
+    return _mix64_int(_mix64_int(seed & _UINT64_MASK) ^ r)
 
 
 def edge_salts(round_seed_value: int, edge_ids) -> np.ndarray:
     """Per-edge uint64 salts for one round, deterministic in (seed, round, id)."""
-    ids = np.asarray(edge_ids, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return mix64(ids ^ np.uint64(round_seed_value & _UINT64_MASK))
+    x = np.array(edge_ids, dtype=np.uint64)
+    x ^= round_seed_value & _UINT64_MASK
+    return _mix_in_place(x)
 
 
 def vertex_coins(round_seed_value: int, vertex_ids) -> np.ndarray:
@@ -65,10 +75,9 @@ def vertex_coins(round_seed_value: int, vertex_ids) -> np.ndarray:
     Drawn from a stream independent of :func:`edge_salts` so a vertex's
     colour never correlates with the salt of the same-numbered edge.
     """
-    ids = np.asarray(vertex_ids, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h = mix64(ids ^ np.uint64(round_seed_value & _UINT64_MASK) ^ _COIN_STREAM)
-    return (h & np.uint64(1)).astype(bool)
+    x = np.array(vertex_ids, dtype=np.uint64)
+    x ^= (round_seed_value & _UINT64_MASK) ^ _COIN_STREAM
+    return (_mix_in_place(x) & 1).astype(bool)
 
 
 def key_ranks(weights: np.ndarray, salts: np.ndarray, edge_ids: np.ndarray) -> np.ndarray:

@@ -548,7 +548,7 @@ def bsp_local_max(g: Graph, p: int, seed: int, rerandomize: bool = True):
     is_cut = np.zeros(m, dtype=bool)
     is_cut[part.cut_edges] = True
 
-    local_live = [e.copy() for e in part.local_edges]
+    local_live = local_edges(g, part)
     matched_ever = np.zeros(m, dtype=bool)
     live_union = np.arange(m, dtype=np.int64)
     round_index = 0
@@ -664,5 +664,196 @@ def rbm(g: Graph, seed: int):
         live = survivors
         round_index += 1
     matched = np.concatenate(matched_parts) if matched_parts else np.empty(0, dtype=np.int64)
+    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
+    return matching_from_edge_ids(g, matched), trace
+
+
+def local_edges(g: Graph, part) -> list[np.ndarray]:
+    """Per worker of ``part``: the ids of the edges with an owned endpoint."""
+    owner_u = part.owner[g.edge_u]
+    owner_v = part.owner[g.edge_v]
+    edge_ids = np.arange(g.num_edges, dtype=np.int64)
+    return [edge_ids[(owner_u == w) | (owner_v == w)] for w in range(part.num_workers)]
+
+
+def descending_key_order(g: Graph, seed: int) -> np.ndarray:
+    """Edge ids by decreasing round-0 (weight, salt, id) key."""
+    ids = np.arange(g.num_edges, dtype=np.int64)
+    salts = edge_salts(round_seed(seed, 0), ids)
+    return np.lexsort((ids, salts, g.edge_weight))[::-1]
+
+
+def greedy(g: Graph, seed: int):
+    """Scan edges by decreasing key, matching those with both endpoints free."""
+    t0 = time.perf_counter()
+    mate = [-1] * g.num_vertices
+    eu = g.edge_u.tolist()
+    ev = g.edge_v.tolist()
+    matched: list[int] = []
+    for k in descending_key_order(g, seed).tolist():
+        u, v = eu[k], ev[k]
+        if mate[u] == -1 and mate[v] == -1:
+            mate[u] = v
+            mate[v] = u
+            matched.append(k)
+    trace = PhaseTrace([RoundStats(g.num_edges, len(matched), g.num_edges)])
+    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
+    return matching_from_edge_ids(g, matched), trace
+
+
+class ParityUnionFind:
+    """Union-find tracking each vertex's path parity to its root.
+
+    parity(u) xor parity(v) is the parity of the u-v path inside the
+    degree-<=2 forest, which is all that is needed to tell an odd cycle
+    (same parity) from an even one (different parity).
+
+    This is the union-find the package's GPA used, with one fix: ``find``
+    returns the parity of ``x`` itself. The original returned the parity
+    of the last node that path compression re-linked.
+    """
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.parity = [0] * n
+        self.rank = [0] * n
+
+    def find(self, x: int) -> tuple[int, int]:
+        root = x
+        par = 0
+        while self.parent[root] != root:
+            par ^= self.parity[root]
+            root = self.parent[root]
+        parity_of_x = par
+        # path compression, re-anchoring parities at the root
+        while self.parent[x] != root:
+            nxt = self.parent[x]
+            nxt_par = par ^ self.parity[x]
+            self.parent[x] = root
+            self.parity[x] = par
+            x = nxt
+            par = nxt_par
+        return root, parity_of_x
+
+    def union(self, x: int, y: int) -> None:
+        rx, px = self.find(x)
+        ry, py = self.find(y)
+        if rx == ry:
+            return
+        if self.rank[rx] < self.rank[ry]:
+            rx, ry = ry, rx
+            px, py = py, px
+        self.parent[ry] = rx
+        self.parity[ry] = px ^ py ^ 1  # the new edge flips parity
+        if self.rank[rx] == self.rank[ry]:
+            self.rank[rx] += 1
+
+
+def path_dp(edge_seq: list[int], weights: list[float]) -> tuple[float, list[int]]:
+    """Max-weight matching of a path given its edges in order."""
+    k = len(edge_seq)
+    best = [0.0] * (k + 1)
+    take = [False] * (k + 1)
+    for i in range(1, k + 1):
+        with_edge = (best[i - 2] if i >= 2 else 0.0) + weights[i - 1]
+        if with_edge > best[i - 1]:
+            best[i] = with_edge
+            take[i] = True
+        else:
+            best[i] = best[i - 1]
+    chosen = []
+    i = k
+    while i > 0:
+        if take[i]:
+            chosen.append(edge_seq[i - 1])
+            i -= 2
+        else:
+            i -= 1
+    return best[k], chosen
+
+
+def gpa_accepted(g: Graph, seed: int) -> list[int]:
+    """The edges GPA's scan accepts, in acceptance order: by decreasing key,
+    keeping maximum degree two and no odd cycle (parity union-find)."""
+    n = g.num_vertices
+    eu = g.edge_u.tolist()
+    ev = g.edge_v.tolist()
+    uf = ParityUnionFind(n)
+    deg = [0] * n
+    accepted: list[int] = []
+    for k in descending_key_order(g, seed).tolist():
+        u, v = eu[k], ev[k]
+        if deg[u] >= 2 or deg[v] >= 2:
+            continue
+        ru, pu = uf.find(u)
+        rv, pv = uf.find(v)
+        if ru == rv and pu == pv:
+            continue  # would close an odd cycle
+        uf.union(u, v)
+        deg[u] += 1
+        deg[v] += 1
+        accepted.append(k)
+    return accepted
+
+
+def gpa(g: Graph, seed: int):
+    """Global path algorithm with a union-find scan and edge-consuming walks."""
+    t0 = time.perf_counter()
+    n = g.num_vertices
+    eu = g.edge_u.tolist()
+    ev = g.edge_v.tolist()
+    ew = g.edge_weight.tolist()
+    deg = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]  # accepted edges, <= 2 per vertex
+    for k in gpa_accepted(g, seed):
+        for x in (eu[k], ev[k]):
+            deg[x] += 1
+            adj[x].append(k)
+
+    # decompose the degree-<=2 subgraph into open paths and (even) cycles
+    consumed = [False] * g.num_edges
+    mate = [-1] * n
+    matched: list[int] = []
+
+    def walk_from(v0: int) -> list[int]:
+        seq = []
+        v = v0
+        while True:
+            nxt = next((k for k in adj[v] if not consumed[k]), None)
+            if nxt is None:
+                return seq
+            consumed[nxt] = True
+            seq.append(nxt)
+            v = ev[nxt] if eu[nxt] == v else eu[nxt]
+
+    def commit(edge_ids: list[int]) -> None:
+        for k in edge_ids:
+            mate[eu[k]] = ev[k]
+            mate[ev[k]] = eu[k]
+            matched.append(k)
+
+    def solve(edge_seq: list[int]) -> tuple[float, list[int]]:
+        return path_dp(edge_seq, [ew[k] for k in edge_seq])
+
+    for v in range(n):
+        if deg[v] == 1 and any(not consumed[k] for k in adj[v]):
+            commit(solve(walk_from(v))[1])
+    for v in range(n):
+        if deg[v] == 2 and any(not consumed[k] for k in adj[v]):
+            cyc = walk_from(v)
+            # delete one of two adjacent edges; every cycle matching misses one
+            opt_a = solve(cyc[1:])
+            opt_b = solve(cyc[2:] + cyc[:1])
+            commit(opt_a[1] if opt_a[0] >= opt_b[0] else opt_b[1])
+
+    # maximality sweep: the path/cycle optimum may leave addable edges behind
+    for k in descending_key_order(g, seed).tolist():
+        u, v = eu[k], ev[k]
+        if mate[u] == -1 and mate[v] == -1:
+            mate[u] = v
+            mate[v] = u
+            matched.append(k)
+
+    trace = PhaseTrace([RoundStats(g.num_edges, len(matched), g.num_edges)])
     trace.wall_millis = (time.perf_counter() - t0) * 1000.0
     return matching_from_edge_ids(g, matched), trace

@@ -14,13 +14,14 @@ from locmax import (
     partition_graph,
     validate_matching,
 )
+from reference import local_edges
 
 
 def test_single_worker_owns_everything(path4):
     part = partition_graph(path4, 1)
     assert part.bounds.tolist() == [0, 4]
     assert part.cut_edges.size == 0
-    assert part.local_edges[0].size == path4.num_edges
+    assert local_edges(path4, part)[0].size == path4.num_edges
 
 
 def test_path_splits_in_half_with_one_cut(path4):
@@ -47,12 +48,16 @@ def test_partition_balances_degree_sums():
 def test_cut_edges_live_at_both_owners():
     g = gen_random(128, 4, seed=5)
     part = partition_graph(g, 4)
+    local = local_edges(g, part)
+    # cut edges are stored at both owners, every other edge at one
+    assert sum(e.size for e in local) == g.num_edges + part.cut_edges.size
+    assert part.cut_fraction == part.cut_edges.size / g.num_edges
     for k in part.cut_edges.tolist():
         owners = {
             int(part.owner[g.edge_u[k]]),
             int(part.owner[g.edge_v[k]]),
         }
-        holders = {w for w in range(4) if k in part.local_edges[w]}
+        holders = {w for w in range(4) if k in local[w]}
         assert holders == owners and len(owners) == 2
 
 

@@ -5,7 +5,8 @@ with what the reference implementations in ``reference.py`` produce from
 the same input, and every error with the reference's message. The staged
 (weight, salt, id) engines are compared run for run with the rank-based
 ones they replaced: the matching, every round's statistics, the PRAM work
-count and write log, and the BSP message records.
+count and write log, and the BSP message records. Greedy and GPA are
+compared with the edge scans they replaced.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from locmax import (
     build_graph_arrays,
     gen_random,
     gen_rgg,
+    gpa,
+    greedy,
     local_max_seq,
     pram_local_max,
     rbm,
@@ -36,6 +39,7 @@ from locmax import (
     validate_matching,
 )
 from locmax.generate import radius_edges_grid, with_unit_weights
+from locmax.matchers import _descending_key_order
 from locmax.oracle import random_audit_instance
 
 GRAPH_ARRAYS = ("offsets", "slot_vertex", "slot_edge", "edge_u", "edge_v", "edge_weight")
@@ -275,6 +279,36 @@ def test_rbm_matches_rank_based_reference_on_generated_graphs():
     for x in (6, 8, 10):
         for g in (gen_rgg(x, x), with_unit_weights(gen_random(1 << x, 4, x))):
             assert_same_run(rbm(g, 3), ref.rbm(g, 3))
+
+
+# -- quality baselines -------------------------------------------------------
+
+def assert_baselines_match_reference(g, seed):
+    assert_same_run(greedy(g, seed), ref.greedy(g, seed))
+    assert_same_run(gpa(g, seed), ref.gpa(g, seed))
+
+
+@given(tie_graphs(), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_baselines_match_scan_reference(g, seed):
+    assert np.array_equal(_descending_key_order(g, seed), ref.descending_key_order(g, seed))
+    assert_baselines_match_reference(g, seed)
+
+
+@pytest.mark.parametrize("family", ["unit", "rgg"])
+@pytest.mark.parametrize("x", [6, 8, 10])
+def test_baselines_match_scan_reference_on_generated_graphs(family, x):
+    for seed in (0, 1):
+        if family == "unit":
+            g = with_unit_weights(gen_random(1 << x, 4, seed))
+        else:
+            g = gen_rgg(x, seed)
+        assert_baselines_match_reference(g, seed)
+
+
+def test_baselines_match_scan_reference_on_audit_instances():
+    for t in range(2000):
+        assert_baselines_match_reference(random_audit_instance(np.random.default_rng((5, t))), t)
 
 
 # -- readers -----------------------------------------------------------------

@@ -20,7 +20,7 @@ from locmax.matchers import MATCHERS, gpa, greedy, hem, local_max_seq, rbm
 from locmax.tiebreak import round_seed, vertex_coins
 
 from conftest import random_graph_edges
-from reference import tie_key
+from reference import ParityUnionFind, gpa_accepted, tie_key
 
 
 def _weights(g, matching):
@@ -141,6 +141,32 @@ def test_gpa_sweep_restores_maximality():
     assert check.valid and check.maximal
     assert matching.edges == {0, 3, 4}
     assert _weights(g, matching) == 20.5
+
+
+def test_parity_union_find_reports_the_parity_of_x():
+    # the unions build the path 0-1-5-4-3-2; find(5) compresses 5 -> 4 -> 3
+    # and must report the parity of 5's distance to the root, not of 4's
+    uf = ParityUnionFind(6)
+    for x, y in [(4, 5), (2, 3), (1, 5), (0, 1), (3, 4)]:
+        uf.union(x, y)
+    assert uf.find(5) == (2, 1)
+    position = {v: i for i, v in enumerate([0, 1, 5, 4, 3, 2])}
+    for v in range(6):
+        root, parity = uf.find(v)
+        assert root == 2 and parity == (position[v] - position[2]) % 2
+
+
+def test_gpa_rejects_odd_cycle_behind_a_compressed_path():
+    # by decreasing weight: 1-2, 3-5, 0-3 and 0-1 make the path 2-1-0-3-5
+    # of length 4; 2-5 would close a 5-cycle and is rejected; 4-5 extends
+    # the path to 4; 1-3 meets degree two. The union-find GPA used to mix
+    # up parities here, accepted 2-5 and returned 13.
+    g = build_graph([(1, 2, 7.0), (3, 5, 6.0), (0, 3, 5.0), (0, 1, 4.0),
+                     (2, 5, 3.0), (4, 5, 2.0), (1, 3, 1.0)])
+    assert gpa_accepted(g, 0) == [0, 1, 2, 3, 5]
+    matching, _ = gpa(g, seed=0)
+    assert matching.edges == {0, 2, 5}  # path weights 7,4,5,6,2: take 7+5+2
+    assert _weights(g, matching) == 14.0 == max_weight_matching_bruteforce(g).opt_weight
 
 
 def test_gpa_never_below_oracle_half():
