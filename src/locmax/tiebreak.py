@@ -25,14 +25,12 @@ _MIX_B = 0x94D049BB133111EB
 _COIN_STREAM = 0xD6E8FEB86659FD93
 
 
-def mix64(values: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    return _mix_in_place(np.array(values, dtype=np.uint64))
+def _mix64_in_place(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array, in place (wrapping arithmetic).
 
-
-def _mix_in_place(x: np.ndarray) -> np.ndarray:
-    # in-place array arithmetic wraps silently; only numpy scalars warn on
-    # overflow, so a 0-d input stays an array until the result is returned
+    In-place array arithmetic wraps silently; only numpy scalars warn on
+    overflow, so a 0-d input stays an array until the result is returned.
+    """
     x += _GOLDEN
     x ^= x >> 30
     x *= _MIX_A
@@ -43,7 +41,7 @@ def _mix_in_place(x: np.ndarray) -> np.ndarray:
 
 
 def _mix64_int(x: int) -> int:
-    """:func:`mix64` of one Python int in [0, 2**64)."""
+    """The same finalizer on one Python int in [0, 2**64)."""
     x = (x + _GOLDEN) & _UINT64_MASK
     x = ((x ^ (x >> 30)) * _MIX_A) & _UINT64_MASK
     x = ((x ^ (x >> 27)) * _MIX_B) & _UINT64_MASK
@@ -66,7 +64,7 @@ def edge_salts(round_seed_value: int, edge_ids) -> np.ndarray:
     """Per-edge uint64 salts for one round, deterministic in (seed, round, id)."""
     x = np.array(edge_ids, dtype=np.uint64)
     x ^= round_seed_value & _UINT64_MASK
-    return _mix_in_place(x)
+    return _mix64_in_place(x)
 
 
 def vertex_coins(round_seed_value: int, vertex_ids) -> np.ndarray:
@@ -77,7 +75,7 @@ def vertex_coins(round_seed_value: int, vertex_ids) -> np.ndarray:
     """
     x = np.array(vertex_ids, dtype=np.uint64)
     x ^= (round_seed_value & _UINT64_MASK) ^ _COIN_STREAM
-    return (_mix_in_place(x) & 1).astype(bool)
+    return (_mix64_in_place(x) & 1).astype(bool)
 
 
 def key_ranks(weights: np.ndarray, salts: np.ndarray, edge_ids: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 These are the loop-based versions of the graph builder, the file readers,
 the grid neighbour search, the generators and the matching validator that
-the array-based code in ``locmax`` replaced, and the rank-based PRAM, BSP
+the array-based code in ``locmax`` replaced, the rank-based PRAM, BSP
 and red-blue engines that sorted every round's keys before the staged
-(weight, salt, id) maximum replaced the sort. The tests check the package
+(weight, salt, id) maximum replaced the sort, and the edge-scan greedy and
+union-find GPA that the local max kernel and path-end tables replaced. The tests check the package
 against them array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
 independent statement of the key order.

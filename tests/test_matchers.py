@@ -144,8 +144,9 @@ def test_gpa_sweep_restores_maximality():
 
 
 def test_parity_union_find_reports_the_parity_of_x():
-    # the unions build the path 0-1-5-4-3-2; find(5) compresses 5 -> 4 -> 3
-    # and must report the parity of 5's distance to the root, not of 4's
+    # the unions build the path 0-1-5-4-3-2 with 5 -> 4 -> 2 in the tree;
+    # find(5) re-links 5 to the root and must report the parity of 5's
+    # distance to the root, not that of 4, the node after it
     uf = ParityUnionFind(6)
     for x, y in [(4, 5), (2, 3), (1, 5), (0, 1), (3, 4)]:
         uf.union(x, y)
