@@ -132,8 +132,8 @@ def _fixed_key_matching(g: Graph, live: np.ndarray, seed: int) -> np.ndarray:
 def greedy(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     """Match edges by decreasing round-0 key whenever both endpoints are free.
 
-    Computed as local max with fixed keys; the trace reports one pass over
-    all edges, as the scan it replaces did.
+    Computed as local max with fixed keys; the trace reports it as one pass
+    over all edges.
     """
     t0 = time.perf_counter()
     matched = _fixed_key_matching(g, np.arange(g.num_edges, dtype=np.int64), seed)
