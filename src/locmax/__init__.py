@@ -19,7 +19,7 @@ from .bench import (
     shrink_report,
 )
 from .bsp import Partition, RoundMessages, bsp_local_max, partition_graph
-from .generate import GeneratorSpec, gen_random, gen_rgg, rgg_threshold
+from .generate import gen_random, gen_rgg, rgg_threshold
 from .graph import (
     Graph,
     Matching,
@@ -72,7 +72,6 @@ __all__ = [
     "RoundMessages",
     "bsp_local_max",
     "partition_graph",
-    "GeneratorSpec",
     "gen_random",
     "gen_rgg",
     "rgg_threshold",

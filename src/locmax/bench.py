@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bsp import bsp_local_max
-from .generate import GeneratorSpec, with_unit_weights
+from .generate import gen_random, gen_rgg, with_unit_weights
 from .graph import Graph, Matching, validate_matching
 from .graphio import read_graph, write_csv
 from .matchers import MATCHERS, PhaseTrace, local_max_seq
@@ -98,17 +98,24 @@ class InstanceSpec:
         return f"{self.family}-x{self.x}{tail}-w{self.weights}-s{seed}"
 
     def build(self, seed: int) -> Graph:
+        """Read the file, or generate the family's 2^x-vertex instance for ``seed``.
+
+        Raises ValueError for an unknown family, ``x < 1``, ``alpha < 1``
+        (random family) and euclidean weights on the random family.
+        """
         if self.family == "file":
             return read_graph(self.path)
+        if self.family not in ("random", "rgg"):
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.x < 1:
+            raise ValueError("x must be >= 1")
         if self.family == "random":
             if self.weights == "euclidean":
                 raise ValueError("euclidean weights are undefined for the random family")
-            g = GeneratorSpec("random", self.x, alpha=self.alpha, seed=seed).build()
-        elif self.family == "rgg":
-            mode = "euclidean" if self.weights in ("euclidean", "default") else "random"
-            g = GeneratorSpec("rgg", self.x, seed=seed, weight_mode=mode).build()
+            g = gen_random(1 << self.x, self.alpha, seed)
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            mode = "euclidean" if self.weights in ("euclidean", "default") else "random"
+            g = gen_rgg(self.x, seed, mode)
         if self.weights == "unit":
             g = with_unit_weights(g)
         return g
@@ -196,8 +203,7 @@ class ShrinkReport:
     ``mean_removed_fraction`` and ``mean_survivor_fraction`` are
     edge-weighted (total edges removed or surviving over total edges
     entering a round, across all seeds and rounds), which matches the
-    expected one-round shrink factor; the unweighted per-round means are
-    kept alongside for reporting.
+    expected one-round shrink factor.
     """
 
     instance: str
@@ -207,8 +213,6 @@ class ShrinkReport:
     per_round_seeds: list[int] = field(default_factory=list)
     mean_removed_fraction: float = 0.0
     mean_survivor_fraction: float = 0.0
-    unweighted_mean_removed: float = 0.0
-    unweighted_mean_survivor: float = 0.0
     max_rounds: int = 0
     max_edges: int = 0
 
@@ -233,8 +237,6 @@ def shrink_report(spec: InstanceSpec, seeds: tuple[int, ...], rerandomize: bool 
     before_by_round: list[list[int]] = []
     removed_by_round: list[list[int]] = []
     total_before = total_removed = 0
-    all_removed: list[float] = []
-    all_survivor: list[float] = []
     for seed in seeds:
         g = unit_spec.build(seed)
         report.max_edges = max(report.max_edges, g.num_edges)
@@ -248,9 +250,6 @@ def shrink_report(spec: InstanceSpec, seeds: tuple[int, ...], rerandomize: bool 
             removed_by_round[i].append(r.edges_removed)
             total_before += r.edges_before
             total_removed += r.edges_removed
-            if r.edges_before:
-                all_removed.append(r.edges_removed / r.edges_before)
-                all_survivor.append(1.0 - r.edges_removed / r.edges_before)
     for i in range(len(before_by_round)):
         b = sum(before_by_round[i])
         r = sum(removed_by_round[i])
@@ -260,9 +259,6 @@ def shrink_report(spec: InstanceSpec, seeds: tuple[int, ...], rerandomize: bool 
     if total_before:
         report.mean_removed_fraction = total_removed / total_before
         report.mean_survivor_fraction = 1.0 - report.mean_removed_fraction
-    if all_removed:
-        report.unweighted_mean_removed = sum(all_removed) / len(all_removed)
-        report.unweighted_mean_survivor = sum(all_survivor) / len(all_survivor)
     return report
 
 

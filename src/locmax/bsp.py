@@ -19,13 +19,12 @@ always reflects the requested partition.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Matching, matching_from_edge_ids
-from .matchers import PhaseTrace, RoundStats
+from .graph import Graph, Matching
+from .matchers import PhaseTrace, Rounds, _drive
 from .tiebreak import _new_candidates, _raise_candidates, _reset_candidates
 from .tiebreak import edge_salts, round_seed, weight_bits
 
@@ -111,13 +110,18 @@ def bsp_local_max(
     cut edges) every owner of an edge reaches the same match verdict; after
     the second barrier (matched-status exchange) dead local edges are
     dropped and surviving candidates reset. The returned matching equals
-    ``local_max_seq(g, seed)`` for every p.
+    ``local_max_seq(g, seed)`` for every p, and ``trace.messages`` holds
+    one :class:`RoundMessages` per round.
     """
-    t0 = time.perf_counter()
+    trace = PhaseTrace(messages=[])
+    return _drive(g, _bsp_rounds(g, p, seed, rerandomize, trace.messages), trace)
+
+
+def _bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool,
+                messages: list[RoundMessages]) -> Rounds:
     part = partition_graph(g, p)
     owner = part.owner
     n, m = g.num_vertices, g.num_edges
-    trace = PhaseTrace(messages=[])
 
     cand = _new_candidates(n)
     cand_id = cand[2]
@@ -145,12 +149,11 @@ def bsp_local_max(
             _raise_candidates(cand, ((ends, wbits, edge_salts(rs, el), el),))
 
         # barrier 1: candidate records for surviving cut-edge endpoints,
-        # deduplicated per (vertex, receiving worker)
+        # deduplicated per (vertex, receiving worker) over both edge sides
         cut_live = live_union[is_cut[live_union]]
         cu, cv = g.edge_u[cut_live], g.edge_v[cut_live]
-        records = _distinct_count(cu * np.int64(p) + owner[cv]) + _distinct_count(
-            cv * np.int64(p) + owner[cu]
-        )
+        records = _distinct_count(np.concatenate([cu * np.int64(p) + owner[cv],
+                                                  cv * np.int64(p) + owner[cu]]))
 
         # superstep 2: with reconciled candidates, every owner of an edge
         # reaches the same verdict; owners mark their matched vertices
@@ -168,26 +171,9 @@ def bsp_local_max(
             _reset_candidates(cand, ends[alive])
             local[w] = tuple(a[alive] for a in local[w])
 
-        newly_matched = int(matched_ever[live_union].sum())
-        still = ~(
-            vertex_matched[g.edge_u[live_union]] | vertex_matched[g.edge_v[live_union]]
-        )
-        survivors = live_union[still]
-        trace.rounds.append(
-            RoundStats(live_union.size, newly_matched, live_union.size - survivors.size)
-        )
-        trace.messages.append(
-            RoundMessages(
-                round_index,
-                records,
-                records * CANDIDATE_RECORD_BYTES,
-                int(cut_live.size),
-                status_records,
-            )
-        )
-        live_union = survivors
+        messages.append(RoundMessages(round_index, records, records * CANDIDATE_RECORD_BYTES,
+                                      int(cut_live.size), status_records))
+        still = ~(vertex_matched[g.edge_u[live_union]] | vertex_matched[g.edge_v[live_union]])
+        yield live_union.size, live_union[matched_ever[live_union]], int(np.count_nonzero(still))
+        live_union = live_union[still]
         round_index += 1
-
-    matched = np.nonzero(matched_ever)[0]
-    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
-    return matching_from_edge_ids(g, matched), trace

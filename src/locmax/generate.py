@@ -4,41 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, _assemble
 
 RGG_THRESHOLD_FACTOR = 0.55
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative description of one synthetic instance."""
-
-    family: str          # "random" | "rgg"
-    x: int               # log2 of the vertex count
-    alpha: int = 4       # edges per vertex (random family only)
-    seed: int = 0
-    weight_mode: str = "random"  # rgg: "euclidean" | "random"
-
-    def __post_init__(self) -> None:
-        if self.family not in ("random", "rgg"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.x < 1:
-            raise ValueError("x must be >= 1")
-        if self.alpha < 1:
-            raise ValueError("alpha must be a positive integer")
-
-    @property
-    def num_vertices(self) -> int:
-        return 1 << self.x
-
-    def build(self) -> Graph:
-        if self.family == "random":
-            return gen_random(self.num_vertices, self.alpha, self.seed)
-        return gen_rgg(self.x, self.seed, self.weight_mode)
 
 
 def gen_random(n: int, alpha: int, seed: int) -> Graph:
@@ -50,6 +21,8 @@ def gen_random(n: int, alpha: int, seed: int) -> Graph:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if alpha < 1:
+        raise ValueError("alpha must be a positive integer")
     m = alpha * n
     capacity = n * (n - 1) // 2
     if m > capacity:

@@ -39,27 +39,13 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.offsets[v + 1] - self.offsets[v])
 
-    def incident_edges(self, v: int) -> np.ndarray:
-        """Edge ids incident to v, in ascending edge-id order."""
-        return self.slot_edge[self.offsets[v]:self.offsets[v + 1]]
-
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         return int(self.edge_u[edge_id]), int(self.edge_v[edge_id])
 
-    def other_endpoint(self, edge_id: int, v: int) -> int:
-        u = int(self.edge_u[edge_id])
-        return int(self.edge_v[edge_id]) if u == v else u
-
-    def total_weight(self, edge_ids: Iterable[int]) -> float:
-        """Sum of the edges' weights, added in ascending edge-id order."""
-        ids = np.sort(_id_array(edge_ids))
+    def total_weight(self, edge_ids) -> float:
+        """Sum of the weights of an array of edge ids, added in ascending id order."""
+        ids = np.sort(np.asarray(edge_ids, dtype=np.int64))
         return float(self.edge_weight[ids].sum()) if ids.size else 0.0
-
-
-def _id_array(edge_ids: Iterable[int]) -> np.ndarray:
-    if isinstance(edge_ids, np.ndarray):
-        return edge_ids.astype(np.int64, copy=False)
-    return np.fromiter(edge_ids, dtype=np.int64)
 
 
 def build_graph(
@@ -204,39 +190,44 @@ def assert_graph_invariants(g: Graph) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Matching:
-    """A set of matched edge ids with the induced per-vertex mate table.
+    """Matched edge ids with the induced per-vertex mate table.
 
-    ``mate[v]`` is the partner vertex of v, or -1 when v is unmatched.
+    ``edges`` is stored as an ascending, read-only int64 array, whatever
+    order the ids are given in. ``mate[v]`` is the partner vertex of v, or
+    -1 when v is unmatched.
     """
 
-    edges: frozenset[int]
-    mate: np.ndarray  # (n,) int64
+    edges: np.ndarray  # (|M|,) int64, ascending
+    mate: np.ndarray   # (n,) int64
+
+    def __post_init__(self) -> None:
+        edges = np.sort(np.asarray(self.edges, dtype=np.int64))
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
             return NotImplemented
-        return self.edges == other.edges and np.array_equal(self.mate, other.mate)
+        return np.array_equal(self.edges, other.edges) and np.array_equal(self.mate, other.mate)
 
     def __hash__(self) -> int:
-        return hash(self.edges)
+        return hash(self.edges.tobytes())
 
     @property
     def size(self) -> int:
-        return len(self.edges)
-
-    def sorted_edge_ids(self) -> np.ndarray:
-        return np.fromiter(sorted(self.edges), dtype=np.int64, count=len(self.edges))
+        return int(self.edges.size)
 
     def weight(self, g: Graph) -> float:
         return g.total_weight(self.edges)
 
 
-def matching_from_edge_ids(g: Graph, edge_ids: Iterable[int]) -> Matching:
-    """Assemble a Matching from edge ids assumed pairwise vertex-disjoint."""
-    ids = _id_array(edge_ids)
+def matching_from_edge_ids(g: Graph, edge_ids) -> Matching:
+    """Assemble a Matching from an array of edge ids assumed pairwise
+    vertex-disjoint."""
+    ids = np.asarray(edge_ids, dtype=np.int64)
     mate = _induced_mate(g, ids)
     mate.setflags(write=False)
-    return Matching(frozenset(ids.tolist()), mate)
+    return Matching(ids, mate)
 
 
 def _induced_mate(g: Graph, ids: np.ndarray) -> np.ndarray:
@@ -258,17 +249,14 @@ def validate_matching(g: Graph, m: Matching) -> MatchingCheck:
     ``valid`` holds when the edge set is pairwise vertex-disjoint and the
     mate table is exactly the one induced by it. ``maximal`` additionally
     requires that no remaining edge has both endpoints unmatched. The
-    detail of an invalid matching names its first failing edge, in the
-    set's iteration order.
+    detail of an invalid matching names its first failing edge, in
+    ascending id order.
     """
     n = g.num_vertices
     if m.mate.shape != (n,):
         return MatchingCheck(False, False, "mate table has wrong length")
-    try:
-        ids = np.fromiter(m.edges, dtype=np.int64, count=len(m.edges))
-    except OverflowError:
-        return MatchingCheck(False, False, "edge id out of range")
-    if ids.size == 0 or (ids.min() >= 0 and ids.max() < g.num_edges):
+    ids = m.edges
+    if ids.size == 0 or (ids[0] >= 0 and ids[-1] < g.num_edges):
         induced = _induced_mate(g, ids)
         free = induced < 0
         # disjoint edges cover exactly two vertices each

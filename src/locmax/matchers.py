@@ -1,22 +1,28 @@
 """Sequential matchers: local max, greedy, GPA, HEM and red-blue (RBM).
 
 Every matcher returns a (Matching, PhaseTrace) pair and produces a maximal
-matching. All tie breaking goes through the shared (weight, salt, id) key
-order from :mod:`locmax.tiebreak`, which is what makes the PRAM and
-bulk-synchronous engines reproduce the sequential local max result exactly.
+matching. Each one, and each engine of :mod:`locmax.pram` and
+:mod:`locmax.bsp`, is a generator of rounds that :func:`_drive` runs. All
+tie breaking goes through the shared (weight, salt, id) key order from
+:mod:`locmax.tiebreak`, which is what makes the PRAM and bulk-synchronous
+engines reproduce the sequential local max result exactly.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .graph import Graph, Matching, matching_from_edge_ids
 from .tiebreak import _new_candidates, _raise_candidates, _reset_candidates
 from .tiebreak import edge_salts, round_seed, vertex_coins, weight_bits
+
+#: One round of an engine: live edges before it, the edge ids it matched,
+#: and live edges after it.
+Rounds = Iterator[tuple[int, np.ndarray, int]]
 
 
 @dataclass(frozen=True)
@@ -47,16 +53,28 @@ class PhaseTrace:
     def removed_fractions(self) -> list[float]:
         return [r.edges_removed / r.edges_before for r in self.rounds if r.edges_before]
 
-    def survivor_fractions(self) -> list[float]:
-        return [
-            (r.edges_before - r.edges_removed) / r.edges_before
-            for r in self.rounds
-            if r.edges_before
-        ]
-
     def mean_removed_fraction(self) -> float:
         fr = self.removed_fractions()
         return sum(fr) / len(fr) if fr else 0.0
+
+
+def _drive(g: Graph, rounds: Rounds,
+           trace: PhaseTrace | None = None) -> tuple[Matching, PhaseTrace]:
+    """Run an engine to completion: the round driver of every matcher.
+
+    ``rounds`` is the engine's generator. Its body runs only as the driver
+    draws rounds, so the engine's set-up falls inside the timed span. One
+    ``RoundStats`` is appended to ``trace`` per round, and the matched ids
+    of all rounds make the Matching.
+    """
+    trace = PhaseTrace() if trace is None else trace
+    t0 = time.perf_counter()
+    parts = [np.empty(0, dtype=np.int64)]
+    for before, new_edges, after in rounds:
+        parts.append(new_edges)
+        trace.rounds.append(RoundStats(before, new_edges.size, before - after))
+    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
+    return matching_from_edge_ids(g, np.concatenate(parts)), trace
 
 
 def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matching, PhaseTrace]:
@@ -74,20 +92,12 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
     :func:`_raise_candidates`, so pass 2 is an id comparison at both
     endpoints.
     """
-    t0 = time.perf_counter()
-    trace = PhaseTrace()
-    matched_parts: list[np.ndarray] = []
     live = np.arange(g.num_edges, dtype=np.int64)
-    for before, new_edges, after in _local_max_rounds(g, live, seed, rerandomize):
-        matched_parts.append(new_edges)
-        trace.rounds.append(RoundStats(before, new_edges.size, before - after))
-    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
-    return matching_from_edge_ids(g, _concat(matched_parts)), trace
+    return _drive(g, _local_max_rounds(g, live, seed, rerandomize))
 
 
-def _local_max_rounds(g: Graph, live: np.ndarray, seed: int, rerandomize: bool):
-    """Local max on the edges ``live`` of ``g``; yields each round's live
-    edge count, newly matched edge ids and surviving edge count.
+def _local_max_rounds(g: Graph, live: np.ndarray, seed: int, rerandomize: bool) -> Rounds:
+    """Local max on the edges ``live`` of ``g``.
 
     Weight bits are gathered once and filtered with the live set, and so
     are the salts unless ``rerandomize`` draws new ones every round.
@@ -115,10 +125,6 @@ def _local_max_rounds(g: Graph, live: np.ndarray, seed: int, rerandomize: bool):
         salts = edge_salts(round_seed(seed, round_index), live) if rerandomize else salts[alive]
 
 
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
 def _fixed_key_matching(g: Graph, live: np.ndarray, seed: int) -> np.ndarray:
     """Greedy matching of the edges ``live``, as local max with fixed keys.
 
@@ -126,7 +132,8 @@ def _fixed_key_matching(g: Graph, live: np.ndarray, seed: int) -> np.ndarray:
     order is taken by the descending-key scan too (locally dominant edges,
     Preis 1999), so the rounds match exactly the edges the scan would.
     """
-    return _concat([new for _, new, _ in _local_max_rounds(g, live, seed, False)])
+    parts = [new for _, new, _ in _local_max_rounds(g, live, seed, False)]
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
 
 
 def greedy(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
@@ -135,11 +142,12 @@ def greedy(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     Computed as local max with fixed keys; the trace reports it as one pass
     over all edges.
     """
-    t0 = time.perf_counter()
-    matched = _fixed_key_matching(g, np.arange(g.num_edges, dtype=np.int64), seed)
-    trace = PhaseTrace([RoundStats(g.num_edges, matched.size, g.num_edges)])
-    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
-    return matching_from_edge_ids(g, matched), trace
+    return _drive(g, _greedy_pass(g, seed))
+
+
+def _greedy_pass(g: Graph, seed: int) -> Rounds:
+    all_edges = np.arange(g.num_edges, dtype=np.int64)
+    yield g.num_edges, _fixed_key_matching(g, all_edges, seed), 0
 
 
 def _descending_key_order(g: Graph, seed: int) -> np.ndarray:
@@ -192,9 +200,12 @@ def gpa(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     recurrence and even cycles by the better of the two paths obtained by
     deleting either of two adjacent edges. A final greedy sweep over the
     edges with both endpoints still free restores maximality, which the
-    path solving alone does not guarantee.
+    path solving alone does not guarantee. The trace reports one pass.
     """
-    t0 = time.perf_counter()
+    return _drive(g, _gpa_pass(g, seed))
+
+
+def _gpa_pass(g: Graph, seed: int) -> Rounds:
     n = g.num_vertices
     order = _descending_key_order(g, seed)
     ends = (g.edge_u ^ g.edge_v).tolist()  # ends[k] ^ v is the far end of edge k at v
@@ -255,25 +266,24 @@ def gpa(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     covered[g.edge_u[solved]] = True
     covered[g.edge_v[solved]] = True
     free = np.flatnonzero(~(covered[g.edge_u] | covered[g.edge_v]))
-    matched_ids = np.concatenate([solved, _fixed_key_matching(g, free, seed)])
-    trace = PhaseTrace([RoundStats(g.num_edges, matched_ids.size, g.num_edges)])
-    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
-    return matching_from_edge_ids(g, matched_ids), trace
+    yield g.num_edges, np.concatenate([solved, _fixed_key_matching(g, free, seed)]), 0
 
 
-def hem(g: Graph, seed: int, randomize_order: bool = False) -> tuple[Matching, PhaseTrace]:
-    """Heavy edge matching: one pass over vertices, each grabbing its
-    heaviest free incident edge.
+def hem(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
+    """Heavy edge matching: one pass over the vertices in input order, each
+    grabbing its heaviest free incident edge."""
+    return _drive(g, _hem_pass(g, seed, range(g.num_vertices)))
 
-    Vertices are visited in input order, or in a seeded shuffle when
-    ``randomize_order`` is set.
-    """
-    t0 = time.perf_counter()
+
+def hem_random(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
+    """HEM visiting the vertices in seeded random order."""
+    order = np.random.default_rng(seed).permutation(g.num_vertices).tolist()
+    return _drive(g, _hem_pass(g, seed, order))
+
+
+def _hem_pass(g: Graph, seed: int, order) -> Rounds:
+    """HEM's one pass, visiting the vertices in ``order``."""
     n = g.num_vertices
-    if randomize_order:
-        order = np.random.default_rng(seed).permutation(n).tolist()
-    else:
-        order = range(n)
     ids = np.arange(g.num_edges, dtype=np.int64)
     salts = edge_salts(round_seed(seed, 0), ids).tolist()
     ew = g.edge_weight.tolist()
@@ -302,14 +312,7 @@ def hem(g: Graph, seed: int, randomize_order: bool = False) -> tuple[Matching, P
             mate[v] = u
             mate[u] = v
             matched.append(best_edge)
-    trace = PhaseTrace([RoundStats(g.num_edges, len(matched), g.num_edges)])
-    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
-    return matching_from_edge_ids(g, matched), trace
-
-
-def hem_random(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
-    """HEM visiting the vertices in seeded random order."""
-    return hem(g, seed, randomize_order=True)
+    yield g.num_edges, np.array(matched, dtype=np.int64), 0
 
 
 class RbmDidNotConverge(RuntimeError):
@@ -326,14 +329,15 @@ def rbm(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     interpretation of the red-blue scheme (the original is specified
     elsewhere); quality numbers are indicative, not a reference.
     """
-    t0 = time.perf_counter()
+    return _drive(g, _rbm_rounds(g, seed))
+
+
+def _rbm_rounds(g: Graph, seed: int) -> Rounds:
     n = g.num_vertices
-    trace = PhaseTrace()
     prop = _new_candidates(n)   # heaviest outgoing proposal per blue vertex
     acc = _new_candidates(n)    # heaviest incoming proposal per red vertex
     vertex_matched = np.zeros(n, dtype=bool)
     live = np.arange(g.num_edges, dtype=np.int64)
-    matched_parts: list[np.ndarray] = []
     round_index = 0
     max_rounds = 10_000
     while live.size:
@@ -357,19 +361,14 @@ def rbm(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
         prop_bwd = bwd & (prop_id[vs] == live)
         acc_id = _raise_candidates(acc, offer((vs, prop_fwd), (us, prop_bwd)))
         won = (prop_fwd & (acc_id[vs] == live)) | (prop_bwd & (acc_id[us] == live))
-        new_edges = live[won]
-        matched_parts.append(new_edges)
         vertex_matched[us[won]] = True
         vertex_matched[vs[won]] = True
         alive = ~(vertex_matched[us] | vertex_matched[vs])
         for cand in (prop, acc):
             _reset_candidates(cand, us[alive], vs[alive])
-        survivors = live[alive]
-        trace.rounds.append(RoundStats(live.size, new_edges.size, live.size - survivors.size))
-        live = survivors
+        yield live.size, live[won], int(np.count_nonzero(alive))
+        live = live[alive]
         round_index += 1
-    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
-    return matching_from_edge_ids(g, _concat(matched_parts)), trace
 
 
 MATCHERS: dict[str, Callable[[Graph, int], tuple[Matching, PhaseTrace]]] = {

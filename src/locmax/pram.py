@@ -15,13 +15,12 @@ violation (there should be none).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, Matching, assert_graph_invariants, matching_from_edge_ids
-from .matchers import PhaseTrace, RoundStats
+from .graph import Graph, Matching, assert_graph_invariants
+from .matchers import PhaseTrace, Rounds, _drive
 from .tiebreak import edge_salts, round_seed, weight_bits
 
 
@@ -300,28 +299,26 @@ def pram_local_max(
     over them) plus the one-off setup, so it grows like the geometric sum
     of surviving edges: the linear-work evidence.
     """
-    t0 = time.perf_counter()
-    state = PramState.from_graph(g)
     log = WriteLog() if checked else None
     trace = PhaseTrace(write_log=log)
-    slot_ops = g.num_vertices + 3 * g.num_edges  # initial layout + first cross pass
+    matching, _ = _drive(g, _pram_rounds(g, seed, rerandomize, log), trace)
+    # the layout and first cross pass, then each phase's live edges and their 2 slots each
+    live_edges = sum(r.edges_before for r in trace.rounds)
+    trace.slot_ops = g.num_vertices + 3 * g.num_edges + 3 * live_edges
+    return matching, trace
+
+
+def _pram_rounds(g: Graph, seed: int, rerandomize: bool, log: WriteLog | None) -> Rounds:
+    """The phases of :func:`pram_local_max`; a write log means checked mode."""
+    state = PramState.from_graph(g)
     compute_cross_pointers(state, log)
-    if checked:
+    if log is not None:
         state.check_consistent()
-    matched_parts: list[np.ndarray] = []
     round_index = 0
     while state.num_edges:
         before = state.num_edges
-        slot_ops += state.num_edges + state.num_slots
         matched = pram_phase(state, round_seed(seed, round_index, rerandomize), log)
-        if checked:
+        if log is not None:
             state.check_consistent()
-        matched_parts.append(matched)
-        trace.rounds.append(RoundStats(before, matched.size, before - state.num_edges))
+        yield before, matched, state.num_edges
         round_index += 1
-    all_matched = (
-        np.concatenate(matched_parts) if matched_parts else np.empty(0, dtype=np.int64)
-    )
-    trace.slot_ops = int(slot_ops)
-    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
-    return matching_from_edge_ids(g, all_matched), trace

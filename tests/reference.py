@@ -8,11 +8,14 @@ and red-blue engines that sorted every round's keys before the staged
 union-find GPA that the local max kernel and path-end tables replaced. The tests check the package
 against them array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
-independent statement of the key order.
+independent statement of the key order, and ``incident_edges``, which only
+tests read.
 
-Deliberate differences from the original loops, which the package reader
-shares: ``read_matrix_market`` rejects NaN and infinite entries at their
-line, and a size line with a negative count.
+Deliberate differences from the original loops, which the package shares:
+``read_matrix_market`` rejects NaN and infinite entries at their line, and
+a size line with a negative count; ``bsp_local_max`` counts the first
+barrier's records once per (vertex, receiving worker), whichever side of
+its cut edges the vertex is stored on.
 """
 
 from __future__ import annotations
@@ -569,9 +572,8 @@ def bsp_local_max(g: Graph, p: int, seed: int, rerandomize: bool = True):
 
         cut_live = live_union[is_cut[live_union]]
         cu, cv = g.edge_u[cut_live], g.edge_v[cut_live]
-        sent_u = np.unique(cu * np.int64(p) + owner[cv]).size
-        sent_v = np.unique(cv * np.int64(p) + owner[cu]).size
-        records = int(sent_u + sent_v)
+        records = int(np.unique(np.concatenate([cu * np.int64(p) + owner[cv],
+                                                cv * np.int64(p) + owner[cu]])).size)
 
         for w in range(p):
             el = local_live[w]
@@ -667,6 +669,11 @@ def rbm(g: Graph, seed: int):
     matched = np.concatenate(matched_parts) if matched_parts else np.empty(0, dtype=np.int64)
     trace.wall_millis = (time.perf_counter() - t0) * 1000.0
     return matching_from_edge_ids(g, matched), trace
+
+
+def incident_edges(g: Graph, v: int) -> np.ndarray:
+    """Edge ids incident to v, in ascending edge-id order."""
+    return g.slot_edge[g.offsets[v]:g.offsets[v + 1]]
 
 
 def local_edges(g: Graph, part) -> list[np.ndarray]:

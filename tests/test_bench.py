@@ -75,6 +75,20 @@ def test_instance_spec_weight_modes():
     assert rgg_rand.num_edges == rgg_eucl.num_edges
 
 
+def test_instance_spec_builds_families_and_rejects_bad_specs():
+    g = InstanceSpec("random", 8, alpha=16).build(3)
+    assert g.num_vertices == 256 and g.num_edges == 16 * 256
+    assert InstanceSpec("rgg", 8).build(3).num_vertices == 256
+    with pytest.raises(ValueError, match="unknown family"):
+        InstanceSpec("delaunay", 8).build(0)
+    for family in ("random", "rgg"):
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            InstanceSpec(family, 0).build(0)
+    for alpha in (0, -1):
+        with pytest.raises(ValueError, match="alpha must be a positive integer"):
+            InstanceSpec("random", 8, alpha=alpha).build(0)
+
+
 def test_shrink_report_halves_edges_per_round():
     report = shrink_report(InstanceSpec("random", 10, alpha=4), seeds=tuple(range(10)))
     assert report.mean_removed_fraction >= 0.5

@@ -8,6 +8,7 @@ import pytest
 from locmax import (
     bsp_local_max,
     build_graph,
+    build_graph_arrays,
     gen_random,
     gen_rgg,
     local_max_seq,
@@ -130,3 +131,21 @@ def test_rerandomize_flag_respected():
         a, _ = local_max_seq(g, 4, rerandomize=flag)
         b, _ = bsp_local_max(g, 4, 4, rerandomize=flag)
         assert a == b
+
+
+def test_messages_invariant_under_edge_orientation():
+    # storing half the edges as (v, u) keeps every edge id and slot, so the
+    # round records must not move; barrier 1 dedups per (vertex, receiver)
+    # over both sides of the cut edges
+    g = gen_random(1 << 10, 4, seed=1)
+    flip = np.arange(g.num_edges) % 2 == 1
+    u = np.where(flip, g.edge_v, g.edge_u)
+    v = np.where(flip, g.edge_u, g.edge_v)
+    flipped = build_graph_arrays(u, v, g.edge_weight, g.num_vertices)
+    assert np.array_equal(flipped.slot_edge, g.slot_edge)
+    for p in (2, 4, 8):
+        matching, trace = bsp_local_max(g, p, 1)
+        matching_f, trace_f = bsp_local_max(flipped, p, 1)
+        assert trace_f.messages == trace.messages
+        assert trace_f.rounds == trace.rounds
+        assert matching_f.edges.tolist() == matching.edges.tolist()

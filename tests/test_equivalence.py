@@ -157,7 +157,7 @@ def test_validate_matching_matches_reference(case, data):
                                             max_size=2)):
         if vertex < g.num_vertices:
             mate[vertex] = value
-    m = Matching(frozenset(ids), mate)
+    m = Matching(np.array(list(ids), dtype=np.int64), mate)
     assert validate_matching(g, m) == ref.validate_matching(g, m)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from locmax import assert_graph_invariants, gen_random, gen_rgg, rgg_threshold
-from locmax.generate import GeneratorSpec, radius_edges_grid, with_unit_weights
+from locmax.generate import radius_edges_grid, with_unit_weights
 
 from reference import radius_edges_bruteforce
 
@@ -30,6 +30,9 @@ def test_random_exact_edge_count_and_weight_range():
 def test_random_infeasible_density_rejected():
     with pytest.raises(ValueError, match="infeasible"):
         gen_random(4, 2, seed=0)  # 8 edges requested, only 6 pairs exist
+    for alpha in (0, -1):  # no edges requested
+        with pytest.raises(ValueError, match="alpha must be a positive integer"):
+            gen_random(256, alpha, seed=0)
 
 
 def test_random_deterministic_per_seed():
@@ -123,14 +126,6 @@ def test_rgg_rejects_small_x_and_bad_mode():
         gen_rgg(1, 0)
     with pytest.raises(ValueError):
         gen_rgg(4, 0, weight_mode="unit")
-
-
-def test_generator_spec_roundtrip():
-    spec = GeneratorSpec("random", 8, alpha=16, seed=3)
-    g = spec.build()
-    assert g.num_edges == 16 * 256
-    with pytest.raises(ValueError):
-        GeneratorSpec("delaunay", 8)
 
 
 def test_unit_weights_override():

@@ -16,6 +16,7 @@ from locmax import (
 )
 
 from conftest import naive_validate, random_graph_edges
+from reference import incident_edges
 
 
 def test_single_edge_layout():
@@ -84,7 +85,7 @@ def test_empty_graph():
 def test_slots_reproduce_incidence_multiset(triangle):
     seen = set()
     for v in range(triangle.num_vertices):
-        for k in triangle.incident_edges(v).tolist():
+        for k in incident_edges(triangle, v).tolist():
             seen.add((v, k))
     expected = set()
     for k in range(triangle.num_edges):
@@ -102,7 +103,7 @@ def test_slot_ranges_match_edge_incidence(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     g = build_graph(random_graph_edges(rng, n, m), num_vertices=n)
     assert_graph_invariants(g)
-    incidence = [(v, k) for v in range(n) for k in g.incident_edges(v).tolist()]
+    incidence = [(v, k) for v in range(n) for k in incident_edges(g, v).tolist()]
     expected = [(u, k) for k in range(g.num_edges) for u in g.endpoints(k)]
     assert sorted(incidence) == sorted(expected)
 
@@ -121,14 +122,14 @@ def test_validate_path_prefix_not_maximal(path4):
 
 def test_validate_rejects_shared_endpoint(path4):
     mate = np.full(4, -1, dtype=np.int64)
-    m = Matching(frozenset({0, 1}), mate)  # ab and bc share b
+    m = Matching(np.array([0, 1]), mate)  # ab and bc share b
     check = validate_matching(path4, m)
     assert not check.valid and not check.maximal
 
 
 def test_validate_rejects_inconsistent_mate(path4):
     mate = np.full(4, -1, dtype=np.int64)
-    m = Matching(frozenset({0}), mate)  # edge listed but mate table empty
+    m = Matching(np.array([0]), mate)  # edge listed but mate table empty
     assert not validate_matching(path4, m).valid
 
 
@@ -145,6 +146,27 @@ def test_validate_agrees_with_naive_checker(data):
     for k in subset:
         u, v = g.endpoints(k)
         mate[u], mate[v] = v, u
-    candidate = Matching(frozenset(subset), mate)
+    candidate = Matching(np.array(subset, dtype=np.int64), mate)
     got = validate_matching(g, candidate)
     assert (got.valid, got.maximal) == naive_validate(g, candidate)
+
+
+def test_matching_edges_sorted_read_only_whatever_the_input_order():
+    g = build_graph([(2 * i, 2 * i + 1, 1.0) for i in range(6)])
+    ids = np.array([4, 0, 5, 2], dtype=np.int64)
+    base = matching_from_edge_ids(g, ids)
+    rng = np.random.default_rng(3)
+    for order in [ids[::-1], ids.tolist(), *(rng.permutation(ids) for _ in range(5))]:
+        m = matching_from_edge_ids(g, order)
+        assert m == base and hash(m) == hash(base)
+        given = np.array(order)
+        direct = Matching(given, base.mate)
+        given[0] = 1  # the matching keeps its own copy
+        assert direct == base and hash(direct) == hash(base)
+        for got in (m, direct):
+            assert got.edges.tolist() == [0, 2, 4, 5]
+            assert got.edges.dtype == np.int64 and not got.edges.flags.writeable
+            with pytest.raises(ValueError):
+                got.edges[0] = 1
+    assert matching_from_edge_ids(g, [0, 2, 4]) != base
+    assert Matching(ids, np.full(12, -1, dtype=np.int64)) != base

@@ -10,17 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locmax import (
+    bsp_local_max,
     build_graph,
     gen_random,
     gen_rgg,
     max_weight_matching_bruteforce,
+    pram_local_max,
     validate_matching,
 )
-from locmax.matchers import MATCHERS, gpa, greedy, hem, local_max_seq, rbm
+from locmax.matchers import MATCHERS, gpa, greedy, hem, hem_random, local_max_seq, rbm
 from locmax.tiebreak import round_seed, vertex_coins
 
 from conftest import random_graph_edges
-from reference import ParityUnionFind, gpa_accepted, tie_key
+from reference import ParityUnionFind, gpa_accepted, incident_edges, tie_key
 
 
 def _weights(g, matching):
@@ -31,13 +33,13 @@ def _weights(g, matching):
 
 def test_local_max_triangle_one_round(triangle):
     matching, trace = local_max_seq(triangle, seed=0)
-    assert matching.edges == {2}  # the weight-3 edge dominates both others
+    assert matching.edges.tolist() == [2]  # the weight-3 edge dominates both others
     assert trace.total_rounds == 1
 
 
 def test_local_max_path_takes_middle(path4):
     matching, _ = local_max_seq(path4, seed=0)
-    assert matching.edges == {1}
+    assert matching.edges.tolist() == [1]
     opt = max_weight_matching_bruteforce(path4).opt_weight
     assert opt == 4.0
     ratio = _weights(path4, matching) / opt
@@ -86,13 +88,13 @@ def test_local_max_rerandomize_off_still_maximal_and_close():
 
 def test_greedy_path_takes_heaviest(path4):
     matching, _ = greedy(path4, seed=0)
-    assert matching.edges == {1}
+    assert matching.edges.tolist() == [1]
     assert _weights(path4, matching) == 3.0
 
 
 def test_greedy_triangle(triangle):
     matching, _ = greedy(triangle, seed=0)
-    assert matching.edges == {2}
+    assert matching.edges.tolist() == [2]
 
 
 def test_greedy_all_equal_weights_maximal():
@@ -111,7 +113,7 @@ def test_greedy_all_equal_weights_maximal():
 
 def test_gpa_path_dp_beats_greedy(path4):
     matching, _ = gpa(path4, seed=0)
-    assert matching.edges == {0, 2}  # dp picks the two outer edges: 2+2 > 3
+    assert matching.edges.tolist() == [0, 2]  # dp picks the two outer edges: 2+2 > 3
     assert _weights(path4, matching) == 4.0
 
 
@@ -119,13 +121,13 @@ def test_gpa_even_cycle_dp():
     g = build_graph([(0, 1, 5.0), (1, 2, 1.0), (2, 3, 5.0), (3, 0, 1.0)])
     matching, _ = gpa(g, seed=0)
     assert _weights(g, matching) == 10.0
-    assert matching.edges == {0, 2}
+    assert matching.edges.tolist() == [0, 2]
 
 
 def test_gpa_rejects_odd_cycle(triangle):
     # scan order 3, 2, 1: the weight-1 edge would close a triangle
     matching, _ = gpa(triangle, seed=0)
-    assert matching.edges == {2}
+    assert matching.edges.tolist() == [2]
     check = validate_matching(triangle, matching)
     assert check.valid and check.maximal
 
@@ -139,7 +141,7 @@ def test_gpa_sweep_restores_maximality():
     matching, _ = gpa(g, seed=0)
     check = validate_matching(g, matching)
     assert check.valid and check.maximal
-    assert matching.edges == {0, 3, 4}
+    assert matching.edges.tolist() == [0, 3, 4]
     assert _weights(g, matching) == 20.5
 
 
@@ -166,7 +168,7 @@ def test_gpa_rejects_odd_cycle_behind_a_compressed_path():
                      (2, 5, 3.0), (4, 5, 2.0), (1, 3, 1.0)])
     assert gpa_accepted(g, 0) == [0, 1, 2, 3, 5]
     matching, _ = gpa(g, seed=0)
-    assert matching.edges == {0, 2, 5}  # path weights 7,4,5,6,2: take 7+5+2
+    assert matching.edges.tolist() == [0, 2, 5]  # path weights 7,4,5,6,2: take 7+5+2
     assert _weights(g, matching) == 14.0 == max_weight_matching_bruteforce(g).opt_weight
 
 
@@ -185,7 +187,7 @@ def test_gpa_never_below_oracle_half():
 def test_hem_input_order_both_outer_edges(path4):
     # visiting a first: a grabs ab(2), then c grabs cd(2)
     matching, _ = hem(path4, seed=0)
-    assert matching.edges == {0, 2}
+    assert matching.edges.tolist() == [0, 2]
     assert _weights(path4, matching) == 4.0
 
 
@@ -193,20 +195,20 @@ def test_hem_center_first_takes_heaviest():
     # same path relabeled so the inner vertex b comes first: b grabs bc(3)
     g = build_graph([(1, 0, 2.0), (0, 2, 3.0), (2, 3, 2.0)])
     matching, _ = hem(g, seed=0)
-    assert matching.edges == {1}
+    assert matching.edges.tolist() == [1]
     assert _weights(g, matching) == 3.0
 
 
 def test_hem_isolated_vertex_skipped():
     g = build_graph([(1, 2, 1.0)], num_vertices=3)
     matching, _ = hem(g, seed=0)
-    assert matching.edges == {0}
+    assert matching.edges.tolist() == [0]
 
 
 def test_hem_random_order_still_maximal():
     g = gen_random(256, 4, seed=4)
     for seed in range(3):
-        matching, _ = hem(g, seed, randomize_order=True)
+        matching, _ = hem_random(g, seed)
         check = validate_matching(g, matching)
         assert check.valid and check.maximal
 
@@ -229,7 +231,7 @@ def test_rbm_single_edge_blue_red_matches_first_round():
 
     seed = _find_seed(blue_red)
     matching, trace = rbm(g, seed)
-    assert matching.edges == {0}
+    assert matching.edges.tolist() == [0]
     assert trace.total_rounds == 1
 
 
@@ -244,7 +246,7 @@ def test_rbm_single_edge_same_colour_defers():
     matching, trace = rbm(g, seed)
     assert trace.rounds[0].edges_matched == 0
     assert trace.total_rounds > 1
-    assert matching.edges == {0}  # matched eventually
+    assert matching.edges.tolist() == [0]  # matched eventually
 
 
 def test_rbm_star_center_accepts_heaviest_blue_proposal():
@@ -262,7 +264,7 @@ def test_rbm_star_center_accepts_heaviest_blue_proposal():
     expected = max(blue_edges, key=lambda k: tie_key(k, weights[k], rs))
     matching, trace = rbm(g, seed)
     assert trace.rounds[0].edges_matched == 1
-    assert expected in matching.edges
+    assert expected in matching.edges.tolist()
 
 
 def test_rbm_terminates_within_logarithmic_rounds():
@@ -286,7 +288,7 @@ def test_rbm_terminates_within_logarithmic_rounds():
 def test_every_matcher_handles_empty_graph(name):
     g = build_graph([], num_vertices=4)
     matching, trace = MATCHERS[name](g, 0)
-    assert matching.edges == frozenset()
+    assert matching.edges.tolist() == []
     check = validate_matching(g, matching)
     assert check.valid and check.maximal
 
@@ -299,13 +301,18 @@ def test_all_matchers_valid_and_maximal(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     g = build_graph(random_graph_edges(rng, n, m), num_vertices=n)
     seed = data.draw(st.integers(0, 10_000))
-    for name, matcher in MATCHERS.items():
-        matching, trace = matcher(g, seed)
+    runs = {name: matcher(g, seed) for name, matcher in MATCHERS.items()}
+    runs["pram"] = pram_local_max(g, seed, checked=True)
+    for p in (1, 3):
+        if p <= n:
+            runs[f"bsp-p{p}"] = bsp_local_max(g, p, seed)
+    for name, (matching, trace) in runs.items():
         check = validate_matching(g, matching)
         assert check.valid and check.maximal, f"{name}: {check.detail}"
-        assert sum(r.edges_removed for r in trace.rounds) == g.num_edges
+        assert sum(r.edges_removed for r in trace.rounds) == g.num_edges, name
+        assert sum(r.edges_matched for r in trace.rounds) == matching.size, name
         for r in trace.rounds:
-            assert r.edges_removed >= r.edges_matched
+            assert r.edges_removed >= r.edges_matched, name
 
 
 def test_local_max_first_round_candidates_match_python_loop():
@@ -319,7 +326,7 @@ def test_local_max_first_round_candidates_match_python_loop():
         keys = {k: tie_key(k, float(g.edge_weight[k]), rs) for k in range(g.num_edges)}
 
         def candidate(v):
-            incident = g.incident_edges(v).tolist()
+            incident = incident_edges(g, v).tolist()
             return max(incident, key=keys.__getitem__) if incident else None
 
         expect = {
@@ -332,7 +339,7 @@ def test_local_max_first_round_candidates_match_python_loop():
         if g.num_edges:
             got_round1 = trace.rounds[0].edges_matched
             assert got_round1 == len(expect)
-            assert expect <= matching.edges
+            assert expect <= set(matching.edges.tolist())
 
 
 def test_all_zero_weights_still_maximal():
