@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -92,19 +93,19 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
     :func:`_raise_candidates`, so pass 2 is an id comparison at both
     endpoints.
     """
-    live = np.arange(g.num_edges, dtype=np.int64)
-    return _drive(g, _local_max_rounds(g, live, seed, rerandomize))
+    return _drive(g, _local_max_rounds(g, seed, rerandomize))
 
 
-def _local_max_rounds(g: Graph, live: np.ndarray, seed: int, rerandomize: bool) -> Rounds:
-    """Local max on the edges ``live`` of ``g``.
+def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
+    """Local max on all edges of ``g``.
 
-    Weight bits are gathered once and filtered with the live set, and so
+    Weight bits are computed once and filtered with the live set, and so
     are the salts unless ``rerandomize`` draws new ones every round.
     """
+    live = np.arange(g.num_edges, dtype=np.int64)
     cand = _new_candidates(g.num_vertices)
     vertex_matched = np.zeros(g.num_vertices, dtype=bool)
-    wbits = weight_bits(g.edge_weight[live])
+    wbits = weight_bits(g.edge_weight)
     salts = edge_salts(round_seed(seed, 0), live)
     round_index = 0
     while live.size:
@@ -125,29 +126,70 @@ def _local_max_rounds(g: Graph, live: np.ndarray, seed: int, rerandomize: bool) 
         salts = edge_salts(round_seed(seed, round_index), live) if rerandomize else salts[alive]
 
 
-def _fixed_key_matching(g: Graph, live: np.ndarray, seed: int) -> np.ndarray:
-    """Greedy matching of the edges ``live``, as local max with fixed keys.
+#: The greedy kernel's rounds give way to its scan once a round matches
+#: fewer than this share of the live edges.
+_SCAN_FRACTION = 1 / 128
+#: Edges per chunk of a Python scan; each chunk first drops the edges that
+#: an earlier chunk has ruled out, with one array test.
+_CHUNK = 4096
 
-    An edge heaviest at both endpoints under the round-0 (weight, salt, id)
-    order is taken by the descending-key scan too (locally dominant edges,
-    Preis 1999), so the rounds match exactly the edges the scan would.
+
+def _greedy_matching(g: Graph, order: np.ndarray) -> np.ndarray:
+    """The edges of ``order`` that a first-to-last scan matches, taking each
+    edge whose endpoints are both free.
+
+    Runs local max rounds on the fixed priority of each edge's position in
+    ``order``: an edge first at both its endpoints among the live edges is
+    one the scan takes (Preis 1999), and with a random order few rounds
+    suffice (Blelloch, Fineman and Shun 2012). Orders with a long
+    dependency chain, such as rising weights along a path, would need a
+    round per matched edge, so once a round matches fewer than
+    ``_SCAN_FRACTION`` of the live edges the survivors are scanned in
+    order. That finish is exact: the survivors are exactly the edges with
+    both endpoints free, and earlier edges decided the rest.
     """
-    parts = [new for _, new, _ in _local_max_rounds(g, live, seed, False)]
-    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
+    n, size = g.num_vertices, order.size
+    us, vs = g.edge_u[order], g.edge_v[order]
+    pos = np.arange(size)
+    flags = bytearray(n)  # matched vertices, as the scan reads them
+    matched = np.frombuffer(flags, dtype=bool)  # the same flags, as the rounds do
+    parts = [np.empty(0, dtype=np.int64)]
+    while pos.size:
+        first = np.full(n, size)  # per vertex: its first live position
+        np.minimum.at(first, us, pos)
+        np.minimum.at(first, vs, pos)
+        won = (first[us] == pos) & (first[vs] == pos)
+        matched[us[won]] = True
+        matched[vs[won]] = True
+        alive = ~(matched[us] | matched[vs])
+        parts.append(pos[won])
+        few = np.count_nonzero(won) < _SCAN_FRACTION * pos.size
+        pos, us, vs = pos[alive], us[alive], vs[alive]
+        if few:
+            break
+    for at in range(0, pos.size, _CHUNK):
+        cu, cv, cp = us[at:at + _CHUNK], vs[at:at + _CHUNK], pos[at:at + _CHUNK]
+        keep = ~(matched[cu] | matched[cv])
+        new = []
+        for u, v, p in zip(cu[keep].tolist(), cv[keep].tolist(), cp[keep].tolist()):
+            if not (flags[u] or flags[v]):
+                flags[u] = flags[v] = 1
+                new.append(p)
+        parts.append(np.array(new, dtype=np.int64))
+    return order[np.concatenate(parts)]
 
 
 def greedy(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     """Match edges by decreasing round-0 key whenever both endpoints are free.
 
-    Computed as local max with fixed keys; the trace reports it as one pass
-    over all edges.
+    Computed by the fixed-order kernel :func:`_greedy_matching`; the trace
+    reports it as one pass over all edges.
     """
     return _drive(g, _greedy_pass(g, seed))
 
 
 def _greedy_pass(g: Graph, seed: int) -> Rounds:
-    all_edges = np.arange(g.num_edges, dtype=np.int64)
-    yield g.num_edges, _fixed_key_matching(g, all_edges, seed), 0
+    yield g.num_edges, _greedy_matching(g, _descending_key_order(g, seed)), 0
 
 
 def _descending_key_order(g: Graph, seed: int) -> np.ndarray:
@@ -165,29 +207,6 @@ def _descending_key_order(g: Graph, seed: int) -> np.ndarray:
     return order[::-1]
 
 
-def _path_dp(edge_seq: list[int], ew: list[float]) -> tuple[float, list[int]]:
-    """Max-weight matching of a path given its edges in order."""
-    k = len(edge_seq)
-    best = [0.0] * (k + 1)
-    take = [False] * (k + 1)
-    for i in range(1, k + 1):
-        with_edge = (best[i - 2] if i >= 2 else 0.0) + ew[edge_seq[i - 1]]
-        if with_edge > best[i - 1]:
-            best[i] = with_edge
-            take[i] = True
-        else:
-            best[i] = best[i - 1]
-    chosen = []
-    i = k
-    while i > 0:
-        if take[i]:
-            chosen.append(edge_seq[i - 1])
-            i -= 2
-        else:
-            i -= 1
-    return best[k], chosen
-
-
 def gpa(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     """Global path algorithm: grow paths and even cycles, then solve them.
 
@@ -198,9 +217,11 @@ def gpa(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     length: an edge joining the two ends of one path closes a cycle, which
     is even iff the path is odd. Paths are solved by the classic skip/take
     recurrence and even cycles by the better of the two paths obtained by
-    deleting either of two adjacent edges. A final greedy sweep over the
-    edges with both endpoints still free restores maximality, which the
-    path solving alone does not guarantee. The trace reports one pass.
+    deleting either of two adjacent edges; the paths are independent, so
+    all are walked and solved together, one edge per step. A final greedy
+    sweep over the edges with both endpoints still free restores
+    maximality, which the path solving alone does not guarantee. The trace
+    reports one pass.
     """
     return _drive(g, _gpa_pass(g, seed))
 
@@ -208,111 +229,201 @@ def gpa(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
 def _gpa_pass(g: Graph, seed: int) -> Rounds:
     n = g.num_vertices
     order = _descending_key_order(g, seed)
-    ends = (g.edge_u ^ g.edge_v).tolist()  # ends[k] ^ v is the far end of edge k at v
-    ew = g.edge_weight.tolist()
+    ou, ov = g.edge_u[order], g.edge_v[order]
 
-    deg = [0] * n
+    deg = bytearray(n)
+    degree = np.frombuffer(deg, dtype=np.uint8)  # the same degrees, as arrays read them
     slot = [-1] * (2 * n)  # accepted edges of v at 2v and 2v+1, in acceptance order
     end = list(range(n))  # at a path end: the other end of its path
     odd = [0] * n  # at a path end: the parity of its path's length
-    for k, u, v in zip(order.tolist(), g.edge_u[order].tolist(), g.edge_v[order].tolist()):
-        du, dv = deg[u], deg[v]
-        if du == 2 or dv == 2:
-            continue
-        a = end[u]
-        if a == v:  # closes a cycle of length |path| + 1
-            if not odd[u]:
+    closing = []  # a vertex of each cycle
+    for at in range(0, order.size, _CHUNK):
+        cu, cv = ou[at:at + _CHUNK], ov[at:at + _CHUNK]
+        keep = (degree[cu] < 2) & (degree[cv] < 2)  # the loop rejects the others too
+        for k, u, v in zip(order[at:at + _CHUNK][keep].tolist(), cu[keep].tolist(),
+                           cv[keep].tolist()):
+            du, dv = deg[u], deg[v]
+            if du == 2 or dv == 2:
                 continue
-        else:
-            b = end[v]
-            end[a] = b
-            end[b] = a
-            odd[a] = odd[b] = odd[u] ^ odd[v] ^ 1
-        slot[2 * u + du] = k
-        slot[2 * v + dv] = k
-        deg[u] = du + 1
-        deg[v] = dv + 1
+            a = end[u]
+            if a == v:  # closes a cycle of length |path| + 1
+                if not odd[u]:
+                    continue
+                closing.append(u)
+            else:
+                b = end[v]
+                end[a] = b
+                end[b] = a
+                odd[a] = odd[b] = odd[u] ^ odd[v] ^ 1
+            slot[2 * u + du] = k
+            slot[2 * v + dv] = k
+            deg[u] = du + 1
+            deg[v] = dv + 1
 
     # decompose into open paths and (even) cycles, each walked from its
-    # smallest vertex along that vertex's first accepted edge
-    seen = [False] * n
-    matched: list[int] = []
+    # smallest vertex along that vertex's first accepted edge; a first walk
+    # round each cycle, from where it closed, finds that vertex
+    walks = partial(_walks, far=g.edge_u ^ g.edge_v, slot=np.array(slot, dtype=np.int64),
+                    slot_list=slot, deg=deg)
+    paths, path_base, path_len = walks(
+        np.flatnonzero((degree == 1) & (np.array(end) > np.arange(n))))
+    around, around_base, _ = walks(np.array(closing, dtype=np.int64))
+    lowest = np.minimum(g.edge_u[around], g.edge_v[around])
+    cycles, cycle_base, cycle_len = walks(
+        np.minimum.reduceat(lowest, around_base) if around.size else around)
 
-    def walk(v: int) -> list[int]:
-        start, k, seq = v, slot[2 * v], []
-        seen[v] = True
-        while True:
-            seq.append(k)
-            v = ends[k] ^ v
-            seen[v] = True
-            if deg[v] == 1 or v == start:
-                return seq
-            k = slot[2 * v + 1] if slot[2 * v] == k else slot[2 * v]
-
-    for v in range(n):
-        if deg[v] == 1 and not seen[v]:
-            matched += _path_dp(walk(v), ew)[1]
-    for v in range(n):
-        if deg[v] == 2 and not seen[v]:
-            cyc = walk(v)
-            # delete one of two adjacent edges; every cycle matching misses one
-            opt_a = _path_dp(cyc[1:], ew)
-            opt_b = _path_dp(cyc[2:] + cyc[:1], ew)
-            matched += opt_a[1] if opt_a[0] >= opt_b[0] else opt_b[1]
+    # A cycle walk lists its first edge again at the end, so the two paths
+    # left by deleting either of two adjacent edges are runs of it; every
+    # cycle matching misses one of them.
+    p, c = path_len.size, cycle_len.size
+    walked = np.concatenate([paths, cycles])
+    cycle_base += paths.size
+    best, chosen_path, chosen_at = _solve_paths(
+        walked, np.concatenate([path_base, cycle_base + 1, cycle_base + 2]),
+        np.concatenate([path_len, cycle_len - 2, cycle_len - 2]), g.edge_weight)
+    first_wins = best[p:p + c] >= best[p + c:]
+    kept = np.concatenate([np.ones(p, dtype=bool), first_wins, ~first_wins])
+    solved = walked[chosen_at[kept[chosen_path]]]
 
     # maximality sweep: the path/cycle optimum may leave addable edges behind
-    solved = np.array(matched, dtype=np.int64)
     covered = np.zeros(n, dtype=bool)
     covered[g.edge_u[solved]] = True
     covered[g.edge_v[solved]] = True
-    free = np.flatnonzero(~(covered[g.edge_u] | covered[g.edge_v]))
-    yield g.num_edges, np.concatenate([solved, _fixed_key_matching(g, free, seed)]), 0
+    free = ~(covered[g.edge_u] | covered[g.edge_v])
+    yield g.num_edges, np.concatenate([solved, _greedy_matching(g, order[free[order]])]), 0
+
+
+#: Walks and path solutions advance together, one edge per numpy step,
+#: while at least this many are unfinished; the rest finish one at a time
+#: in Python, so a long path costs no numpy step per edge.
+_LOCKSTEP_MIN = 64
+
+
+def _walks(starts: np.ndarray, far: np.ndarray, slot: np.ndarray, slot_list: list[int],
+           deg: bytearray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walks through GPA's accepted subgraph of maximum degree two.
+
+    ``far[k] ^ v`` is the other end of edge k at v. ``slot[2v]`` and
+    ``slot[2v + 1]`` (also as the list ``slot_list``) are the accepted edges
+    of v in acceptance order, and ``deg[v]`` counts them. Each walk leaves
+    its start by the start's first edge and stops on reaching a vertex of
+    degree one, or on coming round to its first edge again, which it then
+    lists twice. Returns the edges walk after walk, where each walk begins
+    among them, and its number of edges.
+    """
+    degree = np.frombuffer(deg, dtype=np.uint8)
+    walk, v, k = np.arange(starts.size), starts, slot[2 * starts]
+    k0 = k
+    empty = np.empty(0, dtype=np.int64)
+    steps = [(empty, empty, empty)]  # (walk, position, edge) columns
+    at = 0
+    while walk.size >= _LOCKSTEP_MIN:
+        steps.append((walk, np.full(walk.size, at), k))
+        v = far[k] ^ v
+        go = (degree[v] == 2) & ((k != k0) | (at == 0))
+        walk, v, k, k0 = walk[go], v[go], k[go], k0[go]
+        first, second = slot[2 * v], slot[2 * v + 1]
+        k = np.where(first == k, second, first)
+        at += 1
+    for w, v, k, k0 in zip(walk.tolist(), v.tolist(), k.tolist(), k0.tolist()):
+        tail = [k]
+        while True:
+            v ^= int(far[k])
+            if deg[v] != 2 or (k == k0 and at + len(tail) > 1):
+                break
+            k = slot_list[2 * v + 1] if slot_list[2 * v] == k else slot_list[2 * v]
+            tail.append(k)
+        steps.append((np.full(len(tail), w), np.arange(at, at + len(tail)), np.array(tail)))
+    ids, pos, edges = (np.concatenate(col) for col in zip(*steps))
+    length = np.bincount(ids, minlength=starts.size)
+    base = np.cumsum(length) - length
+    walked = np.empty(edges.size, dtype=np.int64)
+    walked[base[ids] + pos] = edges
+    return walked, base, length
+
+
+def _solve_paths(edges: np.ndarray, base: np.ndarray, length: np.ndarray,
+                 weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-weight matchings of the paths ``edges[base[i]:base[i] + length[i]]``
+    by the skip/take recurrence, solved position by position across all
+    paths at once.
+
+    Returns each path's best weight, and for every edge taken its path and
+    its index in ``edges``. Paths longer than all but fewer than
+    ``_LOCKSTEP_MIN`` others are solved one at a time in Python. Each path
+    adds the same floats in the same order either way.
+    """
+    best = np.zeros(length.size)
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
+    by_len = np.argsort(-length, kind="stable")
+    lens = length[by_len]
+    alone = (lens.size if lens.size < _LOCKSTEP_MIN
+             else np.count_nonzero(lens > lens[_LOCKSTEP_MIN - 1]))
+    for p in by_len[:alone].tolist():
+        b, size = int(base[p]), int(length[p])
+        w = weight[edges[b:b + size]].tolist()
+        val = [0.0] * (size + 1)
+        take = [False] * (size + 1)
+        for i in range(1, size + 1):
+            with_edge = (val[i - 2] if i >= 2 else 0.0) + w[i - 1]
+            take[i] = with_edge > val[i - 1]
+            val[i] = with_edge if take[i] else val[i - 1]
+        best[p] = val[size]
+        at, i = [], size
+        while i > 0:
+            if take[i]:
+                at.append(b + i - 1)
+            i -= 2 if take[i] else 1
+        parts.append((np.full(len(at), p), np.array(at, dtype=np.int64)))
+
+    short, lens = by_len[alone:], lens[alone:]
+    start = base[short]
+    active = np.searchsorted(-lens, -np.arange(lens[0] if lens.size else 0))  # paths longer than j
+    val, prev = np.zeros(short.size), np.zeros(short.size)
+    takes = []
+    for j, c in enumerate(active.tolist()):
+        with_edge = prev[:c] + weight[edges[start[:c] + j]]
+        take = with_edge > val[:c]
+        prev[:c], val[:c] = val[:c], np.where(take, with_edge, val[:c])
+        takes.append(take)
+    best[short] = val
+    nxt = lens - 1  # per path: the next position the backtrack reads
+    for j in range(len(takes) - 1, -1, -1):
+        c = active[j]
+        hit = nxt[:c] == j
+        took = np.flatnonzero(hit & takes[j])
+        parts.append((short[took], start[took] + j))
+        nxt[:c] -= hit * (1 + takes[j])
+    return best, *(np.concatenate(col) for col in zip(*parts))
 
 
 def hem(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     """Heavy edge matching: one pass over the vertices in input order, each
     grabbing its heaviest free incident edge."""
-    return _drive(g, _hem_pass(g, seed, range(g.num_vertices)))
+    return _drive(g, _hem_pass(g, seed, np.arange(g.num_vertices)))
 
 
 def hem_random(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     """HEM visiting the vertices in seeded random order."""
-    order = np.random.default_rng(seed).permutation(g.num_vertices).tolist()
-    return _drive(g, _hem_pass(g, seed, order))
+    return _drive(g, _hem_pass(g, seed, np.random.default_rng(seed).permutation(g.num_vertices)))
 
 
-def _hem_pass(g: Graph, seed: int, order) -> Rounds:
-    """HEM's one pass, visiting the vertices in ``order``."""
-    n = g.num_vertices
-    ids = np.arange(g.num_edges, dtype=np.int64)
-    salts = edge_salts(round_seed(seed, 0), ids).tolist()
-    ew = g.edge_weight.tolist()
-    eu = g.edge_u.tolist()
-    ev = g.edge_v.tolist()
-    slot_edge = g.slot_edge.tolist()
-    offsets = g.offsets.tolist()
-    mate = [-1] * n
-    matched: list[int] = []
-    for v in order:
-        if mate[v] != -1:
-            continue
-        best_key = None
-        best_edge = -1
-        for s in range(offsets[v], offsets[v + 1]):
-            k = slot_edge[s]
-            u = ev[k] if eu[k] == v else eu[k]
-            if mate[u] != -1:
-                continue
-            key = (ew[k], salts[k], k)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_edge = k
-        if best_edge >= 0:
-            u = ev[best_edge] if eu[best_edge] == v else eu[best_edge]
-            mate[v] = u
-            mate[u] = v
-            matched.append(best_edge)
-    yield g.num_edges, np.array(matched, dtype=np.int64), 0
+def _hem_pass(g: Graph, seed: int, visits: np.ndarray) -> Rounds:
+    """HEM's one pass, visiting the vertices in the order ``visits``.
+
+    When HEM visits a free vertex, each neighbour visited earlier is
+    matched already (it would have taken the edge otherwise). So HEM is the
+    greedy scan of the edges by the visit rank of their earlier endpoint,
+    then by decreasing (weight, salt, id) key, which one sort of the packed
+    (rank, key position) pairs gives.
+    """
+    n, m = g.num_vertices, g.num_edges
+    rank = np.empty(n, dtype=np.int64)
+    rank[visits] = np.arange(n)
+    by_key = _descending_key_order(g, seed)
+    earlier = np.minimum(rank[g.edge_u[by_key]], rank[g.edge_v[by_key]])
+    packed = np.sort(earlier * m + np.arange(m))
+    yield m, _greedy_matching(g, by_key[packed % m]), 0
 
 
 class RbmDidNotConverge(RuntimeError):

@@ -40,6 +40,21 @@ def random_graph_edges(rng: np.random.Generator, n: int, m: int) -> list[tuple[i
     return edges
 
 
+def undominated_edges(g: Graph, matching: Matching) -> int:
+    """Count the edges heavier than the matched edge at both their endpoints
+    (weight 0 at an unmatched endpoint).
+
+    0 means the matching is locally dominant: the matched weight at each
+    vertex is then a feasible dual of the fractional matching LP with value
+    2 w(M), which certifies w(M) >= OPT/2 (Preis 1999).
+    """
+    at = np.zeros(g.num_vertices)
+    ids = matching.edges
+    at[g.edge_u[ids]] = at[g.edge_v[ids]] = g.edge_weight[ids]
+    w = g.edge_weight
+    return int(np.count_nonzero((w > at[g.edge_u]) & (w > at[g.edge_v])))
+
+
 def naive_validate(g: Graph, matching: Matching) -> tuple[bool, bool]:
     """O(m*n) reference for validate_matching."""
     used: set[int] = set()

@@ -4,8 +4,9 @@ These are the loop-based versions of the graph builder, the file readers,
 the grid neighbour search, the generators and the matching validator that
 the array-based code in ``locmax`` replaced, the rank-based PRAM, BSP
 and red-blue engines that sorted every round's keys before the staged
-(weight, salt, id) maximum replaced the sort, and the edge-scan greedy and
-union-find GPA that the local max kernel and path-end tables replaced. The tests check the package
+(weight, salt, id) maximum replaced the sort, the edge-scan greedy,
+per-vertex HEM and union-find GPA that the fixed-order greedy kernel and
+the path-end tables replaced. The tests check the package
 against them array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
 independent statement of the key order, and ``incident_edges``, which only
@@ -704,6 +705,53 @@ def greedy(g: Graph, seed: int):
             mate[u] = v
             mate[v] = u
             matched.append(k)
+    trace = PhaseTrace([RoundStats(g.num_edges, len(matched), g.num_edges)])
+    trace.wall_millis = (time.perf_counter() - t0) * 1000.0
+    return matching_from_edge_ids(g, matched), trace
+
+
+def hem(g: Graph, seed: int):
+    """Heavy edge matching: visit the vertices in input order, each free one
+    grabbing its heaviest free incident edge by (weight, salt, id) key."""
+    return _hem(g, seed, range(g.num_vertices))
+
+
+def hem_random(g: Graph, seed: int):
+    """HEM visiting the vertices in seeded random order."""
+    return _hem(g, seed, np.random.default_rng(seed).permutation(g.num_vertices).tolist())
+
+
+def _hem(g: Graph, seed: int, order):
+    t0 = time.perf_counter()
+    n = g.num_vertices
+    ids = np.arange(g.num_edges, dtype=np.int64)
+    salts = edge_salts(round_seed(seed, 0), ids).tolist()
+    ew = g.edge_weight.tolist()
+    eu = g.edge_u.tolist()
+    ev = g.edge_v.tolist()
+    slot_edge = g.slot_edge.tolist()
+    offsets = g.offsets.tolist()
+    mate = [-1] * n
+    matched: list[int] = []
+    for v in order:
+        if mate[v] != -1:
+            continue
+        best_key = None
+        best_edge = -1
+        for s in range(offsets[v], offsets[v + 1]):
+            k = slot_edge[s]
+            u = ev[k] if eu[k] == v else eu[k]
+            if mate[u] != -1:
+                continue
+            key = (ew[k], salts[k], k)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_edge = k
+        if best_edge >= 0:
+            u = ev[best_edge] if eu[best_edge] == v else eu[best_edge]
+            mate[v] = u
+            mate[u] = v
+            matched.append(best_edge)
     trace = PhaseTrace([RoundStats(g.num_edges, len(matched), g.num_edges)])
     trace.wall_millis = (time.perf_counter() - t0) * 1000.0
     return matching_from_edge_ids(g, matched), trace

@@ -5,8 +5,8 @@ with what the reference implementations in ``reference.py`` produce from
 the same input, and every error with the reference's message. The staged
 (weight, salt, id) engines are compared run for run with the rank-based
 ones they replaced: the matching, every round's statistics, the PRAM work
-count and write log, and the BSP message records. Greedy and GPA are
-compared with the edge scans they replaced.
+count and write log, and the BSP message records. Greedy, GPA, HEM and
+HEM-random are compared with the edge and vertex scans they replaced.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import locmax.generate
+import locmax.matchers
 import reference as ref
 from locmax import (
     Matching,
@@ -32,6 +33,7 @@ from locmax import (
     gen_rgg,
     gpa,
     greedy,
+    hem,
     local_max_seq,
     pram_local_max,
     rbm,
@@ -39,7 +41,7 @@ from locmax import (
     validate_matching,
 )
 from locmax.generate import radius_edges_grid, with_unit_weights
-from locmax.matchers import _descending_key_order
+from locmax.matchers import _descending_key_order, hem_random
 from locmax.oracle import random_audit_instance
 
 GRAPH_ARRAYS = ("offsets", "slot_vertex", "slot_edge", "edge_u", "edge_v", "edge_weight")
@@ -286,6 +288,8 @@ def test_rbm_matches_rank_based_reference_on_generated_graphs():
 def assert_baselines_match_reference(g, seed):
     assert_same_run(greedy(g, seed), ref.greedy(g, seed))
     assert_same_run(gpa(g, seed), ref.gpa(g, seed))
+    assert_same_run(hem(g, seed), ref.hem(g, seed))
+    assert_same_run(hem_random(g, seed), ref.hem_random(g, seed))
 
 
 @given(tie_graphs(), st.integers(0, 2**32))
@@ -309,6 +313,57 @@ def test_baselines_match_scan_reference_on_generated_graphs(family, x):
 def test_baselines_match_scan_reference_on_audit_instances():
     for t in range(2000):
         assert_baselines_match_reference(random_audit_instance(np.random.default_rng((5, t))), t)
+
+
+def paths_and_cycles(seed):
+    """Paths of 1 to 200 edges and even cycles of 4 to 202, renamed and
+    reordered at random: GPA accepts every edge, and its walks and path
+    solutions run in lockstep, then finish one at a time."""
+    rng = np.random.default_rng(seed)
+    pairs, n = [], 0
+    for length in range(1, 201):
+        pairs += [(n + i, n + i + 1) for i in range(length)]
+        n += length + 1
+    for length in range(4, 203, 2):
+        pairs += [(n + i, n + (i + 1) % length) for i in range(length)]
+        n += length
+    weights = rng.choice([1.0, 2.0, 3.0], size=len(pairs)) if seed % 2 else rng.random(len(pairs))
+    name = rng.permutation(n)
+    return build_graph([(int(name[pairs[i][0]]), int(name[pairs[i][1]]), float(weights[i]))
+                        for i in rng.permutation(len(pairs))], num_vertices=n)
+
+
+def long_structure_graphs():
+    n = 20_000
+    path = [(i, i + 1) for i in range(n - 1)]
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    yield build_graph([(u, v, float(v)) for u, v in path])  # rising weights
+    yield build_graph([(u, v, 1.0) for u, v in path])
+    yield build_graph([(u, v, float(1 + u % 7)) for u, v in cycle])
+    for seed in (0, 1):
+        yield paths_and_cycles(seed)
+
+
+def test_baselines_match_scan_reference_on_long_structures():
+    # a monotone path has a dependency chain as long as the path; the
+    # kernel must still finish in a few rounds and a scan
+    for seed, g in enumerate(long_structure_graphs()):
+        assert_baselines_match_reference(g, seed)
+
+
+@pytest.mark.parametrize("fraction,chunk,lockstep", [(0.0, 3, 1), (2.0, 1, 2), (1 / 16, 5, 4)])
+def test_baselines_match_scan_reference_at_other_switch_points(monkeypatch, fraction, chunk,
+                                                               lockstep):
+    # rounds to the end or a scan after the first round, tiny chunks, and
+    # lockstep walks and solutions down to one or two at a time
+    monkeypatch.setattr(locmax.matchers, "_SCAN_FRACTION", fraction)
+    monkeypatch.setattr(locmax.matchers, "_CHUNK", chunk)
+    monkeypatch.setattr(locmax.matchers, "_LOCKSTEP_MIN", lockstep)
+    for t in range(200):
+        assert_baselines_match_reference(random_audit_instance(np.random.default_rng((7, t))), t)
+    for seed in (0, 1):
+        assert_baselines_match_reference(gen_rgg(8, seed), seed)
+        assert_baselines_match_reference(paths_and_cycles(seed), seed)
 
 
 # -- readers -----------------------------------------------------------------

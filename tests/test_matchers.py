@@ -18,10 +18,23 @@ from locmax import (
     pram_local_max,
     validate_matching,
 )
-from locmax.matchers import MATCHERS, gpa, greedy, hem, hem_random, local_max_seq, rbm
+from locmax.generate import with_unit_weights
+from locmax.graph import matching_from_edge_ids
+from locmax.matchers import (
+    MATCHERS,
+    _descending_key_order,
+    _greedy_matching,
+    gpa,
+    greedy,
+    hem,
+    hem_random,
+    local_max_seq,
+    rbm,
+)
+from locmax.oracle import random_audit_instance
 from locmax.tiebreak import round_seed, vertex_coins
 
-from conftest import random_graph_edges
+from conftest import random_graph_edges, undominated_edges
 from reference import ParityUnionFind, gpa_accepted, incident_edges, tie_key
 
 
@@ -361,3 +374,38 @@ def test_localmax_and_greedy_between_half_opt_and_opt():
         for alg in ("localmax", "greedy"):
             w = _weights(g, MATCHERS[alg](g, seed)[0])
             assert 0.5 * opt - 1e-9 <= w <= opt + 1e-9
+
+
+# ------------------------------------------------- locally dominant matchings
+
+def dominant_runs(g, seed):
+    """Greedy and local max in every engine: all must be locally dominant."""
+    yield "greedy", greedy(g, seed)
+    for rerandomize in (True, False):
+        yield f"seq rerandomize={rerandomize}", local_max_seq(g, seed, rerandomize)
+        yield f"pram rerandomize={rerandomize}", pram_local_max(g, seed, rerandomize=rerandomize)
+    for p in sorted({1, min(4, g.num_vertices)} - {0}):
+        yield f"bsp p={p}", bsp_local_max(g, p, seed)
+
+
+@pytest.mark.parametrize("x", [6, 9, 12])
+def test_greedy_and_local_max_are_locally_dominant_on_generated_graphs(x):
+    for g in (gen_rgg(x, x), gen_rgg(x, x, "random"), gen_random(1 << x, 4, x),
+              with_unit_weights(gen_random(1 << x, 4, x))):
+        for name, (matching, _) in dominant_runs(g, x):
+            assert undominated_edges(g, matching) == 0, name
+
+
+def test_greedy_and_local_max_are_locally_dominant_on_audit_instances():
+    for t in range(500):
+        g = random_audit_instance(np.random.default_rng((11, t)))
+        for name, (matching, _) in dominant_runs(g, t):
+            assert undominated_edges(g, matching) == 0, name
+
+
+def test_backward_greedy_scan_is_not_locally_dominant():
+    # the certificate catches a kernel that scans lightest first
+    g = gen_rgg(8, 1)
+    backward = _greedy_matching(g, _descending_key_order(g, 1)[::-1])
+    assert undominated_edges(g, matching_from_edge_ids(g, backward)) > 0
+    assert undominated_edges(g, greedy(g, 1)[0]) == 0
