@@ -82,8 +82,10 @@ def gen_rgg(x: int, seed: int, weight_mode: str = "euclidean") -> Graph:
     below the threshold radius (points exactly at the radius are NOT
     connected). Weights are either the Euclidean distances or fresh U[0,1)
     draws, per ``weight_mode``. Candidate pairs come from a uniform grid
-    with cell width equal to the radius, so generation is expected
-    O(n + m) rather than quadratic.
+    with cell width equal to the radius, and each candidate pair is
+    examined once (see :func:`radius_edges_grid`), so generation is
+    expected O(n + m) rather than quadratic; one sort of the found pairs
+    puts the edges in the grid's fixed order.
 
     Vertices are numbered along a space-filling (z-order) curve of their
     positions: geometric instances normally reach a partitioner with a
@@ -104,11 +106,11 @@ def gen_rgg(x: int, seed: int, weight_mode: str = "euclidean") -> Graph:
     return _assemble(eu, ev, weights, n)
 
 
-# The 3x3 cell stencil, in the order its candidates are listed.
-_STENCIL = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
-# Owners per pass of radius_edges_grid: bounds its candidate arrays to a few
-# MB at rgg densities.
-_GRID_CHUNK = 1 << 15
+# Owners per pass of radius_edges_grid: keeps its candidate arrays within a
+# few hundred kB at rgg densities.
+_GRID_CHUNK = 1 << 12
+# Cells per side at most, so that cell ids (below side**2) fit in int64.
+_MAX_SIDE = 1 << 31
 
 
 def radius_edges_grid(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,62 +118,55 @@ def radius_edges_grid(points: np.ndarray, radius: float) -> tuple[np.ndarray, np
 
     Returns (u, v, distance) arrays with u < v. Exact (not approximate): any
     pair within the radius lies in the same or an adjacent grid cell because
-    the cell width equals the radius. Points are sorted by cell, then index;
-    pairs are ordered by the sorted position of u, then by stencil offset
-    of v's cell, then by the sorted position of v.
+    cells are at least the radius wide. Points are sorted by cell, column by
+    column, then by index, and each pair is examined once, from its earlier
+    sorted position: that point's forward neighbourhood is the rest of its
+    column up to the end of the cell above it, plus the three touching
+    cells of the next column, two runs of consecutive sorted positions.
+    Pairs are ordered by the sorted position of u, then by the sorted
+    position of v, which one sort of packed (position, position) keys gives.
     """
     n = points.shape[0]
     if n == 0 or radius <= 0:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy(), np.empty(0, dtype=np.float64)
-    side = max(1, int(math.floor(1.0 / radius)))  # cells are >= radius wide
+    side = max(1, int(math.floor(min(1.0 / radius, _MAX_SIDE))))  # cells are >= radius wide
     cx = np.minimum((points[:, 0] / (1.0 / side)).astype(np.int64), side - 1)
     cy = np.minimum((points[:, 1] / (1.0 / side)).astype(np.int64), side - 1)
     cell = cx * side + cy
     order = np.argsort(cell, kind="stable")
-    cells, starts, sizes = np.unique(cell[order], return_index=True, return_counts=True)
-    sorted_points = points[order]
-    point_cell = np.repeat(np.arange(cells.size), sizes)
+    cell = cell[order]
+    xs, ys = points[order, 0], points[order, 1]
 
-    # candidate range [lo, lo + count) of sorted positions per cell and offset
-    lo = np.zeros((cells.size, len(_STENCIL)), dtype=np.int64)
-    count = np.zeros_like(lo)
-    for s, (dx, dy) in enumerate(_STENCIL):
-        qx, qy = cells // side + dx, cells % side + dy
-        q = qx * side + qy
-        at = np.minimum(np.searchsorted(cells, q), cells.size - 1)
-        hit = (qx >= 0) & (qx < side) & (qy >= 0) & (qy < side) & (cells[at] == q)
-        lo[hit, s] = starts[at[hit]]
-        count[hit, s] = sizes[at[hit]]
-
+    # Per occupied cell, the forward runs [lo, hi) of sorted positions: its
+    # column through the cell above, and the three touching cells of the
+    # next column (past the last column those queries exceed every cell id).
+    cells, sizes = np.unique(cell, return_counts=True)
+    col, row = np.divmod(cells, side)
+    up = np.minimum(row + 1, side - 1)
+    own_hi = np.searchsorted(cell, col * side + up, "right")
+    next_lo = np.searchsorted(cell, (col + 1) * side + np.maximum(row - 1, 0))
+    next_hi = np.searchsorted(cell, (col + 1) * side + up, "right")
+    runs = ((np.arange(1, n + 1), np.repeat(own_hi, sizes)),
+            (np.repeat(next_lo, sizes), np.repeat(next_hi, sizes)))
     r2 = radius * radius
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    ds: list[np.ndarray] = []
+    keys: list[np.ndarray] = []
     for a in range(0, n, _GRID_CHUNK):
-        owners = np.arange(a, min(a + _GRID_CHUNK, n))
-        owner_cell = point_cell[owners]
-        own_parts, cand_parts, d2_parts = [], [], []
-        for s in range(len(_STENCIL)):
-            c = count[owner_cell, s]
-            own = np.repeat(owners, c)
-            first = np.repeat(lo[owner_cell, s] - (np.cumsum(c) - c), c)
-            cand = first + np.arange(own.size)
-            keep = order[own] < order[cand]
-            own, cand = own[keep], cand[keep]
-            diff = sorted_points[own] - sorted_points[cand]
-            d2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
-            near = d2 < r2
-            own_parts.append(own[near])
-            cand_parts.append(cand[near])
-            d2_parts.append(d2[near])
-        own = np.concatenate(own_parts)
-        # stable: within one owner the stencil blocks keep their order
-        by_owner = np.argsort(own, kind="stable")
-        us.append(order[own[by_owner]])
-        vs.append(order[np.concatenate(cand_parts)[by_owner]])
-        ds.append(np.sqrt(np.concatenate(d2_parts)[by_owner]))
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ds)
+        b = min(a + _GRID_CHUNK, n)
+        for lo, hi in runs:
+            c = hi[a:b] - lo[a:b]
+            own = np.repeat(np.arange(a, b), c)
+            other = np.arange(own.size) + np.repeat(lo[a:b] - (np.cumsum(c) - c), c)
+            dx = np.repeat(xs[a:b], c) - xs[other]
+            dy = np.repeat(ys[a:b], c) - ys[other]
+            near = np.flatnonzero(dx * dx + dy * dy < r2)
+            own, other = own[near], other[near]
+            # key the pair by u's position: u is the point with the smaller index
+            first = np.where(order[own] < order[other], own, other)
+            keys.append(first * n + (own + other - first))
+    first, second = np.divmod(np.sort(np.concatenate(keys)), n)
+    dx, dy = xs[first] - xs[second], ys[first] - ys[second]
+    return order[first], order[second], np.sqrt(dx * dx + dy * dy)
 
 
 def with_unit_weights(g: Graph) -> Graph:

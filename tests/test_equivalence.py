@@ -12,6 +12,7 @@ HEM-random are compared with the edge and vertex scans they replaced.
 from __future__ import annotations
 
 import itertools
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -165,7 +166,7 @@ def test_validate_matching_matches_reference(case, data):
 
 # -- generators --------------------------------------------------------------
 
-@pytest.mark.parametrize("x", range(4, 13))
+@pytest.mark.parametrize("x", [*range(4, 13), 14])
 def test_rgg_matches_reference(x):
     for seed in (0, 1, 2):
         for mode in ("euclidean", "random"):
@@ -195,14 +196,93 @@ def test_audit_instances_match_reference():
             assert_same_graph(got, want)
 
 
-@pytest.mark.parametrize("chunk", [7, 1 << 15])
+def assert_same_pairs(points, radius):
+    """The grid search's (u, v, distance) equal the reference's bit for bit."""
+    got, want = radius_edges_grid(points, radius), ref.radius_edges_grid(points, radius)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        if a.dtype == np.float64:
+            a, b = a.view(np.uint64), b.view(np.uint64)
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, locmax.generate._GRID_CHUNK, 1 << 15])
 def test_grid_pairs_match_reference_order(monkeypatch, chunk):
     monkeypatch.setattr(locmax.generate, "_GRID_CHUNK", chunk)  # also many chunks
     for x in (6, 9, 12):
         pts = np.random.default_rng(x).random((1 << x, 2))
-        r = ref.rgg_threshold(1 << x)
-        for a, b in zip(radius_edges_grid(pts, r), ref.radius_edges_grid(pts, r)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_same_pairs(pts, ref.rgg_threshold(1 << x))
+
+
+def _grid_case(name):
+    rng = np.random.default_rng(3)
+    if name == "cell borders":  # multiples of 1/side, some exactly 1.0
+        return np.concatenate([rng.integers(0, 11, (60, 2)) / 10, rng.random((30, 2))]), 0.1
+    if name == "dyadic borders":
+        return rng.integers(0, 9, (80, 2)) / 8, 0.125
+    if name == "1/radius an integer":
+        return rng.random((300, 2)), 1 / 7
+    if name == "duplicates":
+        pts = rng.random((40, 2))
+        return pts[rng.integers(0, 40, 120)], 0.15
+    if name == "side 1":
+        return rng.random((60, 2)), 0.7
+    if name == "one cell":
+        return 0.31 + 0.08 * rng.random((70, 2)), 0.1
+    if name == "empty columns":  # points in 4 of 20 columns
+        x = (rng.choice([0, 1, 5, 19], 150) + rng.random(150)) / 20
+        return np.column_stack([x, rng.random(150)]), 0.05
+    if name == "not Morton order":
+        return rng.random((1000, 2)), ref.rgg_threshold(1000)
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("name", ["cell borders", "dyadic borders", "1/radius an integer",
+                                  "duplicates", "side 1", "one cell", "empty columns",
+                                  "not Morton order"])
+def test_grid_pairs_match_reference_on_special_inputs(name):
+    assert_same_pairs(*_grid_case(name))
+
+
+def test_grid_pairs_on_tiny_inputs_and_nonpositive_radii():
+    rng = np.random.default_rng(4)
+    for n in (0, 1, 2):
+        for radius in (0.3, 0.7, 2.0):
+            assert_same_pairs(rng.random((n, 2)), radius)
+    for radius in (0.0, -0.5):
+        assert_same_pairs(rng.random((20, 2)), radius)
+    assert_same_pairs(np.array([[0.5, 0.5], [0.5, 0.5]]), 0.1)  # distance 0
+
+
+@st.composite
+def grid_inputs(draw):
+    """Point sets on cell borders, in few cells or columns, with duplicates."""
+    radius = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.125, 1 / 3, 0.5, 0.7]),
+                            st.floats(0.02, 1.0)))
+    side = max(1, math.floor(1 / radius)) if radius > 0 else 1
+    shape = draw(st.sampled_from(("anywhere", "borders", "one cell", "few columns")))
+    if shape == "anywhere":
+        coord = st.floats(0.0, 1.0, exclude_max=True)
+    elif shape == "borders":
+        coord = st.integers(0, side).map(lambda k: k / side)
+    elif shape == "one cell":
+        coord = st.floats(0.0, 1.0, exclude_max=True).map(lambda t: t / side)
+    else:
+        coord = st.tuples(st.sampled_from([0, side // 2, side - 1]),
+                          st.floats(0.0, 1.0, exclude_max=True)).map(lambda c: sum(c) / side)
+    other = st.floats(0.0, 1.0) if shape == "few columns" else coord
+    points = draw(st.lists(st.tuples(coord, other), max_size=40))
+    copies = draw(st.lists(st.integers(0, 10**6), max_size=len(points)))
+    points += [points[i % len(points)] for i in copies]
+    if draw(st.booleans()):
+        points = [(y, x) for x, y in points]
+    return np.array(points, dtype=np.float64).reshape(-1, 2), radius
+
+
+@given(grid_inputs())
+@settings(max_examples=300, deadline=None)
+def test_grid_pairs_match_reference_on_random_shapes(case):
+    assert_same_pairs(*case)
 
 
 # -- engines -----------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,31 @@ def test_rgg_grid_equals_bruteforce():
         want = sorted(zip(bu.tolist(), bv.tolist()))
         assert got == want
         assert np.allclose(np.sort(gd), np.sort(bd))
+
+
+def _tiny_radius_points(r):
+    """Two close pairs (one at distance 0) and, where 1/r is finite, three
+    close points about the row where the cell id x * s + y of a grid with
+    s = floor(1/r) cells per side passes 2**63."""
+    pts = [[0.7 - r / 4, 0.5], [0.7 + r / 4, 0.5], [0.9, 0.9], [0.9, 0.9]]
+    if math.isfinite(1 / r):
+        s = math.floor(1 / r)
+        x, y = (2**63 // s + 0.5) / s, (2**63 % s) / s
+        pts += [[x, y - r / 4], [x, y + r / 4], [x + r / 4, y]]
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("r", [1e-10, 3e-10, 1e-15, 5e-324])
+def test_grid_keeps_pairs_at_tiny_radii(r):
+    # 1/r cells per side would overflow int64 cell ids; the grid caps them
+    pts = _tiny_radius_points(r)
+    gu, gv, gd = radius_edges_grid(pts, r)
+    bu, bv, bd = radius_edges_bruteforce(pts, r)
+    got = dict(zip(zip(gu.tolist(), gv.tolist()), gd.tolist()))
+    want = dict(zip(zip(bu.tolist(), bv.tolist()), bd.tolist()))
+    assert got == want
+    if r * r > 0:
+        assert set(got) == {(0, 1), (2, 3), (4, 5), (4, 6), (5, 6)}
 
 
 def test_rgg_boundary_is_strict():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locmax.matchers
 from locmax import (
     bsp_local_max,
     build_graph,
@@ -35,7 +37,7 @@ from locmax.oracle import random_audit_instance
 from locmax.tiebreak import round_seed, vertex_coins
 
 from conftest import random_graph_edges, undominated_edges
-from reference import ParityUnionFind, gpa_accepted, incident_edges, tie_key
+from reference import ParityUnionFind, descending_key_order, gpa_accepted, incident_edges, tie_key
 
 
 def _weights(g, matching):
@@ -409,3 +411,21 @@ def test_backward_greedy_scan_is_not_locally_dominant():
     backward = _greedy_matching(g, _descending_key_order(g, 1)[::-1])
     assert undominated_edges(g, matching_from_edge_ids(g, backward)) > 0
     assert undominated_edges(g, greedy(g, 1)[0]) == 0
+
+
+def test_key_order_is_computed_once_per_graph_and_seed(monkeypatch):
+    salted = []
+    real = locmax.matchers.edge_salts
+    monkeypatch.setattr(locmax.matchers, "edge_salts", lambda *a: salted.append(a) or real(*a))
+    g = with_unit_weights(gen_random(256, 4, seed=1))  # every weight ties
+    order = _descending_key_order(g, 3)
+    assert len(salted) == 1 and not order.flags.writeable
+    assert np.array_equal(order, descending_key_order(g, 3))
+    for matcher in (greedy, gpa, hem, hem_random):  # the same graph and seed
+        matcher(g, 3)
+    assert len(salted) == 1 and _descending_key_order(g, 3) is order
+    other_seed = _descending_key_order(g, 4)  # a different seed
+    assert len(salted) == 2 and np.array_equal(other_seed, descending_key_order(g, 4))
+    copy = dataclasses.replace(g)  # a new graph with the same arrays
+    assert np.array_equal(_descending_key_order(copy, 4), other_seed)
+    assert len(salted) == 3
