@@ -251,10 +251,10 @@ def _gpa_pass(g: Graph, seed: int) -> Rounds:
 
     deg = bytearray(n)
     degree = np.frombuffer(deg, dtype=np.uint8)  # the same degrees, as arrays read them
-    slot = [-1] * (2 * n)  # accepted edges of v at 2v and 2v+1, in acceptance order
     end = list(range(n))  # at a path end: the other end of its path
     odd = [0] * n  # at a path end: the parity of its path's length
     closing = []  # a vertex of each cycle
+    accepted = []
     for at in range(0, order.size, _CHUNK):
         cu, cv = ou[at:at + _CHUNK], ov[at:at + _CHUNK]
         keep = (degree[cu] < 2) & (degree[cv] < 2)  # the loop rejects the others too
@@ -273,16 +273,26 @@ def _gpa_pass(g: Graph, seed: int) -> Rounds:
                 end[a] = b
                 end[b] = a
                 odd[a] = odd[b] = odd[u] ^ odd[v] ^ 1
-            slot[2 * u + du] = k
-            slot[2 * v + dv] = k
             deg[u] = du + 1
             deg[v] = dv + 1
+            accepted.append(k)
+
+    # slot[2v] and slot[2v + 1]: the accepted edges of v in acceptance order;
+    # among the accepted edges' endpoints in that order, v's first entry is
+    # its first edge
+    accepted = np.array(accepted, dtype=np.int64)
+    ends = np.column_stack([g.edge_u[accepted], g.edge_v[accepted]]).ravel()
+    pos = np.arange(ends.size)
+    first = np.full(n, ends.size)
+    np.minimum.at(first, ends, pos)
+    slot = np.full(2 * n, -1, dtype=np.int64)
+    slot[2 * ends + (first[ends] != pos)] = accepted[pos >> 1]
 
     # decompose into open paths and (even) cycles, each walked from its
     # smallest vertex along that vertex's first accepted edge; a first walk
     # round each cycle, from where it closed, finds that vertex
-    walks = partial(_walks, far=g.edge_u ^ g.edge_v, slot=np.array(slot, dtype=np.int64),
-                    slot_list=slot, deg=deg)
+    walks = partial(_walks, far=g.edge_u ^ g.edge_v, slot=slot, slot_list=slot.tolist(),
+                    deg=deg)
     paths, path_base, path_len = walks(
         np.flatnonzero((degree == 1) & (np.array(end) > np.arange(n))))
     around, around_base, _ = walks(np.array(closing, dtype=np.int64))
@@ -462,41 +472,40 @@ def rbm(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
 
 
 def _rbm_rounds(g: Graph, seed: int) -> Rounds:
+    """The rounds of :func:`rbm`. Only a bichromatic edge can carry a
+    proposal, so each round keeps just those, each oriented once from its
+    blue proposer to its red receiver."""
     n = g.num_vertices
     prop = _new_candidates(n)   # heaviest outgoing proposal per blue vertex
     acc = _new_candidates(n)    # heaviest incoming proposal per red vertex
     vertex_matched = np.zeros(n, dtype=bool)
     live = np.arange(g.num_edges, dtype=np.int64)
+    us, vs, wbits = g.edge_u, g.edge_v, weight_bits(g.edge_weight)
     round_index = 0
     max_rounds = 10_000
     while live.size:
         if round_index >= max_rounds:
             raise RbmDidNotConverge(f"no progress after {max_rounds} rounds")
         rs = round_seed(seed, round_index, rerandomize=True)
-        wbits = weight_bits(g.edge_weight[live])
-        salts = edge_salts(rs, live)
-        us = g.edge_u[live]
-        vs = g.edge_v[live]
         blue_u = vertex_coins(rs, us)
-        blue_v = vertex_coins(rs, vs)
-        fwd = blue_u & ~blue_v   # u may propose along this edge
-        bwd = blue_v & ~blue_u
-
-        def offer(*sides):  # each side: the vertex column and the edges it offers
-            return [(ends[sel], wbits[sel], salts[sel], live[sel]) for ends, sel in sides]
-
-        prop_id = _raise_candidates(prop, offer((us, fwd), (vs, bwd)))
-        prop_fwd = fwd & (prop_id[us] == live)
-        prop_bwd = bwd & (prop_id[vs] == live)
-        acc_id = _raise_candidates(acc, offer((vs, prop_fwd), (us, prop_bwd)))
-        won = (prop_fwd & (acc_id[vs] == live)) | (prop_bwd & (acc_id[us] == live))
-        vertex_matched[us[won]] = True
-        vertex_matched[vs[won]] = True
+        bi = np.flatnonzero(blue_u != vertex_coins(rs, vs))
+        u_blue = blue_u[bi]
+        blue = np.where(u_blue, us[bi], vs[bi])
+        red = np.where(u_blue, vs[bi], us[bi])
+        ids, wb = live[bi], wbits[bi]
+        salts = edge_salts(rs, ids)
+        prop_id = _raise_candidates(prop, ((blue, wb, salts, ids),))
+        sent = np.flatnonzero(prop_id[blue] == ids)
+        to, sent_ids = red[sent], ids[sent]
+        acc_id = _raise_candidates(acc, ((to, wb[sent], salts[sent], sent_ids),))
+        took = acc_id[to] == sent_ids
+        vertex_matched[blue[sent[took]]] = True
+        vertex_matched[to[took]] = True
+        _reset_candidates(prop, blue)
+        _reset_candidates(acc, to)
         alive = ~(vertex_matched[us] | vertex_matched[vs])
-        for cand in (prop, acc):
-            _reset_candidates(cand, us[alive], vs[alive])
-        yield live.size, live[won], int(np.count_nonzero(alive))
-        live = live[alive]
+        yield live.size, sent_ids[took], int(np.count_nonzero(alive))
+        live, us, vs, wbits = live[alive], us[alive], vs[alive], wbits[alive]
         round_index += 1
 
 

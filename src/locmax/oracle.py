@@ -34,36 +34,36 @@ def max_weight_matching_bruteforce(g: Graph, max_edges: int = ORACLE_EDGE_CAP) -
     m = g.num_edges
     if m > max_edges:
         raise ValueError(f"instance too large for the oracle: m={m} > {max_edges}")
-    order = sorted(range(m), key=lambda k: -g.edge_weight[k])
-    w = [float(g.edge_weight[k]) for k in order]
-    uu = [int(g.edge_u[k]) for k in order]
-    vv = [int(g.edge_v[k]) for k in order]
+    weight, eu, ev = g.edge_weight.tolist(), g.edge_u.tolist(), g.edge_v.tolist()
+    order = sorted(range(m), key=lambda k: -weight[k])
+    w = [weight[k] for k in order]
+    bits = [(1 << eu[k]) | (1 << ev[k]) for k in order]  # each edge's endpoint mask
     suffix = [0.0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + w[i]
 
     best_weight = -1.0
-    best_edges: tuple[int, ...] = ()
+    best_chosen: tuple[int, ...] = ()
     nodes = 0
     chosen: list[int] = []
 
     def walk(i: int, used: int, total: float) -> None:
-        nonlocal best_weight, best_edges, nodes
+        nonlocal best_weight, best_chosen, nodes
         nodes += 1
         if total > best_weight:
             best_weight = total
-            best_edges = tuple(sorted(order[j] for j in chosen))
+            best_chosen = tuple(chosen)
         if i == m or total + suffix[i] <= best_weight:
             return
-        bit = (1 << uu[i]) | (1 << vv[i])
+        bit = bits[i]
         if not used & bit:
-            chosen.append(i)
+            chosen.append(order[i])
             walk(i + 1, used | bit, total + w[i])
             chosen.pop()
         walk(i + 1, used, total)
 
     walk(0, 0, 0.0)
-    return OracleResult(max(best_weight, 0.0), best_edges, nodes)
+    return OracleResult(max(best_weight, 0.0), tuple(sorted(best_chosen)), nodes)
 
 
 @dataclass(frozen=True)

@@ -52,27 +52,29 @@ class WriteLog:
 
 @dataclass
 class PramState:
-    """Mutable working copy of the graph, evolving across phases.
+    """Working state of the graph, evolving across phases.
 
-    ``edge_orig`` keeps each surviving edge's id in the input graph, so the
-    per-round tie-breaking keys and the reported matching are immune to the
-    renumbering done by compaction. ``cross`` maps each incidence slot to
-    the partner slot of the same edge and ``min_side`` marks the slot at the
-    smaller endpoint id; both are set by :func:`compute_cross_pointers`.
-    ``scratch`` is the per-edge cell the pointer-exchange steps write through.
+    The graph arrays start as the input graph's own read-only arrays; a
+    phase replaces them and never writes to them. ``edge_orig`` keeps each
+    surviving edge's id in the input graph, so the per-round tie-breaking
+    keys and the reported matching are immune to the renumbering done by
+    compaction. ``cross`` maps each incidence slot to the partner slot of
+    the same edge and ``min_side`` marks the slot at the smaller endpoint
+    id; both are set by :func:`compute_cross_pointers`. ``scratch`` is the
+    per-edge cell the pointer-exchange steps write through.
     """
 
     num_vertices: int
     offsets: np.ndarray
     slot_vertex: np.ndarray
     slot_edge: np.ndarray
-    cross: np.ndarray
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_weight: np.ndarray
     edge_orig: np.ndarray
     scratch: np.ndarray
     flags: np.ndarray
+    cross: np.ndarray | None = None
     min_side: np.ndarray | None = None
 
     @classmethod
@@ -80,13 +82,12 @@ class PramState:
         m = g.num_edges
         return cls(
             num_vertices=g.num_vertices,
-            offsets=g.offsets.copy(),
-            slot_vertex=g.slot_vertex.copy(),
-            slot_edge=g.slot_edge.copy(),
-            cross=np.full(2 * m, -1, dtype=np.int64),
-            edge_u=g.edge_u.copy(),
-            edge_v=g.edge_v.copy(),
-            edge_weight=g.edge_weight.copy(),
+            offsets=g.offsets,
+            slot_vertex=g.slot_vertex,
+            slot_edge=g.slot_edge,
+            edge_u=g.edge_u,
+            edge_v=g.edge_v,
+            edge_weight=g.edge_weight,
             edge_orig=np.arange(m, dtype=np.int64),
             scratch=np.full(m, -1, dtype=np.int64),
             flags=np.zeros(m, dtype=np.int64),

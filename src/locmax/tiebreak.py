@@ -20,6 +20,10 @@ _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+# The same constants and shift counts as uint64 scalars, so the array
+# finalizer converts no Python int (those above 2**63 are slow to convert).
+_U_GOLDEN, _U_MIX_A, _U_MIX_B = np.uint64(_GOLDEN), np.uint64(_MIX_A), np.uint64(_MIX_B)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 # Stream tag keeping per-vertex coin flips decorrelated from edge salts.
 _COIN_STREAM = 0xD6E8FEB86659FD93
@@ -31,12 +35,12 @@ def _mix64_in_place(x: np.ndarray) -> np.ndarray:
     In-place array arithmetic wraps silently; only numpy scalars warn on
     overflow, so a 0-d input stays an array until the result is returned.
     """
-    x += _GOLDEN
-    x ^= x >> 30
-    x *= _MIX_A
-    x ^= x >> 27
-    x *= _MIX_B
-    x ^= x >> 31
+    x += _U_GOLDEN
+    x ^= x >> _U30
+    x *= _U_MIX_A
+    x ^= x >> _U27
+    x *= _U_MIX_B
+    x ^= x >> _U31
     return x if x.ndim else x[()]
 
 
@@ -114,8 +118,10 @@ def _raise_candidates(cand, offers) -> np.ndarray:
     Each ``(ends, wbits, salts, ids)`` group in ``offers`` offers the key of
     edge ``ids[i]`` to vertex ``ends[i]``. Three scatter-max stages take max
     weight, then max salt among weight ties, then max id among full ties;
-    each completes over all groups before the next reads it. Ids are unique,
-    so the returned per-vertex candidate ids name the winning edges.
+    each completes over all groups before the next reads it. Stages 2 and 3
+    scatter over every offer: one out of the running offers the dummy's
+    salt 0 or id -1, below any candidate, so it changes nothing. Ids are
+    unique, so the returned per-vertex candidate ids name the winning edges.
     """
     cand_w, cand_s, cand_id = cand
     for ends, wbits, _, _ in offers:
@@ -123,11 +129,11 @@ def _raise_candidates(cand, offers) -> np.ndarray:
     ties = []
     for ends, wbits, salts, _ in offers:
         tie = cand_w[ends] == wbits
-        np.maximum.at(cand_s, ends[tie], salts[tie])
+        np.maximum.at(cand_s, ends, np.where(tie, salts, 0))
         ties.append(tie)
     for (ends, _, salts, ids), tie in zip(offers, ties):
         tie &= cand_s[ends] == salts
-        np.maximum.at(cand_id, ends[tie], ids[tie])
+        np.maximum.at(cand_id, ends, np.where(tie, ids, -1))
     return cand_id
 
 

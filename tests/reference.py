@@ -6,8 +6,9 @@ the array-based code in ``locmax`` replaced, the rank-based PRAM, BSP
 and red-blue engines that sorted every round's keys before the staged
 (weight, salt, id) maximum replaced the sort, the edge-scan greedy,
 per-vertex HEM and union-find GPA that the fixed-order greedy kernel and
-the path-end tables replaced. The tests check the package
-against them array for array; nothing under ``src/`` imports this module.
+the path-end tables replaced, and the brute-force oracle as it was before
+its bookkeeping was trimmed. The tests check the package against them
+array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
 independent statement of the key order, and ``incident_edges``, which only
 tests read.
@@ -33,6 +34,7 @@ from locmax import Graph, Matching, MatchingCheck, matching_from_edge_ids
 from locmax.bsp import CANDIDATE_RECORD_BYTES, RoundMessages, partition_graph
 from locmax.generate import _morton_order, rgg_threshold
 from locmax.matchers import PhaseTrace, RbmDidNotConverge, RoundStats
+from locmax.oracle import OracleResult
 from locmax.pram import (
     PramState,
     WriteLog,
@@ -403,6 +405,44 @@ def random_audit_instance(rng: np.random.Generator, max_edges: int = ORACLE_EDGE
             w = float(2 ** rng.integers(0, 5))
         edges.append((u, v, w))
     return build_graph(edges, num_vertices=n)
+
+
+def max_weight_matching_bruteforce(g: Graph, max_edges: int = ORACLE_EDGE_CAP) -> OracleResult:
+    """The oracle's include/exclude search with per-node numpy reads and a
+    sorted edge tuple built at every new incumbent."""
+    m = g.num_edges
+    if m > max_edges:
+        raise ValueError(f"instance too large for the oracle: m={m} > {max_edges}")
+    order = sorted(range(m), key=lambda k: -g.edge_weight[k])
+    w = [float(g.edge_weight[k]) for k in order]
+    uu = [int(g.edge_u[k]) for k in order]
+    vv = [int(g.edge_v[k]) for k in order]
+    suffix = [0.0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + w[i]
+
+    best_weight = -1.0
+    best_edges: tuple[int, ...] = ()
+    nodes = 0
+    chosen: list[int] = []
+
+    def walk(i: int, used: int, total: float) -> None:
+        nonlocal best_weight, best_edges, nodes
+        nodes += 1
+        if total > best_weight:
+            best_weight = total
+            best_edges = tuple(sorted(order[j] for j in chosen))
+        if i == m or total + suffix[i] <= best_weight:
+            return
+        bit = (1 << uu[i]) | (1 << vv[i])
+        if not used & bit:
+            chosen.append(i)
+            walk(i + 1, used | bit, total + w[i])
+            chosen.pop()
+        walk(i + 1, used, total)
+
+    walk(0, 0, 0.0)
+    return OracleResult(max(best_weight, 0.0), best_edges, nodes)
 
 
 def validate_matching(g: Graph, m: Matching) -> MatchingCheck:

@@ -361,6 +361,9 @@ def test_rbm_matches_rank_based_reference_on_generated_graphs():
     for x in (6, 8, 10):
         for g in (gen_rgg(x, x), with_unit_weights(gen_random(1 << x, 4, x))):
             assert_same_run(rbm(g, 3), ref.rbm(g, 3))
+    for seed in range(5):
+        g = gen_rgg(12, seed, "random")
+        assert_same_run(rbm(g, seed), ref.rbm(g, seed))
 
 
 # -- quality baselines -------------------------------------------------------

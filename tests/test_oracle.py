@@ -13,6 +13,7 @@ from locmax import build_graph, gen_random, max_weight_matching_bruteforce
 from locmax.matchers import MATCHERS
 from locmax.oracle import approximation_audit, random_audit_instance
 
+import reference as ref
 from conftest import random_graph_edges
 
 
@@ -39,6 +40,15 @@ def test_oracle_caps_instance_size():
     g = gen_random(16, 2, seed=0)  # 32 edges
     with pytest.raises(ValueError, match="too large"):
         max_weight_matching_bruteforce(g)
+
+
+def test_oracle_matches_reference_search():
+    for t in range(2000):
+        g = random_audit_instance(np.random.default_rng((5, t)))
+        got, want = max_weight_matching_bruteforce(g), ref.max_weight_matching_bruteforce(g)
+        assert got.opt_weight.hex() == want.opt_weight.hex()  # the same bits
+        assert got.opt_edges == want.opt_edges
+        assert got.instances_enumerated == want.instances_enumerated
 
 
 @given(st.integers(0, 2**32))

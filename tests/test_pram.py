@@ -185,6 +185,18 @@ def test_full_run_respects_rerandomize_flag():
         assert a == b
 
 
+def test_runs_leave_the_input_graph_unchanged_and_read_only():
+    g = gen_random(512, 4, seed=6)
+    names = ("offsets", "slot_vertex", "slot_edge", "edge_u", "edge_v", "edge_weight")
+    before = [getattr(g, name).copy() for name in names]
+    for checked in (False, True):
+        pram_local_max(g, 6, checked=checked)
+        for name, want in zip(names, before):
+            got = getattr(g, name)
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), name
+            assert not got.flags.writeable, name
+
+
 def test_empty_graph_zero_phases():
     g = build_graph([], num_vertices=4)
     matching, trace = pram_local_max(g, 0, checked=True)

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins
+from locmax.tiebreak import (
+    _COIN_STREAM,
+    _mix64_int,
+    _new_candidates,
+    _raise_candidates,
+    edge_salts,
+    key_ranks,
+    round_seed,
+    vertex_coins,
+    weight_bits,
+)
 
 from reference import DUMMY_KEY, tie_key
 
@@ -84,3 +96,68 @@ def test_coins_are_roughly_fair():
     flips = vertex_coins(rs, np.arange(20000))
     frac = flips.mean()
     assert 0.45 < frac < 0.55
+
+
+def test_array_finalizer_matches_scalar_without_warnings():
+    ids = [0, 1, 5, 2**31, 2**63 - 1, 2**63, 2**64 - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 7, 2**63, 2**64 - 1):
+            rs = round_seed(seed, 3)
+            salts = edge_salts(rs, np.array(ids, dtype=np.uint64))
+            assert salts.dtype == np.uint64
+            assert salts.tolist() == [_mix64_int(i ^ rs) for i in ids]
+            coins = vertex_coins(rs, ids)
+            assert coins.dtype == bool
+            assert coins.tolist() == [bool(_mix64_int(i ^ rs ^ _COIN_STREAM) & 1) for i in ids]
+            # 0-d inputs give numpy scalars
+            one = edge_salts(rs, 5)
+            assert type(one) is np.uint64 and int(one) == _mix64_int(5 ^ rs)
+            assert type(vertex_coins(rs, 5)) is np.bool_
+            assert vertex_coins(rs, 5) == coins[2]
+
+
+# ties, signed zeros and subnormals; few salts, so salts tie across weights
+KEY_WEIGHTS = (0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 2.0)
+KEY_SALTS = (0, 1, 2, 2**63, 2**64 - 1)
+
+
+@st.composite
+def offer_groups(draw):
+    """Edges with (weight, salt, id) keys, and 1, 2 or 4 groups of offers,
+    each offering some edge's key to some vertex."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 16))
+    weights = np.array(draw(st.lists(st.sampled_from(KEY_WEIGHTS), min_size=m, max_size=m)))
+    salts = np.array(draw(st.lists(st.sampled_from(KEY_SALTS), min_size=m, max_size=m)),
+                     dtype=np.uint64)
+    ids = np.array(draw(st.lists(st.integers(0, 2**40), min_size=m, max_size=m, unique=True)),
+                   dtype=np.int64)
+    groups = []
+    for _ in range(draw(st.sampled_from([1, 2, 4]))):
+        pairs = draw(st.lists(st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, n - 1)),
+                              max_size=2 * m if m else 0))
+        edge = np.array([e for e, _ in pairs], dtype=np.int64)
+        ends = np.array([v for _, v in pairs], dtype=np.int64)
+        groups.append((edge, ends))
+    return n, weights, salts, ids, groups
+
+
+@given(offer_groups())
+@settings(max_examples=300, deadline=None)
+def test_staged_candidates_are_the_heaviest_ranked_offer(case):
+    n, weights, salts, ids, groups = case
+    ranks = key_ranks(weights, salts, ids)
+    best = np.full(n, -1)  # per vertex: the index of its best offered edge
+    for edge, ends in groups:
+        for e, v in zip(edge.tolist(), ends.tolist()):
+            if best[v] < 0 or ranks[e] > ranks[best[v]]:
+                best[v] = e
+    cand = _new_candidates(n)
+    offers = [(ends, weight_bits(weights[edge]), salts[edge], ids[edge]) for edge, ends in groups]
+    got = _raise_candidates(cand, offers)
+    wbits = weight_bits(weights)
+    want = [(int(wbits[e]), int(salts[e]), int(ids[e])) if e >= 0 else (0, 0, -1)
+            for e in best.tolist()]
+    assert list(zip(*(c.tolist() for c in cand))) == want
+    assert got is cand[2]
