@@ -3,14 +3,14 @@
 Vertices are assigned to workers in contiguous ranges (balanced by degree
 sums), and each holds its vertices' slice of the slot array: every edge is
 stored at both endpoint owners, so a worker settles the candidate of any
-vertex it owns from local data alone, by the staged (weight, salt, id)
-maximum the sequential engine uses. What crosses the network per round is
-(a) candidate records for the endpoints of surviving cut edges, exchanged at
-the first barrier so both owners of a cut edge reach the same match verdict,
-and (b) matched-status flags for cut-edge endpoints at the second barrier so
-both owners agree which edges die. The matching is identical to the
-sequential result for every worker count, because all decisions flow from
-the shared key order.
+vertex it owns from local data alone, by the staged (weight, salt) maximum
+the sequential engine uses, and records the winning edge. What crosses the
+network per round is (a) candidate records for the endpoints of surviving
+cut edges, exchanged at the first barrier so both owners of a cut edge
+reach the same match verdict, and (b) matched-status flags for cut-edge
+endpoints at the second barrier so both owners agree which edges die. The
+matching is identical to the sequential result for every worker count,
+because all decisions flow from the shared key order.
 
 Workers here are logical: the supersteps are simulated sequentially, worker
 by worker, each writing only to vertices it owns. The message accounting
@@ -124,7 +124,7 @@ def _bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool,
     n, m = g.num_vertices, g.num_edges
 
     cand = _new_candidates(n)
-    cand_id = cand[2]
+    cand_id = np.full(n, -1, dtype=np.int64)  # each live vertex's winning edge, set every round
     vertex_matched = np.zeros(n, dtype=bool)
     is_cut = np.zeros(m, dtype=bool)
     is_cut[part.cut_edges] = True
@@ -146,7 +146,8 @@ def _bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool,
 
         # superstep 1: each worker raises candidates for its owned vertices
         for ends, _, el, wbits in local:
-            _raise_candidates(cand, ((ends, wbits, edge_salts(rs, el), el),))
+            top = np.flatnonzero(_raise_candidates(cand, ((ends, wbits, edge_salts(rs, el)),))[0])
+            cand_id[ends[top]] = el[top]
 
         # barrier 1: candidate records for surviving cut-edge endpoints,
         # deduplicated per (vertex, receiving worker) over both edge sides
@@ -173,7 +174,11 @@ def _bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool,
 
         messages.append(RoundMessages(round_index, records, records * CANDIDATE_RECORD_BYTES,
                                       int(cut_live.size), status_records))
+        newly = live_union[matched_ever[live_union]]
+        if not newly.size:
+            raise RuntimeError(
+                f"bsp: round {round_index} matched none of {live_union.size} live edges")
         still = ~(vertex_matched[g.edge_u[live_union]] | vertex_matched[g.edge_v[live_union]])
-        yield live_union.size, live_union[matched_ever[live_union]], int(np.count_nonzero(still))
+        yield live_union.size, newly, int(np.count_nonzero(still))
         live_union = live_union[still]
         round_index += 1

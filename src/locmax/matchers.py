@@ -90,9 +90,8 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
     surviving edges (no sorting, no vertex scans), so total work stays
     linear under geometric shrinkage.
 
-    Pass 1 is the staged (weight, salt, id) maximum of
-    :func:`_raise_candidates`, so pass 2 is an id comparison at both
-    endpoints.
+    Pass 1 is the staged (weight, salt) maximum of :func:`_raise_candidates`,
+    and pass 2 reads its flags at both endpoints.
     """
     return _drive(g, _local_max_rounds(g, seed, rerandomize))
 
@@ -113,9 +112,11 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
         us = g.edge_u[live]
         vs = g.edge_v[live]
         # pass 1: lexicographic max per endpoint
-        cand_id = _raise_candidates(cand, ((us, wbits, salts, live), (vs, wbits, salts, live)))
+        top_u, top_v = _raise_candidates(cand, ((us, wbits, salts), (vs, wbits, salts)))
         # pass 2: an edge wins iff it is the candidate at both endpoints
-        won = (cand_id[us] == live) & (cand_id[vs] == live)
+        won = top_u & top_v
+        if not won.any():
+            raise RuntimeError(f"seq: round {round_index} matched none of {live.size} live edges")
         vertex_matched[us[won]] = True
         vertex_matched[vs[won]] = True
         # pass 3: drop edges with a matched endpoint, reset survivors' candidates
@@ -494,11 +495,9 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
         red = np.where(u_blue, vs[bi], us[bi])
         ids, wb = live[bi], wbits[bi]
         salts = edge_salts(rs, ids)
-        prop_id = _raise_candidates(prop, ((blue, wb, salts, ids),))
-        sent = np.flatnonzero(prop_id[blue] == ids)
+        sent = np.flatnonzero(_raise_candidates(prop, ((blue, wb, salts),))[0])
         to, sent_ids = red[sent], ids[sent]
-        acc_id = _raise_candidates(acc, ((to, wb[sent], salts[sent], sent_ids),))
-        took = acc_id[to] == sent_ids
+        (took,) = _raise_candidates(acc, ((to, wb[sent], salts[sent]),))
         vertex_matched[blue[sent[took]]] = True
         vertex_matched[to[took]] = True
         _reset_candidates(prop, blue)

@@ -2,10 +2,10 @@
 
 The engine keeps the graph in the adjacency-array layout (edge records plus
 per-vertex incidence slots) and runs each phase as a fixed sequence of
-whole-array passes: draw per-edge keys, broadcast the per-vertex maximum to
-every slot with a segmented reduction, match edges that win at both
-endpoints via cross pointers, spread deletion flags, then compact the edge
-and slot arrays with prefix sums and rebuild the offsets and cross
+whole-array passes: draw per-edge keys, take each vertex's maximum key with
+segmented reductions whose totals land at the vertex, match edges that win
+at both endpoints via cross pointers, spread deletion flags, then compact
+the edge and slot arrays with prefix sums and rebuild the offsets and cross
 pointers. One pass corresponds to one simulated parallel step.
 
 In checked mode every shared-array write of a step is recorded, and two
@@ -192,55 +192,52 @@ def segmented_broadcast(state: PramState, per_edge_value: np.ndarray, op=np.maxi
     Segments are the per-vertex slot ranges given by the offsets; ``op``
     must be an associative numpy ufunc (max, add, ...).
     """
-    if state.num_slots == 0:
-        return np.empty(0, dtype=per_edge_value.dtype)
-    return _segment_reduce(state, per_edge_value[state.slot_edge], op)
+    return _vertex_totals(state)(per_edge_value[state.slot_edge], op)[state.slot_vertex]
 
 
-def _segment_reduce(state: PramState, slot_value: np.ndarray, op=np.maximum) -> np.ndarray:
-    """:func:`segmented_broadcast` of a value already laid out per slot."""
-    lengths = np.diff(state.offsets)
-    nonempty = lengths > 0
-    seg_totals = op.reduceat(slot_value, state.offsets[:-1][nonempty])
-    return np.repeat(seg_totals, lengths[nonempty])
+def _vertex_totals(state: PramState):
+    """The segment layout (the vertices with live slots, where their segments
+    start) as a function reducing a per-slot value over each vertex's
+    segment; the total lands at the vertex, and other vertices hold 0."""
+    busy = np.flatnonzero(state.offsets[1:] != state.offsets[:-1])
+    starts = state.offsets[busy]
+
+    def totals(slot_value: np.ndarray, op=np.maximum) -> np.ndarray:
+        total = np.zeros(state.num_vertices, dtype=slot_value.dtype)
+        total[busy] = op.reduceat(slot_value, starts)
+        return total
+    return totals
 
 
-def pram_phase(
-    state: PramState,
-    round_seed_value: int,
-    log: WriteLog | None = None,
-) -> np.ndarray:
+def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:
     """One parallel local max phase; returns the matched original edge ids.
 
-    Steps: (1) per-slot keys, (2) per-vertex heaviest key by three segmented
-    max broadcasts (weight bits, salts among weight ties, ids among full
-    ties), (3) the smaller-id endpoint matches an edge that is heaviest on
-    both sides (partner checked through the cross pointer) and flags it,
-    (4) deletion flags spread over all edges of matched vertices, (5)
-    prefix sums over edge and slot deletion flags give every survivor its
-    compacted address (old index minus deletions before it), (6) survivors
-    copy over, slot pointers are rewritten, offsets are rebuilt from the
-    surviving degrees and cross pointers recomputed.
+    Steps: (1) per-edge keys, read by the slots, (2) which slots hold their
+    vertex's heaviest key, by two segmented max reductions (weight bits,
+    then salts among weight ties; salts are distinct, so the id never
+    decides) whose totals land at the vertex, (3) the smaller-id endpoint
+    matches an edge heaviest on both sides (partner checked through the
+    cross pointer) and flags it, (4) a reduction of the flags marks matched
+    vertices, read at each edge's endpoints, (5) prefix sums over edge and
+    slot deletion flags give every survivor its compacted address, (6)
+    survivors copy over, slot pointers are rewritten, offsets are rebuilt
+    from the surviving degrees and cross pointers recomputed.
     """
-    m = state.num_edges
-    if m == 0:
+    if state.num_edges == 0:
         return np.empty(0, dtype=np.int64)
+    totals = _vertex_totals(state)
 
-    # step 1: the tie-breaking key of every slot's edge (concurrent reads)
-    slot_id = state.edge_orig[state.slot_edge]
-    slot_w = weight_bits(state.edge_weight[state.slot_edge])
-    slot_s = edge_salts(round_seed_value, slot_id)
+    # step 1: the tie-breaking key of every edge, read by its slots
+    slot_w = weight_bits(state.edge_weight)[state.slot_edge]
+    slot_s = edge_salts(round_seed_value, state.edge_orig)[state.slot_edge]
 
     # step 2: heaviest incident key at every vertex, one component per
-    # broadcast; slots out of the running offer 0, the least salt and id
-    tie = _segment_reduce(state, slot_w) == slot_w
-    tie &= _segment_reduce(state, np.where(tie, slot_s, 0)) == slot_s
-    best = _segment_reduce(state, np.where(tie, slot_id, 0))
+    # reduction; slots out of the running offer 0, the least salt
+    top = totals(slot_w)[state.slot_vertex] == slot_w
+    top &= totals(np.where(top, slot_s, 0))[state.slot_vertex] == slot_s
 
     # step 3: match edges that are heaviest at both endpoints
-    min_side = state.min_side
-    wins_there = best[state.cross] == slot_id  # concurrent read, exclusive write
-    winner_slots = min_side & (best == slot_id) & wins_there
+    winner_slots = state.min_side & top & top[state.cross]  # concurrent read, exclusive write
     state.flags[:] = 0
     matched_edges = state.slot_edge[winner_slots]
     state.flags[matched_edges] = 1
@@ -249,14 +246,10 @@ def pram_phase(
     matched_orig = state.edge_orig[matched_edges]
 
     # step 4: spread deletion over every edge incident to a matched vertex
-    spread = segmented_broadcast(state, state.flags, np.maximum)
-    min_slots = np.flatnonzero(min_side)
-    dead_edge = np.zeros(m, dtype=bool)
-    dead_edge[state.slot_edge[min_slots]] = (
-        spread[min_slots] | spread[state.cross[min_slots]]
-    ).astype(bool)
+    matched_at = totals(state.flags[state.slot_edge])
+    dead_edge = (matched_at[state.edge_u] | matched_at[state.edge_v]).astype(bool)
     if log is not None:
-        log.record("spread/edge-writes", "edge.flag", state.slot_edge[min_slots])
+        log.record("spread/edge-writes", "edge.flag", state.slot_edge[state.min_side])
 
     # step 5: prefix sums give each survivor its new address
     dead_slot = dead_edge[state.slot_edge]
@@ -319,6 +312,8 @@ def _pram_rounds(g: Graph, seed: int, rerandomize: bool, log: WriteLog | None) -
     while state.num_edges:
         before = state.num_edges
         matched = pram_phase(state, round_seed(seed, round_index, rerandomize), log)
+        if not matched.size:
+            raise RuntimeError(f"pram: round {round_index} matched none of {before} live edges")
         if log is not None:
             state.check_consistent()
         yield before, matched, state.num_edges

@@ -4,10 +4,11 @@ Edges are ordered by the triple (weight, salt, edge id), compared
 lexicographically. The salt is a 64-bit value derived from a counter-based
 hash of (experiment seed, round number, edge id), so the same edge gets the
 same salt in the sequential, PRAM and bulk-synchronous engines regardless of
-scheduling. Because the edge id is part of the key, no two edges ever
-compare equal, even when weights and salts collide. Every engine takes
-per-vertex maxima of this order with the staged scatter-max of
-:func:`_raise_candidates`; none sorts keys.
+scheduling. Salts cannot collide within a round, because the finalizer is
+a bijection of 64-bit words, so the id stays in the key but never decides.
+Every engine takes per-vertex maxima of this order with two max stages, the
+scatter-max of :func:`_raise_candidates` or pram's segmented form; none
+sorts keys.
 """
 
 from __future__ import annotations
@@ -106,41 +107,39 @@ def weight_bits(weights: np.ndarray) -> np.ndarray:
     return w.view(np.uint64)
 
 
-def _new_candidates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-vertex staged keys (weight bits, salt, id), all at the dummy
-    (0, 0, -1), which orders below every edge."""
-    return np.zeros(n, np.uint64), np.zeros(n, np.uint64), np.full(n, -1, np.int64)
+def _new_candidates(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex staged keys (weight bits, salt), both at the dummy (0, 0),
+    which no edge's key orders below."""
+    return np.zeros(n, np.uint64), np.zeros(n, np.uint64)
 
 
-def _raise_candidates(cand, offers) -> np.ndarray:
-    """Raise vertex candidates to the heaviest (weight, salt, id) key offered.
+def _raise_candidates(cand, offers) -> list[np.ndarray]:
+    """Raise vertex candidates to the heaviest (weight, salt) key offered.
 
-    Each ``(ends, wbits, salts, ids)`` group in ``offers`` offers the key of
-    edge ``ids[i]`` to vertex ``ends[i]``. Three scatter-max stages take max
-    weight, then max salt among weight ties, then max id among full ties;
-    each completes over all groups before the next reads it. Stages 2 and 3
-    scatter over every offer: one out of the running offers the dummy's
-    salt 0 or id -1, below any candidate, so it changes nothing. Ids are
-    unique, so the returned per-vertex candidate ids name the winning edges.
+    Each ``(ends, wbits, salts)`` group in ``offers`` offers one edge's key
+    to vertex ``ends[i]``. Two scatter-max stages take max weight, then max
+    salt among weight ties, each over all groups before the next reads it;
+    stage 2 masks offers out of the running to the dummy's salt 0. Returns,
+    per group, flags marking the offers that hold their vertex's candidate
+    key. Salts must be distinct per edge, as one round's are, so at most
+    one edge per vertex is flagged.
     """
-    cand_w, cand_s, cand_id = cand
-    for ends, wbits, _, _ in offers:
+    cand_w, cand_s = cand
+    for ends, wbits, _ in offers:
         np.maximum.at(cand_w, ends, wbits)
-    ties = []
-    for ends, wbits, salts, _ in offers:
-        tie = cand_w[ends] == wbits
-        np.maximum.at(cand_s, ends, np.where(tie, salts, 0))
-        ties.append(tie)
-    for (ends, _, salts, ids), tie in zip(offers, ties):
-        tie &= cand_s[ends] == salts
-        np.maximum.at(cand_id, ends, np.where(tie, ids, -1))
-    return cand_id
+    tops = []
+    for ends, wbits, salts in offers:
+        top = cand_w[ends] == wbits
+        np.maximum.at(cand_s, ends, np.where(top, salts, 0))
+        tops.append(top)
+    for (ends, _, salts), top in zip(offers, tops):
+        top &= cand_s[ends] == salts
+    return tops
 
 
 def _reset_candidates(cand, *ends: np.ndarray) -> None:
     """Put the candidates of the given vertices back to the dummy."""
-    cand_w, cand_s, cand_id = cand
+    cand_w, cand_s = cand
     for e in ends:
         cand_w[e] = 0
         cand_s[e] = 0
-        cand_id[e] = -1

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locmax.bsp
 import locmax.matchers
+import locmax.pram
+import reference as ref
 from locmax import (
     bsp_local_max,
     build_graph,
@@ -429,3 +432,61 @@ def test_key_order_is_computed_once_per_graph_and_seed(monkeypatch):
     copy = dataclasses.replace(g)  # a new graph with the same arrays
     assert np.array_equal(_descending_key_order(copy, 4), other_seed)
     assert len(salted) == 3
+
+
+# ------------------------------------------------------------------ engines
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_engines_match_reference_on_unit_weights_at_scale(seed):
+    """Every weight ties, so the salt stage decides at every vertex."""
+    g = with_unit_weights(gen_random(2**12, 4, seed))
+    for rerandomize in (True, False):
+        want_m, want_t = ref.pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
+        got_m, got_t = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
+        assert got_m == want_m and got_t.rounds == want_t.rounds
+        assert got_t.slot_ops == want_t.slot_ops and got_t.write_log == want_t.write_log
+        seq_m, seq_t = local_max_seq(g, seed, rerandomize)
+        assert seq_m == want_m and seq_t.rounds == want_t.rounds
+        for p in (1, 2, 4, 8):
+            bsp_m, bsp_t = bsp_local_max(g, p, seed, rerandomize)
+            ref_m, ref_t = ref.bsp_local_max(g, p, seed, rerandomize)
+            assert bsp_m == ref_m == want_m
+            assert bsp_t.rounds == ref_t.rounds and bsp_t.messages == ref_t.messages
+
+
+def _no_flags(cand, offers):
+    return [np.zeros(len(ends), dtype=bool) for ends, *_ in offers]
+
+
+def _zero_totals(state):
+    return lambda slot_value, op=np.maximum: np.zeros(state.num_vertices, slot_value.dtype)
+
+
+# engine: (module, the kernel it calls, a broken kernel under which nothing
+# wins, the run, kernel calls per round)
+NOTHING_WINS = {
+    "seq": (locmax.matchers, "_raise_candidates", _no_flags, lambda g: local_max_seq(g, 1), 1),
+    "pram": (locmax.pram, "_vertex_totals", _zero_totals,
+             lambda g: pram_local_max(g, 1, checked=True), 1),
+    "bsp": (locmax.bsp, "_raise_candidates", _no_flags, lambda g: bsp_local_max(g, 4, 1), 4),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(NOTHING_WINS))
+def test_round_that_matches_nothing_raises(monkeypatch, engine):
+    """The heaviest live edge always wins its round, so a round with live
+    edges that matches nothing is a defect: the engine raises at once
+    instead of running the same round forever."""
+    module, name, broken, run, per_round = NOTHING_WINS[engine]
+    calls = []
+
+    def kernel(*args):
+        calls.append(None)
+        assert len(calls) <= 3 * per_round, "rounds that match nothing went on"
+        return broken(*args)
+
+    monkeypatch.setattr(module, name, kernel)
+    g = with_unit_weights(gen_random(64, 2, seed=1))
+    with pytest.raises(RuntimeError, match=f"^{engine}: round 0 matched none of {g.num_edges} "):
+        run(g)
+    assert len(calls) == per_round

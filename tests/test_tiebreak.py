@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 from locmax.tiebreak import (
     _COIN_STREAM,
+    _GOLDEN,
+    _MIX_A,
+    _MIX_B,
+    _UINT64_MASK,
     _mix64_int,
     _new_candidates,
     _raise_candidates,
@@ -117,22 +121,21 @@ def test_array_finalizer_matches_scalar_without_warnings():
             assert vertex_coins(rs, 5) == coins[2]
 
 
-# ties, signed zeros and subnormals; few salts, so salts tie across weights
+# ties, signed zeros and subnormals, and the salt extremes
 KEY_WEIGHTS = (0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 2.0)
-KEY_SALTS = (0, 1, 2, 2**63, 2**64 - 1)
+KEY_SALTS = (0, 1, 2**63, 2**64 - 1)
 
 
 @st.composite
 def offer_groups(draw):
-    """Edges with (weight, salt, id) keys, and 1, 2 or 4 groups of offers,
-    each offering some edge's key to some vertex."""
+    """Edges with (weight, salt) keys, and 1, 2 or 4 groups of offers, each
+    offering some edge's key to some vertex. Salts are distinct per edge, as
+    one round's salts are, and often include the extremes."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(0, 16))
     weights = np.array(draw(st.lists(st.sampled_from(KEY_WEIGHTS), min_size=m, max_size=m)))
-    salts = np.array(draw(st.lists(st.sampled_from(KEY_SALTS), min_size=m, max_size=m)),
-                     dtype=np.uint64)
-    ids = np.array(draw(st.lists(st.integers(0, 2**40), min_size=m, max_size=m, unique=True)),
-                   dtype=np.int64)
+    salt = st.one_of(st.sampled_from(KEY_SALTS), st.integers(0, 2**64 - 1))
+    salts = np.array(draw(st.lists(salt, min_size=m, max_size=m, unique=True)), dtype=np.uint64)
     groups = []
     for _ in range(draw(st.sampled_from([1, 2, 4]))):
         pairs = draw(st.lists(st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, n - 1)),
@@ -140,24 +143,64 @@ def offer_groups(draw):
         edge = np.array([e for e, _ in pairs], dtype=np.int64)
         ends = np.array([v for _, v in pairs], dtype=np.int64)
         groups.append((edge, ends))
-    return n, weights, salts, ids, groups
+    return n, weights, salts, groups
 
 
 @given(offer_groups())
 @settings(max_examples=300, deadline=None)
 def test_staged_candidates_are_the_heaviest_ranked_offer(case):
-    n, weights, salts, ids, groups = case
-    ranks = key_ranks(weights, salts, ids)
+    n, weights, salts, groups = case
+    ranks = key_ranks(weights, salts, np.arange(weights.size))
     best = np.full(n, -1)  # per vertex: the index of its best offered edge
     for edge, ends in groups:
         for e, v in zip(edge.tolist(), ends.tolist()):
             if best[v] < 0 or ranks[e] > ranks[best[v]]:
                 best[v] = e
     cand = _new_candidates(n)
-    offers = [(ends, weight_bits(weights[edge]), salts[edge], ids[edge]) for edge, ends in groups]
-    got = _raise_candidates(cand, offers)
+    offers = [(ends, weight_bits(weights[edge]), salts[edge]) for edge, ends in groups]
+    tops = _raise_candidates(cand, offers)
     wbits = weight_bits(weights)
-    want = [(int(wbits[e]), int(salts[e]), int(ids[e])) if e >= 0 else (0, 0, -1)
-            for e in best.tolist()]
+    want = [(int(wbits[e]), int(salts[e])) if e >= 0 else (0, 0) for e in best.tolist()]
     assert list(zip(*(c.tolist() for c in cand))) == want
-    assert got is cand[2]
+    assert len(tops) == len(groups)
+    flagged = [set() for _ in range(n)]  # per vertex: the edges flagged there, in any group
+    for (edge, ends), top in zip(groups, tops):
+        assert top.dtype == bool and top.shape == ends.shape
+        for e, v, t in zip(edge.tolist(), ends.tolist(), top.tolist()):
+            assert t == (e == best[v])  # flagged iff it offers the vertex's heaviest ranked edge
+            if t:
+                flagged[v].add(e)
+    assert all(len(edges) <= 1 for edges in flagged)
+
+
+def _unshift(x: int, k: int) -> int:
+    """Inverse of ``x ^ (x >> k)`` on 64-bit words: each pass fixes k more
+    of the top bits."""
+    y = x
+    for _ in range(64 // k + 1):
+        y = x ^ (y >> k)
+    return y
+
+
+def _unmix64(x: int) -> int:
+    """Inverse of the SplitMix64 finalizer, step by step in reverse."""
+    x = _unshift(x, 31)
+    x = (x * pow(_MIX_B, -1, 2**64)) & _UINT64_MASK
+    x = _unshift(x, 27)
+    x = (x * pow(_MIX_A, -1, 2**64)) & _UINT64_MASK
+    x = _unshift(x, 30)
+    return (x - _GOLDEN) & _UINT64_MASK
+
+
+def test_salt_finalizer_is_a_bijection():
+    """Every step of the finalizer is invertible mod 2**64, so distinct ids
+    get distinct salts within a round and the id never decides a key."""
+    rng = np.random.default_rng(5)
+    randoms = rng.integers(0, 2**64, 200, dtype=np.uint64).tolist()
+    for x in [0, 1, 2**63, 2**64 - 1] + randoms:
+        assert _unmix64(_mix64_int(x)) == x
+        assert _mix64_int(_unmix64(x)) == x
+    ids = np.arange(2**20)
+    for seed in (0, 7, 2**64 - 1):
+        for rnd in (0, 3):
+            assert np.unique(edge_salts(round_seed(seed, rnd), ids)).size == ids.size
