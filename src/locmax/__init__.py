@@ -53,7 +53,7 @@ from .oracle import (
     approximation_audit,
     max_weight_matching_bruteforce,
 )
-from .pram import PramState, WriteLog, pram_local_max, pram_phase, segmented_broadcast
+from .pram import PramState, WriteLog, pram_local_max, pram_phase
 from .tiebreak import edge_salts, key_ranks, round_seed
 
 __version__ = "0.1.0"
@@ -104,7 +104,6 @@ __all__ = [
     "WriteLog",
     "pram_local_max",
     "pram_phase",
-    "segmented_broadcast",
     "edge_salts",
     "key_ranks",
     "round_seed",

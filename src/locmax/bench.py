@@ -234,30 +234,24 @@ def shrink_report(spec: InstanceSpec, seeds: tuple[int, ...], rerandomize: bool 
     """Run unit-weight local max per seed and aggregate shrink factors."""
     unit_spec = InstanceSpec(spec.family, spec.x, spec.alpha, "unit", spec.path)
     report = ShrinkReport(unit_spec.label(seeds[0] if seeds else 0), tuple(seeds))
-    before_by_round: list[list[int]] = []
-    removed_by_round: list[list[int]] = []
-    total_before = total_removed = 0
+    totals: list[list[int]] = []  # per round: edges before, edges removed, seeds alive
     for seed in seeds:
         g = unit_spec.build(seed)
         report.max_edges = max(report.max_edges, g.num_edges)
         _, trace = local_max_seq(g, seed, rerandomize)
-        report.max_rounds = max(report.max_rounds, trace.total_rounds)
-        for i, r in enumerate(trace.rounds):
-            if i == len(before_by_round):
-                before_by_round.append([])
-                removed_by_round.append([])
-            before_by_round[i].append(r.edges_before)
-            removed_by_round[i].append(r.edges_removed)
-            total_before += r.edges_before
-            total_removed += r.edges_removed
-    for i in range(len(before_by_round)):
-        b = sum(before_by_round[i])
-        r = sum(removed_by_round[i])
-        report.per_round_seeds.append(len(before_by_round[i]))
-        report.per_round_removed.append(r / b if b else 0.0)
-        report.per_round_survivor.append(1.0 - r / b if b else 0.0)
+        totals += [[0, 0, 0] for _ in range(trace.total_rounds - len(totals))]
+        for t, r in zip(totals, trace.rounds):
+            t[0] += r.edges_before
+            t[1] += r.edges_removed
+            t[2] += 1
+    report.max_rounds = len(totals)
+    for before, removed, alive in totals:  # every round has live edges in some seed
+        report.per_round_seeds.append(alive)
+        report.per_round_removed.append(removed / before)
+        report.per_round_survivor.append(1.0 - removed / before)
+    total_before = sum(t[0] for t in totals)
     if total_before:
-        report.mean_removed_fraction = total_removed / total_before
+        report.mean_removed_fraction = sum(t[1] for t in totals) / total_before
         report.mean_survivor_fraction = 1.0 - report.mean_removed_fraction
     return report
 
@@ -299,12 +293,11 @@ def engine_cross_check(
     seeds: tuple[int, ...],
     workers: tuple[int, ...] = (1, 2, 4, 8),
     rerandomize: bool = True,
-    checked: bool = True,
 ) -> CrossCheckReport:
     """Assert that all engines return the identical matching per instance/seed.
 
     Runs the sequential engine, the simulated-parallel engine (in checked
-    mode by default, recording write conflicts and the work meter) and the
+    mode, recording write conflicts and the work meter) and the
     bulk-synchronous engine for every requested worker count.
     """
     report = CrossCheckReport()
@@ -315,7 +308,7 @@ def engine_cross_check(
             base, base_trace = local_max_seq(g, seed, rerandomize)
             mismatch = []
             pram_matching, pram_trace = pram_local_max(
-                g, seed, checked=checked, rerandomize=rerandomize
+                g, seed, checked=True, rerandomize=rerandomize
             )
             if pram_matching != base:
                 mismatch.append("pram")
@@ -325,7 +318,6 @@ def engine_cross_check(
                 bsp_matching, _ = bsp_local_max(g, p, seed, rerandomize)
                 if bsp_matching != base:
                     mismatch.append(f"bsp-p{p}")
-            conflicts = pram_trace.write_log.conflicts if pram_trace.write_log else 0
             report.rows.append(
                 CrossCheckRow(
                     instance=label,
@@ -333,8 +325,8 @@ def engine_cross_check(
                     matched=not mismatch,
                     detail=",".join(mismatch),
                     rounds=base_trace.total_rounds,
-                    crew_conflicts=conflicts,
-                    slot_ops=pram_trace.slot_ops or 0,
+                    crew_conflicts=pram_trace.write_log.conflicts,
+                    slot_ops=pram_trace.slot_ops,
                     work_budget=8 * (g.num_vertices + 2 * g.num_edges),
                     n=g.num_vertices,
                     m=g.num_edges,

@@ -12,9 +12,11 @@ endpoints at the second barrier so both owners agree which edges die. The
 matching is identical to the sequential result for every worker count,
 because all decisions flow from the shared key order.
 
-Workers here are logical: the supersteps are simulated sequentially, worker
-by worker, each writing only to vertices it owns. The message accounting
-always reflects the requested partition.
+Workers here are logical. Each owns a contiguous vertex range, so the
+workers' slices, concatenated, are the live slot array, and every
+superstep is simulated as one pass over it in which each slot writes only
+to its own vertex: what a worker computes from its slice alone. The
+message accounting always reflects the requested partition.
 """
 
 from __future__ import annotations
@@ -119,66 +121,43 @@ def bsp_local_max(
 
 def _bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool,
                 messages: list[RoundMessages]) -> Rounds:
-    part = partition_graph(g, p)
-    owner = part.owner
-    n, m = g.num_vertices, g.num_edges
+    owner = partition_graph(g, p).owner
+    cand = _new_candidates(g.num_vertices)
+    cand_id = np.full(g.num_vertices, -1, dtype=np.int64)  # each live vertex's winning edge
+    vertex_matched = np.zeros(g.num_vertices, dtype=bool)
 
-    cand = _new_candidates(n)
-    cand_id = np.full(n, -1, dtype=np.int64)  # each live vertex's winning edge, set every round
-    vertex_matched = np.zeros(n, dtype=bool)
-    is_cut = np.zeros(m, dtype=bool)
-    is_cut[part.cut_edges] = True
-
-    # per worker: the live incidences of its owned vertices (its slice of
-    # the slot array) with the far endpoint, the edge and its weight bits;
-    # filtered together as edges die
-    local = []
-    for w in range(p):
-        lo, hi = g.offsets[part.bounds[w]], g.offsets[part.bounds[w + 1]]
-        ends, el = g.slot_vertex[lo:hi], g.slot_edge[lo:hi]
-        far = g.edge_u[el] ^ g.edge_v[el] ^ ends
-        local.append((ends, far, el, weight_bits(g.edge_weight[el])))
-    matched_ever = np.zeros(m, dtype=bool)
-    live_union = np.arange(m, dtype=np.int64)
+    # the live slots, filtered together as edges die: the owned endpoint,
+    # the far endpoint, the edge and its weight bits
+    ends, el = g.slot_vertex, g.slot_edge
+    far = g.edge_u[el] ^ g.edge_v[el] ^ ends
+    wbits = weight_bits(g.edge_weight)[el]
     round_index = 0
-    while live_union.size:
-        rs = round_seed(seed, round_index, rerandomize)
+    while ends.size:
+        # superstep 1: raise candidates of owned vertices from their own slots
+        salts = edge_salts(round_seed(seed, round_index, rerandomize), el)
+        top = np.flatnonzero(_raise_candidates(cand, ((ends, wbits, salts),))[0])
+        cand_id[ends[top]] = el[top]
 
-        # superstep 1: each worker raises candidates for its owned vertices
-        for ends, _, el, wbits in local:
-            top = np.flatnonzero(_raise_candidates(cand, ((ends, wbits, edge_salts(rs, el)),))[0])
-            cand_id[ends[top]] = el[top]
+        # barrier 1: candidate records for surviving cut-edge endpoints, one
+        # per (vertex, receiving worker); each live cut edge has two cut slots
+        cut = np.flatnonzero(owner[ends] != owner[far])
+        records = _distinct_count(ends[cut] * p + owner[far[cut]])
 
-        # barrier 1: candidate records for surviving cut-edge endpoints,
-        # deduplicated per (vertex, receiving worker) over both edge sides
-        cut_live = live_union[is_cut[live_union]]
-        cu, cv = g.edge_u[cut_live], g.edge_v[cut_live]
-        records = _distinct_count(np.concatenate([cu * np.int64(p) + owner[cv],
-                                                  cv * np.int64(p) + owner[cu]]))
-
-        # superstep 2: with reconciled candidates, every owner of an edge
-        # reaches the same verdict; owners mark their matched vertices
-        for ends, far, el, _ in local:
-            won = (cand_id[ends] == el) & (cand_id[far] == el)
-            matched_ever[el[won]] = True
-            vertex_matched[ends[won]] = True
-
-        # barrier 2: matched-status flags for cut-edge endpoints
-        status_records = 2 * int(cut_live.size)
-
-        # superstep 3: drop edges with a matched endpoint, reset survivors
-        for w, (ends, far, _, _) in enumerate(local):
-            alive = ~(vertex_matched[ends] | vertex_matched[far])
-            _reset_candidates(cand, ends[alive])
-            local[w] = tuple(a[alive] for a in local[w])
-
-        messages.append(RoundMessages(round_index, records, records * CANDIDATE_RECORD_BYTES,
-                                      int(cut_live.size), status_records))
-        newly = live_union[matched_ever[live_union]]
+        # superstep 2: with reconciled candidates, both slots of an edge
+        # reach the same verdict, and each marks its own vertex matched
+        won = (cand_id[ends] == el) & (cand_id[far] == el)
+        vertex_matched[ends[won]] = True
+        newly = el[won & (ends < far)]
         if not newly.size:
             raise RuntimeError(
-                f"bsp: round {round_index} matched none of {live_union.size} live edges")
-        still = ~(vertex_matched[g.edge_u[live_union]] | vertex_matched[g.edge_v[live_union]])
-        yield live_union.size, newly, int(np.count_nonzero(still))
-        live_union = live_union[still]
+                f"bsp: round {round_index} matched none of {ends.size // 2} live edges")
+
+        # barrier 2: a matched-status flag per live cut slot; superstep 3:
+        # drop edges with a matched endpoint, reset survivors' candidates
+        messages.append(RoundMessages(round_index, records, records * CANDIDATE_RECORD_BYTES,
+                                      cut.size // 2, cut.size))
+        alive = np.flatnonzero(~(vertex_matched[ends] | vertex_matched[far]))
+        _reset_candidates(cand, ends[alive])
+        yield ends.size // 2, newly, alive.size // 2
+        ends, far, el, wbits = ends[alive], far[alive], el[alive], wbits[alive]
         round_index += 1

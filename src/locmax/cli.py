@@ -161,13 +161,7 @@ def _cmd_audit(args) -> int:
             "invalid": report.invalid,
             "non_maximal": report.non_maximal,
         }
-        write_csv(
-            [row],
-            args.out,
-            ("schema", "matcher", "trials", "min_ratio", "mean_ratio",
-             "violations", "invalid", "non_maximal"),
-            append=True,
-        )
+        write_csv([row], args.out, tuple(row), append=True)
     return 0 if report.passed else 1
 
 

@@ -36,9 +36,6 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.edge_u.size)
 
-    def degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         return int(self.edge_u[edge_id]), int(self.edge_v[edge_id])
 

@@ -52,11 +52,8 @@ class PhaseTrace:
     def total_rounds(self) -> int:
         return len(self.rounds)
 
-    def removed_fractions(self) -> list[float]:
-        return [r.edges_removed / r.edges_before for r in self.rounds if r.edges_before]
-
     def mean_removed_fraction(self) -> float:
-        fr = self.removed_fractions()
+        fr = [r.edges_removed / r.edges_before for r in self.rounds if r.edges_before]
         return sum(fr) / len(fr) if fr else 0.0
 
 
@@ -120,9 +117,9 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
         vertex_matched[us[won]] = True
         vertex_matched[vs[won]] = True
         # pass 3: drop edges with a matched endpoint, reset survivors' candidates
-        alive = ~(vertex_matched[us] | vertex_matched[vs])
+        alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
         _reset_candidates(cand, us[alive], vs[alive])
-        yield live.size, live[won], int(np.count_nonzero(alive))
+        yield live.size, live[won], alive.size
         live, wbits = live[alive], wbits[alive]
         round_index += 1
         salts = edge_salts(round_seed(seed, round_index), live) if rerandomize else salts[alive]

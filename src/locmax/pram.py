@@ -101,21 +101,11 @@ class PramState:
     def num_slots(self) -> int:
         return int(self.slot_edge.size)
 
-    def to_graph(self) -> Graph:
-        """Snapshot the current arrays as an (unvalidated) Graph."""
-        return Graph(
-            self.num_vertices,
-            self.offsets.copy(),
-            self.slot_vertex.copy(),
-            self.slot_edge.copy(),
-            self.edge_u.copy(),
-            self.edge_v.copy(),
-            self.edge_weight.copy(),
-        )
-
     def check_consistent(self) -> None:
         """Full structural validation: graph invariants + cross involution."""
-        assert_graph_invariants(self.to_graph())
+        assert_graph_invariants(Graph(self.num_vertices, self.offsets, self.slot_vertex,
+                                      self.slot_edge, self.edge_u, self.edge_v,
+                                      self.edge_weight))
         if self.num_slots:
             idx = np.arange(self.num_slots, dtype=np.int64)
             if not np.array_equal(self.cross[self.cross], idx):
@@ -183,16 +173,6 @@ def compaction_addresses(delete_flags: np.ndarray) -> np.ndarray:
     """
     flags = np.asarray(delete_flags, dtype=np.int64)
     return np.arange(flags.size, dtype=np.int64) - np.cumsum(flags)
-
-
-def segmented_broadcast(state: PramState, per_edge_value: np.ndarray, op=np.maximum) -> np.ndarray:
-    """Reduce a per-edge value over each vertex's incident edges and deliver
-    the segment total to every slot of the segment.
-
-    Segments are the per-vertex slot ranges given by the offsets; ``op``
-    must be an associative numpy ufunc (max, add, ...).
-    """
-    return _vertex_totals(state)(per_edge_value[state.slot_edge], op)[state.slot_vertex]
 
 
 def _vertex_totals(state: PramState):

@@ -10,8 +10,8 @@ the path-end tables replaced, and the brute-force oracle as it was before
 its bookkeeping was trimmed. The tests check the package against them
 array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
-independent statement of the key order, and ``incident_edges``, which only
-tests read.
+independent statement of the key order, and ``incident_edges`` and
+``segmented_broadcast``, which only tests and the reference PRAM phase read.
 
 Deliberate differences from the original loops, which the package shares:
 ``read_matrix_market`` rejects NaN and infinite entries at their line, and
@@ -38,9 +38,9 @@ from locmax.oracle import OracleResult
 from locmax.pram import (
     PramState,
     WriteLog,
+    _vertex_totals,
     compaction_addresses,
     compute_cross_pointers,
-    segmented_broadcast,
 )
 from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins
 
@@ -489,6 +489,16 @@ def tie_key(edge_id: int, weight: float, round_seed_value: int) -> TieKey:
     """The tie-breaking key of one edge under a given per-round seed."""
     salt = int(edge_salts(round_seed_value, np.array([edge_id], dtype=np.uint64))[0])
     return TieKey(float(weight), salt, int(edge_id))
+
+
+def segmented_broadcast(state: PramState, per_edge_value: np.ndarray, op=np.maximum) -> np.ndarray:
+    """Reduce a per-edge value over each vertex's incident edges and deliver
+    the segment total to every slot of the segment.
+
+    Segments are the per-vertex slot ranges given by the offsets; ``op``
+    must be an associative numpy ufunc (max, add, ...).
+    """
+    return _vertex_totals(state)(per_edge_value[state.slot_edge], op)[state.slot_vertex]
 
 
 def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:

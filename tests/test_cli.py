@@ -113,6 +113,52 @@ def test_shrink_passes_on_random_family(tmp_path, capsys):
     assert out.read_text().startswith("schema,instance,round")
 
 
+def test_shrink_rows_byte_for_byte(tmp_path):
+    """``shrink --out`` rows, byte for byte: per-round sums over seeds that
+    ran different round counts, with and without rerandomize."""
+    out = tmp_path / "shrink.csv"
+    assert main(["shrink", "--family", "random", "--x", "7", "--alpha", "4",
+                 "--seeds", "0", "1", "2", "--out", str(out)]) == 0
+    assert main(["shrink", "--family", "rgg", "--x", "6", "--seeds", "3", "4",
+                 "--no-rerandomize", "--no-check", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"schema,instance,round,seeds_alive,mean_removed_fraction,mean_survivor_fraction\r\n"
+        b"locmax-bench-1,random-x7-a4-wunit-s0,0,3,0.7708333333333334,0.22916666666666663\r\n"
+        b"locmax-bench-1,random-x7-a4-wunit-s0,1,3,0.7244318181818182,0.27556818181818177\r\n"
+        b"locmax-bench-1,random-x7-a4-wunit-s0,2,3,0.8762886597938144,0.12371134020618557\r\n"
+        b"locmax-bench-1,random-x7-a4-wunit-s0,3,2,1.0,0.0\r\n"
+        b"locmax-bench-1,rgg-x6-wunit-s3,0,2,0.7647058823529411,0.23529411764705888\r\n"
+        b"locmax-bench-1,rgg-x6-wunit-s3,1,2,0.8269230769230769,0.17307692307692313\r\n"
+        b"locmax-bench-1,rgg-x6-wunit-s3,2,2,1.0,0.0\r\n"
+    )
+
+
+def test_audit_rows_byte_for_byte(tmp_path):
+    out = tmp_path / "audit.csv"
+    for alg in ("localmax", "hem"):
+        assert main(["audit", "--alg", alg, "--trials", "40", "--seed", "3",
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"schema,matcher,trials,min_ratio,mean_ratio,violations,invalid,non_maximal\r\n"
+        b"locmax-bench-1,localmax,40,0.7272727272727273,0.9510527400183394,0,0,0\r\n"
+        b"locmax-bench-1,hem,40,0.3169965863576146,0.9295034814654631,0,0,0\r\n"
+    )
+
+
+def test_crosscheck_output_byte_for_byte(capsys):
+    assert main(["crosscheck", "--family", "random", "--x", "7", "--alpha", "4",
+                 "--seeds", "0", "1", "--p", "1", "2", "4"]) == 0
+    assert main(["crosscheck", "--family", "rgg", "--x", "6", "--seeds", "2", "--p", "3",
+                 "--no-rerandomize"]) == 0
+    assert capsys.readouterr().out == (
+        "random-x7-a4-wdefault-s0 seed=0: ok rounds=4 crew_conflicts=0 slot_ops=3551 "
+        "budget=9216\n"
+        "random-x7-a4-wdefault-s1 seed=1: ok rounds=5 crew_conflicts=0 slot_ops=3593 "
+        "budget=9216\n"
+        "rgg-x6-wdefault-s2 seed=2: ok rounds=2 crew_conflicts=0 slot_ops=799 budget=2336\n"
+    )
+
+
 def test_audit_exit_codes(capsys):
     assert main(["audit", "--alg", "localmax", "--trials", "50", "--seed", "3"]) == 0
     assert main(["audit", "--alg", "hem", "--trials", "50", "--seed", "3"]) == 0

@@ -468,7 +468,7 @@ NOTHING_WINS = {
     "seq": (locmax.matchers, "_raise_candidates", _no_flags, lambda g: local_max_seq(g, 1), 1),
     "pram": (locmax.pram, "_vertex_totals", _zero_totals,
              lambda g: pram_local_max(g, 1, checked=True), 1),
-    "bsp": (locmax.bsp, "_raise_candidates", _no_flags, lambda g: bsp_local_max(g, 4, 1), 4),
+    "bsp": (locmax.bsp, "_raise_candidates", _no_flags, lambda g: bsp_local_max(g, 4, 1), 1),
 }
 
 

@@ -21,12 +21,11 @@ from locmax.pram import (
     compaction_addresses,
     compute_cross_pointers,
     pram_phase,
-    segmented_broadcast,
 )
 from locmax.tiebreak import round_seed
 
 from conftest import random_graph_edges
-from reference import incident_edges
+from reference import incident_edges, segmented_broadcast
 
 
 def _state(g):
