@@ -85,8 +85,7 @@ def partition_graph(g: Graph, p: int) -> Partition:
 
     if two_m:
         share = two_m / p
-        sums = [float(g.offsets[bounds[w + 1]] - g.offsets[bounds[w]]) for w in range(p)]
-        imbalance = max(sums) / share
+        imbalance = float(np.diff(g.offsets[bounds]).max()) / share
     else:
         imbalance = 1.0
     cut_fraction = cut.size / g.num_edges if g.num_edges else 0.0
@@ -127,27 +126,33 @@ def _bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool,
     vertex_matched = np.zeros(g.num_vertices, dtype=bool)
 
     # the live slots, filtered together as edges die: the owned endpoint,
-    # the far endpoint, the edge and its weight bits
+    # the far endpoint and its owner, the edge, its weight bits and whether
+    # it is cut (which never changes)
     ends, el = g.slot_vertex, g.slot_edge
-    far = g.edge_u[el] ^ g.edge_v[el] ^ ends
+    far = (g.edge_u ^ g.edge_v)[el] ^ ends
+    far_owner = owner[far]
+    is_cut = owner[ends] != far_owner
     wbits = weight_bits(g.edge_weight)[el]
     round_index = 0
     while ends.size:
         # superstep 1: raise candidates of owned vertices from their own slots
         salts = edge_salts(round_seed(seed, round_index, rerandomize), el)
         top = np.flatnonzero(_raise_candidates(cand, ((ends, wbits, salts),))[0])
+        del salts  # not read again this round; freed before superstep 3 copies the slots
         cand_id[ends[top]] = el[top]
 
         # barrier 1: candidate records for surviving cut-edge endpoints, one
         # per (vertex, receiving worker); each live cut edge has two cut slots
-        cut = np.flatnonzero(owner[ends] != owner[far])
-        records = _distinct_count(ends[cut] * p + owner[far[cut]])
+        cut = np.flatnonzero(is_cut)
+        records = _distinct_count(ends[cut] * p + far_owner[cut])
 
         # superstep 2: with reconciled candidates, both slots of an edge
-        # reach the same verdict, and each marks its own vertex matched
-        won = (cand_id[ends] == el) & (cand_id[far] == el)
+        # reach the same verdict. Only a slot holding its own vertex's
+        # candidate can win, so only those check the far candidate, and
+        # each winner marks its own vertex matched
+        won = top[cand_id[far[top]] == el[top]]
         vertex_matched[ends[won]] = True
-        newly = el[won & (ends < far)]
+        newly = el[won[ends[won] < far[won]]]
         if not newly.size:
             raise RuntimeError(
                 f"bsp: round {round_index} matched none of {ends.size // 2} live edges")
@@ -159,5 +164,6 @@ def _bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool,
         alive = np.flatnonzero(~(vertex_matched[ends] | vertex_matched[far]))
         _reset_candidates(cand, ends[alive])
         yield ends.size // 2, newly, alive.size // 2
-        ends, far, el, wbits = ends[alive], far[alive], el[alive], wbits[alive]
+        ends, far, far_owner, is_cut = ends[alive], far[alive], far_owner[alive], is_cut[alive]
+        el, wbits = el[alive], wbits[alive]
         round_index += 1

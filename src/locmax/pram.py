@@ -4,13 +4,15 @@ The engine keeps the graph in the adjacency-array layout (edge records plus
 per-vertex incidence slots) and runs each phase as a fixed sequence of
 whole-array passes: draw per-edge keys, take each vertex's maximum key with
 segmented reductions whose totals land at the vertex, match edges that win
-at both endpoints via cross pointers, spread deletion flags, then compact
-the edge and slot arrays with prefix sums and rebuild the offsets and cross
-pointers. One pass corresponds to one simulated parallel step.
+at both endpoints via cross pointers, mark the matched vertices from the
+winner slots, then compact the edge and slot arrays with prefix sums,
+carrying the cross pointers through the new slot addresses, and rebuild
+the offsets. One pass corresponds to one simulated parallel step.
 
 In checked mode every shared-array write of a step is recorded, and two
 writes landing on the same cell within one step count as an exclusive-write
-violation (there should be none).
+violation (there should be none). Checked mode also recomputes the cross
+pointers after every compaction and requires them to equal the carried ones.
 """
 
 from __future__ import annotations
@@ -60,8 +62,11 @@ class PramState:
     keys and the reported matching are immune to the renumbering done by
     compaction. ``cross`` maps each incidence slot to the partner slot of
     the same edge and ``min_side`` marks the slot at the smaller endpoint
-    id; both are set by :func:`compute_cross_pointers`. ``scratch`` is the
-    per-edge cell the pointer-exchange steps write through.
+    id; :func:`compute_cross_pointers` sets both for the input graph, and
+    each phase carries them through its compaction (checked mode recomputes
+    and compares them). ``scratch`` is the per-edge cell the
+    pointer-exchange steps write through, and ``flags`` the per-edge cell
+    step 3 of a phase writes to mark matched edges.
     """
 
     num_vertices: int
@@ -171,8 +176,7 @@ def compaction_addresses(delete_flags: np.ndarray) -> np.ndarray:
     each index, and index - d is where a surviving entry lands; addresses
     of deleted entries are meaningless and never used.
     """
-    flags = np.asarray(delete_flags, dtype=np.int64)
-    return np.arange(flags.size, dtype=np.int64) - np.cumsum(flags)
+    return np.arange(len(delete_flags), dtype=np.int64) - np.cumsum(delete_flags, dtype=np.int64)
 
 
 def _vertex_totals(state: PramState):
@@ -197,11 +201,14 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     then salts among weight ties; salts are distinct, so the id never
     decides) whose totals land at the vertex, (3) the smaller-id endpoint
     matches an edge heaviest on both sides (partner checked through the
-    cross pointer) and flags it, (4) a reduction of the flags marks matched
-    vertices, read at each edge's endpoints, (5) prefix sums over edge and
-    slot deletion flags give every survivor its compacted address, (6)
-    survivors copy over, slot pointers are rewritten, offsets are rebuilt
-    from the surviving degrees and cross pointers recomputed.
+    cross pointer) and flags it, (4) each winner slot and its partner mark
+    their vertices matched, and every edge reads the marks at its
+    endpoints, (5) prefix sums over edge and slot deletion flags give every
+    survivor its compacted address, (6) survivors copy over, slot and cross
+    pointers are rewritten through the new addresses, and offsets are
+    rebuilt from the surviving degrees. Checked mode also recomputes the
+    cross pointers through the scratch cells and compares them with the
+    carried ones.
     """
     if state.num_edges == 0:
         return np.empty(0, dtype=np.int64)
@@ -215,46 +222,60 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     # reduction; slots out of the running offer 0, the least salt
     top = totals(slot_w)[state.slot_vertex] == slot_w
     top &= totals(np.where(top, slot_s, 0))[state.slot_vertex] == slot_s
+    del slot_w, slot_s  # not read again; freed before step 6 copies the survivors
 
     # step 3: match edges that are heaviest at both endpoints
-    winner_slots = state.min_side & top & top[state.cross]  # concurrent read, exclusive write
-    state.flags[:] = 0
-    matched_edges = state.slot_edge[winner_slots]
+    winners = np.flatnonzero(state.min_side & top & top[state.cross])  # concurrent read
+    matched_edges = state.slot_edge[winners]
     state.flags[matched_edges] = 1
     if log is not None:
         log.record("match/flag-writes", "edge.flag", matched_edges)
     matched_orig = state.edge_orig[matched_edges]
 
-    # step 4: spread deletion over every edge incident to a matched vertex
-    matched_at = totals(state.flags[state.slot_edge])
-    dead_edge = (matched_at[state.edge_u] | matched_at[state.edge_v]).astype(bool)
+    # step 4: mark matched vertices from both slots of each winner (a vertex
+    # has at most one matched edge, so the writes are exclusive), then every
+    # edge incident to a matched vertex dies
+    matched_vertex = np.zeros(state.num_vertices, dtype=bool)
+    matched_vertex[state.slot_vertex[winners]] = True
+    matched_vertex[state.slot_vertex[state.cross[winners]]] = True
+    if log is not None and np.count_nonzero(matched_vertex) != 2 * winners.size:
+        raise RuntimeError("pram: the winner slots do not mark 2 distinct vertices per match")
+    dead_edge = matched_vertex[state.edge_u] | matched_vertex[state.edge_v]
     if log is not None:
         log.record("spread/edge-writes", "edge.flag", state.slot_edge[state.min_side])
 
     # step 5: prefix sums give each survivor its new address
     dead_slot = dead_edge[state.slot_edge]
     new_edge_index = compaction_addresses(dead_edge)
+    new_slot_index = compaction_addresses(dead_slot)
 
     # step 6: compact edges and slots, rewrite pointers
-    keep_e = ~dead_edge
+    keep_e = np.flatnonzero(~dead_edge)
     if log is not None:
         log.record("compact/edge-copies", "edge.records", new_edge_index[keep_e])
     state.edge_u = state.edge_u[keep_e]
     state.edge_v = state.edge_v[keep_e]
     state.edge_weight = state.edge_weight[keep_e]
     state.edge_orig = state.edge_orig[keep_e]
-    state.scratch = np.full(state.edge_u.size, -1, dtype=np.int64)
-    state.flags = np.zeros(state.edge_u.size, dtype=np.int64)
+    state.scratch = np.full(keep_e.size, -1, dtype=np.int64)
+    state.flags = np.zeros(keep_e.size, dtype=np.int64)
 
-    keep_s = ~dead_slot
-    if log is not None:  # the slot addresses only feed the write log
-        log.record("compact/slot-copies", "slot.records", compaction_addresses(dead_slot)[keep_s])
+    keep_s = np.flatnonzero(~dead_slot)
+    if log is not None:
+        log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
     state.slot_vertex = state.slot_vertex[keep_s]
     state.slot_edge = new_edge_index[state.slot_edge[keep_s]]
+    # a surviving slot's partner survives too
+    state.cross = new_slot_index[state.cross[keep_s]]
+    state.min_side = state.min_side[keep_s]
 
     surviving_deg = np.bincount(state.slot_vertex, minlength=state.num_vertices)
     state.offsets = np.concatenate([[0], np.cumsum(surviving_deg)]).astype(np.int64)
-    compute_cross_pointers(state, log)
+    if log is not None:
+        carried = state.cross, state.min_side
+        compute_cross_pointers(state, log)
+        if not (np.array_equal(carried[0], state.cross) and np.array_equal(carried[1], state.min_side)):
+            raise RuntimeError("pram: carried cross pointers disagree with recomputed ones")
     return matched_orig
 
 

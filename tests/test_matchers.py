@@ -468,6 +468,8 @@ NOTHING_WINS = {
     "seq": (locmax.matchers, "_raise_candidates", _no_flags, lambda g: local_max_seq(g, 1), 1),
     "pram": (locmax.pram, "_vertex_totals", _zero_totals,
              lambda g: pram_local_max(g, 1, checked=True), 1),
+    "pram-unchecked": (locmax.pram, "_vertex_totals", _zero_totals,
+                       lambda g: pram_local_max(g, 1), 1),
     "bsp": (locmax.bsp, "_raise_candidates", _no_flags, lambda g: bsp_local_max(g, 4, 1), 1),
 }
 
@@ -487,6 +489,7 @@ def test_round_that_matches_nothing_raises(monkeypatch, engine):
 
     monkeypatch.setattr(module, name, kernel)
     g = with_unit_weights(gen_random(64, 2, seed=1))
-    with pytest.raises(RuntimeError, match=f"^{engine}: round 0 matched none of {g.num_edges} "):
+    prefix = engine.partition("-")[0]
+    with pytest.raises(RuntimeError, match=f"^{prefix}: round 0 matched none of {g.num_edges} "):
         run(g)
     assert len(calls) == per_round

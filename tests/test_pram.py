@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from locmax import (
     local_max_seq,
     pram_local_max,
 )
+from locmax.generate import with_unit_weights
 from locmax.pram import (
     PramState,
     WriteLog,
@@ -26,6 +29,7 @@ from locmax.tiebreak import round_seed
 
 from conftest import random_graph_edges
 from reference import incident_edges, segmented_broadcast
+from test_equivalence import tie_graphs
 
 
 def _state(g):
@@ -246,3 +250,59 @@ def test_engines_agree_on_arbitrary_small_graphs(data):
     for p in (1, 2, min(3, n)):
         dist, _ = bsp_local_max(g, p, seed, rerandomize)
         assert dist == base
+
+
+# ------------------------------------------ carried cross pointers (unchecked)
+
+@given(tie_graphs(), st.integers(0, 10_000), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_unchecked_run_equals_checked_and_sequential(g, seed, rerandomize):
+    """The unchecked run carries its cross pointers through compaction and
+    never recomputes them; it must still match the checked run, which does."""
+    got_m, got_t = pram_local_max(g, seed, rerandomize=rerandomize)
+    want_m, want_t = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
+    seq_m, seq_t = local_max_seq(g, seed, rerandomize)
+    assert got_m == want_m == seq_m
+    assert got_t.rounds == want_t.rounds == seq_t.rounds
+    assert got_t.slot_ops == want_t.slot_ops
+
+
+def _assert_carried_pointers_after_every_phase(g, seed):
+    state = _state(g)
+    round_index = 0
+    while state.num_edges:
+        pram_phase(state, round_seed(seed, round_index))
+        fresh = dataclasses.replace(state, scratch=np.full(state.num_edges, -1, dtype=np.int64))
+        compute_cross_pointers(fresh)
+        assert np.array_equal(state.cross, fresh.cross)
+        assert np.array_equal(state.min_side, fresh.min_side)
+        round_index += 1
+    return round_index
+
+
+@given(tie_graphs(), st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_carried_cross_pointers_equal_recomputed_ones(g, seed):
+    _assert_carried_pointers_after_every_phase(g, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_carried_cross_pointers_over_many_phases(seed):
+    g = with_unit_weights(gen_random(2**10, 4, seed))
+    assert _assert_carried_pointers_after_every_phase(g, seed) >= 4
+
+
+def test_checked_phase_rejects_carried_pointers_that_disagree():
+    # two copies of a path whose middle edge (weight 1) wins at neither end
+    # and survives the first phase, while its neighbours die
+    path = [(0, 1, 5.0), (1, 2, 4.0), (2, 3, 1.0), (3, 4, 4.0), (4, 5, 5.0)]
+    g = build_graph(path + [(u + 6, v + 6, w) for u, v, w in path])
+    s = _state(g)
+    pram_phase(s, round_seed(0, 0), WriteLog())
+    assert s.num_edges == 2
+
+    s = _state(g)  # pair the slots of one middle edge with those of the other
+    a, b = (np.flatnonzero(s.slot_edge == int(np.flatnonzero(g.edge_u == u)[0])) for u in (2, 8))
+    s.cross[a], s.cross[b] = b[::-1], a[::-1]
+    with pytest.raises(RuntimeError, match="carried cross pointers"):
+        pram_phase(s, round_seed(0, 0), WriteLog())
