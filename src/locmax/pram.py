@@ -12,7 +12,8 @@ the offsets. One pass corresponds to one simulated parallel step.
 In checked mode every shared-array write of a step is recorded, and two
 writes landing on the same cell within one step count as an exclusive-write
 violation (there should be none). Checked mode also recomputes the cross
-pointers after every compaction and requires them to equal the carried ones.
+pointers through the edge cells after every compaction and requires them to
+equal the carried ones.
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ class PramState:
     the same edge and ``min_side`` marks the slot at the smaller endpoint
     id; :func:`compute_cross_pointers` sets both for the input graph, and
     each phase carries them through its compaction (checked mode recomputes
-    and compares them). ``scratch`` is the per-edge cell the
-    pointer-exchange steps write through, and ``flags`` the per-edge cell
-    step 3 of a phase writes to mark matched edges.
+    them through the edge cells and compares).
     """
 
     num_vertices: int
@@ -77,14 +76,11 @@ class PramState:
     edge_v: np.ndarray
     edge_weight: np.ndarray
     edge_orig: np.ndarray
-    scratch: np.ndarray
-    flags: np.ndarray
     cross: np.ndarray | None = None
     min_side: np.ndarray | None = None
 
     @classmethod
     def from_graph(cls, g: Graph) -> "PramState":
-        m = g.num_edges
         return cls(
             num_vertices=g.num_vertices,
             offsets=g.offsets,
@@ -93,9 +89,7 @@ class PramState:
             edge_u=g.edge_u,
             edge_v=g.edge_v,
             edge_weight=g.edge_weight,
-            edge_orig=np.arange(m, dtype=np.int64),
-            scratch=np.full(m, -1, dtype=np.int64),
-            flags=np.zeros(m, dtype=np.int64),
+            edge_orig=np.arange(g.num_edges, dtype=np.int64),
         )
 
     @property
@@ -127,45 +121,36 @@ class PramState:
 def compute_cross_pointers(state: PramState, log: WriteLog | None = None) -> None:
     """Make each incidence slot know the index of its partner slot.
 
-    Two write/read step pairs: the endpoint with the smaller vertex id
-    deposits its slot index in the edge's scratch cell and the larger-id
-    endpoint reads it, then the roles swap. Within each step exactly one of
-    an edge's two slots writes, so writes stay exclusive.
+    Every edge has two cells, one per side: a slot's cell is
+    ``2 * edge + (slot is not at the smaller endpoint id)``. In one step
+    each slot writes its own index into its cell, in the next it reads the
+    other cell of its edge. The 2m slots write into 2m cells, so the
+    writes are exclusive exactly when every cell gets written; an
+    incidence whose two slots claim the same side of an edge leaves a cell
+    empty and is rejected.
     """
     m = state.num_edges
-    if state.slot_edge.size != 2 * m:
+    slot_edge = state.slot_edge
+    if slot_edge.size != 2 * m:
         raise ValueError("slot array length disagrees with the edge count")
-    if m == 0:
-        state.cross = np.empty(0, dtype=np.int64)
-        state.min_side = np.empty(0, dtype=bool)
-        return
-    counts = np.bincount(state.slot_edge, minlength=m)
-    if not np.all(counts == 2):
-        raise ValueError("inconsistent incidence: some edge is not referenced exactly twice")
+    if m and (slot_edge.min() < 0 or slot_edge.max() >= m):
+        raise ValueError("inconsistent incidence: a slot edge id is out of range")
     lo = np.minimum(state.edge_u, state.edge_v)
-    min_side = state.slot_vertex == lo[state.slot_edge]
-    if int(min_side.sum()) != m:
-        raise ValueError("inconsistent incidence: endpoints and slot owners disagree")
-    min_slots = np.flatnonzero(min_side)
-    max_slots = np.flatnonzero(~min_side)
-    min_edges = state.slot_edge[min_slots]
-    max_edges = state.slot_edge[max_slots]
-    cross = np.empty(2 * m, dtype=np.int64)
+    min_side = state.slot_vertex == lo[slot_edge]
+    cell = 2 * slot_edge
+    cell += ~min_side  # in place: a fresh 2m-array here costs more than the arithmetic
+    slots = np.arange(2 * m, dtype=np.int64)
 
-    state.scratch[min_edges] = min_slots
+    cells = np.full(2 * m, -1, dtype=np.int64)
+    cells[cell] = slots
     if log is not None:
-        log.record("cross/min-writes", "edge.scratch", min_edges)
-    cross[max_slots] = state.scratch[max_edges]
+        log.record("cross/cell-writes", "edge.cells", cell)
+    if np.any(cells < 0):
+        raise ValueError("inconsistent incidence: two slots claim the same side of an edge")
+    cell ^= 1  # the partner's cell
+    state.cross = cells[cell]
     if log is not None:
-        log.record("cross/max-reads", "slot.cross", max_slots)
-
-    state.scratch[max_edges] = max_slots
-    if log is not None:
-        log.record("cross/max-writes", "edge.scratch", max_edges)
-    cross[min_slots] = state.scratch[min_edges]
-    if log is not None:
-        log.record("cross/min-reads", "slot.cross", min_slots)
-    state.cross = cross
+        log.record("cross/cell-reads", "slot.cross", slots)
     state.min_side = min_side
 
 
@@ -201,13 +186,14 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     then salts among weight ties; salts are distinct, so the id never
     decides) whose totals land at the vertex, (3) the smaller-id endpoint
     matches an edge heaviest on both sides (partner checked through the
-    cross pointer) and flags it, (4) each winner slot and its partner mark
-    their vertices matched, and every edge reads the marks at its
+    cross pointer) and flags it (the log records the write; no step reads
+    the flag, so no array keeps it), (4) each winner slot and its partner
+    mark their vertices matched, and every edge reads the marks at its
     endpoints, (5) prefix sums over edge and slot deletion flags give every
     survivor its compacted address, (6) survivors copy over, slot and cross
     pointers are rewritten through the new addresses, and offsets are
     rebuilt from the surviving degrees. Checked mode also recomputes the
-    cross pointers through the scratch cells and compares them with the
+    cross pointers through the edge cells and compares them with the
     carried ones.
     """
     if state.num_edges == 0:
@@ -227,7 +213,6 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     # step 3: match edges that are heaviest at both endpoints
     winners = np.flatnonzero(state.min_side & top & top[state.cross])  # concurrent read
     matched_edges = state.slot_edge[winners]
-    state.flags[matched_edges] = 1
     if log is not None:
         log.record("match/flag-writes", "edge.flag", matched_edges)
     matched_orig = state.edge_orig[matched_edges]
@@ -257,8 +242,6 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     state.edge_v = state.edge_v[keep_e]
     state.edge_weight = state.edge_weight[keep_e]
     state.edge_orig = state.edge_orig[keep_e]
-    state.scratch = np.full(keep_e.size, -1, dtype=np.int64)
-    state.flags = np.zeros(keep_e.size, dtype=np.int64)
 
     keep_s = np.flatnonzero(~dead_slot)
     if log is not None:

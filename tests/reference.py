@@ -11,7 +11,10 @@ its bookkeeping was trimmed. The tests check the package against them
 array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
 independent statement of the key order, and ``incident_edges`` and
-``segmented_broadcast``, which only tests and the reference PRAM phase read.
+``segmented_broadcast``, which only tests and the reference PRAM phase read,
+and ``scratch_cross_pointers``, the four-step exchange through one scratch
+cell per edge that the two-step exchange through per-side edge cells in
+``locmax.pram.compute_cross_pointers`` replaced.
 
 Deliberate differences from the original loops, which the package shares:
 ``read_matrix_market`` rejects NaN and infinite entries at their line, and
@@ -501,6 +504,36 @@ def segmented_broadcast(state: PramState, per_edge_value: np.ndarray, op=np.maxi
     return _vertex_totals(state)(per_edge_value[state.slot_edge], op)[state.slot_vertex]
 
 
+def scratch_cross_pointers(state: PramState) -> tuple[np.ndarray, np.ndarray]:
+    """The partner slot of every slot and the min-side marks, as ``(cross,
+    min_side)``, by two write/read step pairs through a per-edge scratch
+    cell: the endpoint with the smaller vertex id deposits its slot index
+    and the larger-id endpoint reads it, then the roles swap."""
+    m = state.num_edges
+    if state.slot_edge.size != 2 * m:
+        raise ValueError("slot array length disagrees with the edge count")
+    if m == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    counts = np.bincount(state.slot_edge, minlength=m)
+    if not np.all(counts == 2):
+        raise ValueError("inconsistent incidence: some edge is not referenced exactly twice")
+    lo = np.minimum(state.edge_u, state.edge_v)
+    min_side = state.slot_vertex == lo[state.slot_edge]
+    if int(min_side.sum()) != m:
+        raise ValueError("inconsistent incidence: endpoints and slot owners disagree")
+    min_slots = np.flatnonzero(min_side)
+    max_slots = np.flatnonzero(~min_side)
+    min_edges = state.slot_edge[min_slots]
+    max_edges = state.slot_edge[max_slots]
+    scratch = np.full(m, -1, dtype=np.int64)
+    cross = np.empty(2 * m, dtype=np.int64)
+    scratch[min_edges] = min_slots
+    cross[max_slots] = scratch[max_edges]
+    scratch[max_edges] = max_slots
+    cross[min_slots] = scratch[min_edges]
+    return cross, min_side
+
+
 def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:
     """One parallel local max phase with the keys encoded as dense ranks."""
     m = state.num_edges
@@ -518,14 +551,14 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     wins_here = best == slot_rank
     wins_there = best[state.cross] == slot_rank
     winner_slots = min_side & wins_here & wins_there
-    state.flags[:] = 0
+    flags = np.zeros(m, dtype=np.int64)
     matched_edges = state.slot_edge[winner_slots]
-    state.flags[matched_edges] = 1
+    flags[matched_edges] = 1
     if log is not None:
         log.record("match/flag-writes", "edge.flag", matched_edges)
     matched_orig = state.edge_orig[matched_edges]
 
-    spread = segmented_broadcast(state, state.flags, np.maximum)
+    spread = segmented_broadcast(state, flags, np.maximum)
     min_slots = idx[min_side]
     dead_edge = np.zeros(m, dtype=bool)
     dead_edge[state.slot_edge[min_slots]] = (
@@ -545,8 +578,6 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     state.edge_v = state.edge_v[keep_e]
     state.edge_weight = state.edge_weight[keep_e]
     state.edge_orig = state.edge_orig[keep_e]
-    state.scratch = np.full(state.edge_u.size, -1, dtype=np.int64)
-    state.flags = np.zeros(state.edge_u.size, dtype=np.int64)
 
     keep_s = ~dead_slot
     if log is not None:

@@ -28,7 +28,7 @@ from locmax.pram import (
 from locmax.tiebreak import round_seed
 
 from conftest import random_graph_edges
-from reference import incident_edges, segmented_broadcast
+from reference import incident_edges, scratch_cross_pointers, segmented_broadcast
 from test_equivalence import tie_graphs
 
 
@@ -67,7 +67,9 @@ def test_cross_logs_no_conflicts(triangle):
     s = PramState.from_graph(triangle)
     compute_cross_pointers(s, log)
     assert log.conflicts == 0
-    assert log.writes > 0
+    # one step writes the 2m edge cells, one writes the 2m slot pointers
+    assert log.steps == 2
+    assert log.writes == 4 * triangle.num_edges
 
 
 def test_cross_rejects_inconsistent_incidence(triangle):
@@ -78,6 +80,101 @@ def test_cross_rejects_inconsistent_incidence(triangle):
     s.slot_edge = bad
     with pytest.raises(ValueError, match="inconsistent"):
         compute_cross_pointers(s)
+
+
+@pytest.mark.parametrize("slot_vertex, clashing_cells", [
+    # each edge is referenced twice and m slots sit at a smaller endpoint,
+    # but edge 0 has both slots at vertex 0 and edge 1 both at vertex 3
+    ([0, 0, 3, 3], [0, 3]),
+    # edge 0's first slot sits at neither endpoint, so it claims the larger side
+    ([2, 1, 2, 3], [1]),
+])
+def test_cross_rejects_two_slots_on_one_side(slot_vertex, clashing_cells):
+    s = PramState.from_graph(build_graph([(0, 1, 1.0), (2, 3, 2.0)]))
+    s.slot_vertex = np.array(slot_vertex)
+    log = WriteLog()
+    with pytest.raises(ValueError, match="inconsistent"):
+        compute_cross_pointers(s, log)
+    # cell 2e belongs to edge e's slot at its smaller endpoint, 2e + 1 to the other
+    assert [cell for _, _, cell in log.samples] == clashing_cells
+
+
+@pytest.mark.parametrize("bad_edge", [-1, -6, 3, 7])
+def test_cross_rejects_slot_edge_ids_out_of_range(triangle, bad_edge):
+    s = PramState.from_graph(triangle)
+    s.slot_edge = s.slot_edge.copy()
+    s.slot_edge[0] = bad_edge
+    with pytest.raises(ValueError):
+        compute_cross_pointers(s)
+
+
+def _slots_of_two_edges(s):
+    return (np.flatnonzero(s.slot_edge == e) for e in (0, 1))
+
+
+def _swap_partners(s):
+    a, b = _slots_of_two_edges(s)
+    s.cross[a[0]], s.cross[b[0]] = s.cross[b[0]], s.cross[a[0]]
+
+
+def _pair_across_edges(s):
+    a, b = _slots_of_two_edges(s)
+    s.cross[a], s.cross[b] = b[::-1], a[::-1]
+
+
+def _point_at_self(s):
+    s.cross = np.arange(s.num_slots)
+
+
+def _flip_min_side(s):
+    s.min_side = ~s.min_side
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_swap_partners, "not an involution"),
+    (_pair_across_edges, "leaves its edge"),
+    (_point_at_self, "fails to switch endpoints"),
+    (_flip_min_side, "min-side slot marks disagree"),
+])
+def test_check_consistent_rejects_bad_pointers(triangle, corrupt, message):
+    s = _state(triangle)
+    s.check_consistent()
+    corrupt(s)
+    with pytest.raises(ValueError, match=message):
+        s.check_consistent()
+
+
+def _states_after_every_phase(g, seed):
+    """The unchecked run's state on the input graph and after each phase."""
+    state = _state(g)
+    yield state
+    round_index = 0
+    while state.num_edges:
+        pram_phase(state, round_seed(seed, round_index))
+        yield state
+        round_index += 1
+
+
+def _assert_cross_pointers_equal_scratch_exchange(g, seed):
+    for phases, state in enumerate(_states_after_every_phase(g, seed)):
+        fresh = dataclasses.replace(state)
+        compute_cross_pointers(fresh)
+        cross, min_side = scratch_cross_pointers(state)
+        assert np.array_equal(fresh.cross, cross)
+        assert np.array_equal(fresh.min_side, min_side)
+    return phases
+
+
+@given(tie_graphs(), st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_cross_pointers_equal_scratch_exchange(g, seed):
+    _assert_cross_pointers_equal_scratch_exchange(g, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cross_pointers_equal_scratch_exchange_over_many_phases(seed):
+    g = with_unit_weights(gen_random(2**10, 4, seed))
+    assert _assert_cross_pointers_equal_scratch_exchange(g, seed) >= 4
 
 
 def test_write_log_counts_conflicts_when_present():
@@ -268,16 +365,12 @@ def test_unchecked_run_equals_checked_and_sequential(g, seed, rerandomize):
 
 
 def _assert_carried_pointers_after_every_phase(g, seed):
-    state = _state(g)
-    round_index = 0
-    while state.num_edges:
-        pram_phase(state, round_seed(seed, round_index))
-        fresh = dataclasses.replace(state, scratch=np.full(state.num_edges, -1, dtype=np.int64))
+    for phases, state in enumerate(_states_after_every_phase(g, seed)):
+        fresh = dataclasses.replace(state)
         compute_cross_pointers(fresh)
         assert np.array_equal(state.cross, fresh.cross)
         assert np.array_equal(state.min_side, fresh.min_side)
-        round_index += 1
-    return round_index
+    return phases
 
 
 @given(tie_graphs(), st.integers(0, 10_000))
