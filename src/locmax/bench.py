@@ -265,7 +265,7 @@ def round_bound(m: int) -> int:
 class CrossCheckRow:
     instance: str
     seed: int
-    matched: bool                # all engines produced the identical matching
+    matched: bool                # all engines produced seq's matching and round stats
     detail: str
     rounds: int
     crew_conflicts: int
@@ -294,11 +294,13 @@ def engine_cross_check(
     workers: tuple[int, ...] = (1, 2, 4, 8),
     rerandomize: bool = True,
 ) -> CrossCheckReport:
-    """Assert that all engines return the identical matching per instance/seed.
+    """Assert that all engines return the identical run per instance/seed.
 
     Runs the sequential engine, the simulated-parallel engine (in checked
     mode, recording write conflicts and the work meter) and the
-    bulk-synchronous engine for every requested worker count.
+    bulk-synchronous engine for every requested worker count. A run whose
+    matching differs from seq's is flagged by its engine (``bsp-p4``), one
+    whose ``RoundStats`` differ by its engine and ``:rounds``.
     """
     report = CrossCheckReport()
     for spec in instances:
@@ -306,18 +308,16 @@ def engine_cross_check(
             g = spec.build(seed)
             label = spec.label(seed)
             base, base_trace = local_max_seq(g, seed, rerandomize)
+            pram_run = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
+            pram_trace = pram_run[1]
+            runs = [("pram", pram_run)] + [(f"bsp-p{p}", bsp_local_max(g, p, seed, rerandomize))
+                                           for p in workers if p <= g.num_vertices]
             mismatch = []
-            pram_matching, pram_trace = pram_local_max(
-                g, seed, checked=True, rerandomize=rerandomize
-            )
-            if pram_matching != base:
-                mismatch.append("pram")
-            for p in workers:
-                if p > g.num_vertices:
-                    continue
-                bsp_matching, _ = bsp_local_max(g, p, seed, rerandomize)
-                if bsp_matching != base:
-                    mismatch.append(f"bsp-p{p}")
+            for name, (matching, trace) in runs:
+                if matching != base:
+                    mismatch.append(name)
+                if trace.rounds != base_trace.rounds:
+                    mismatch.append(f"{name}:rounds")
             report.rows.append(
                 CrossCheckRow(
                     instance=label,

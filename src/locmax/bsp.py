@@ -1,22 +1,23 @@
 """Partitioned bulk-synchronous local max with boundary-message accounting.
 
 Vertices are assigned to workers in contiguous ranges (balanced by degree
-sums), and each holds its vertices' slice of the slot array: every edge is
-stored at both endpoint owners, so a worker settles the candidate of any
-vertex it owns from local data alone, by the staged (weight, salt) maximum
-the sequential engine uses, and records the winning edge. What crosses the
-network per round is (a) candidate records for the endpoints of surviving
-cut edges, exchanged at the first barrier so both owners of a cut edge
-reach the same match verdict, and (b) matched-status flags for cut-edge
-endpoints at the second barrier so both owners agree which edges die. The
-matching is identical to the sequential result for every worker count,
-because all decisions flow from the shared key order.
+sums), and every edge is stored at both endpoint owners: each worker holds
+one slot per owned endpoint of each live edge, so it settles the candidate
+of any vertex it owns from local data alone, by the staged (weight, salt)
+maximum the sequential engine uses. What crosses the network per round is
+(a) candidate records for the endpoints of surviving cut edges, exchanged
+at the first barrier so both owners of a cut edge reach the same match
+verdict, and (b) matched-status flags for cut-edge endpoints at the second
+barrier so both owners agree which edges die. The matching is identical to
+the sequential result for every worker count, because all decisions flow
+from the shared key order.
 
-Workers here are logical. Each owns a contiguous vertex range, so the
-workers' slices, concatenated, are the live slot array, and every
-superstep is simulated as one pass over it in which each slot writes only
-to its own vertex: what a worker computes from its slice alone. The
-message accounting always reflects the requested partition.
+Workers here are logical. The round state is kept per live edge: its id,
+endpoints, their owners and weight bits. The u-side and v-side slots of
+the live edges, taken together, are the live slot array, and every
+superstep is simulated as one pass over both sides in which each slot
+writes only to its own vertex: what its owner computes alone. The message
+accounting always reflects the requested partition.
 """
 
 from __future__ import annotations
@@ -122,48 +123,45 @@ def _bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool,
                 messages: list[RoundMessages]) -> Rounds:
     owner = partition_graph(g, p).owner
     cand = _new_candidates(g.num_vertices)
-    cand_id = np.full(g.num_vertices, -1, dtype=np.int64)  # each live vertex's winning edge
     vertex_matched = np.zeros(g.num_vertices, dtype=bool)
 
-    # the live slots, filtered together as edges die: the owned endpoint,
-    # the far endpoint and its owner, the edge, its weight bits and whether
-    # it is cut (which never changes)
-    ends, el = g.slot_vertex, g.slot_edge
-    far = (g.edge_u ^ g.edge_v)[el] ^ ends
-    far_owner = owner[far]
-    is_cut = owner[ends] != far_owner
-    wbits = weight_bits(g.edge_weight)[el]
+    # the live edges, filtered together as edges die: ids, endpoints, the
+    # endpoints' owners and weight bits. The u-side slots sit at ``ou``,
+    # the v-side slots at ``ov``; an edge is cut when those differ
+    live = np.arange(g.num_edges, dtype=np.int64)
+    us, vs = g.edge_u, g.edge_v
+    ou, ov = owner[us], owner[vs]
+    wbits = weight_bits(g.edge_weight)
     round_index = 0
-    while ends.size:
-        # superstep 1: raise candidates of owned vertices from their own slots
-        salts = edge_salts(round_seed(seed, round_index, rerandomize), el)
-        top = np.flatnonzero(_raise_candidates(cand, ((ends, wbits, salts),))[0])
-        del salts  # not read again this round; freed before superstep 3 copies the slots
-        cand_id[ends[top]] = el[top]
+    while live.size:
+        # superstep 1: each slot raises its own vertex's candidate, so a
+        # worker settles its owned vertices from its own slots
+        salts = edge_salts(round_seed(seed, round_index, rerandomize), live)
+        top_u, top_v = _raise_candidates(cand, ((us, wbits, salts), (vs, wbits, salts)))
+        del salts  # not read again this round
 
-        # barrier 1: candidate records for surviving cut-edge endpoints, one
-        # per (vertex, receiving worker); each live cut edge has two cut slots
-        cut = np.flatnonzero(is_cut)
-        records = _distinct_count(ends[cut] * p + far_owner[cut])
+        # barrier 1: candidate records for the endpoints of live cut edges,
+        # one per (vertex, receiving worker), from both sides of each edge
+        cut = np.flatnonzero(ou != ov)
+        records = _distinct_count(np.concatenate((us[cut] * p + ov[cut], vs[cut] * p + ou[cut])))
 
-        # superstep 2: with reconciled candidates, both slots of an edge
-        # reach the same verdict. Only a slot holding its own vertex's
-        # candidate can win, so only those check the far candidate, and
-        # each winner marks its own vertex matched
-        won = top[cand_id[far[top]] == el[top]]
-        vertex_matched[ends[won]] = True
-        newly = el[won[ends[won] < far[won]]]
-        if not newly.size:
+        # superstep 2: an edge wins iff it holds the candidate at both
+        # endpoints; the owner of each side learns the far flag through
+        # the record of a cut edge
+        won = top_u & top_v
+        if not won.any():
             raise RuntimeError(
-                f"bsp: round {round_index} matched none of {ends.size // 2} live edges")
+                f"bsp: round {round_index} matched none of {live.size} live edges")
+        vertex_matched[us[won]] = True
+        vertex_matched[vs[won]] = True
 
         # barrier 2: a matched-status flag per live cut slot; superstep 3:
         # drop edges with a matched endpoint, reset survivors' candidates
         messages.append(RoundMessages(round_index, records, records * CANDIDATE_RECORD_BYTES,
-                                      cut.size // 2, cut.size))
-        alive = np.flatnonzero(~(vertex_matched[ends] | vertex_matched[far]))
-        _reset_candidates(cand, ends[alive])
-        yield ends.size // 2, newly, alive.size // 2
-        ends, far, far_owner, is_cut = ends[alive], far[alive], far_owner[alive], is_cut[alive]
-        el, wbits = el[alive], wbits[alive]
+                                      cut.size, 2 * cut.size))
+        alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
+        _reset_candidates(cand, us[alive], vs[alive])
+        yield live.size, live[won], alive.size
+        live, us, vs = live[alive], us[alive], vs[alive]
+        ou, ov, wbits = ou[alive], ov[alive], wbits[alive]
         round_index += 1

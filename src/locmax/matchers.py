@@ -96,18 +96,18 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
 def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
     """Local max on all edges of ``g``.
 
-    Weight bits are computed once and filtered with the live set, and so
-    are the salts unless ``rerandomize`` draws new ones every round.
+    Endpoints and weight bits are gathered once and filtered with the live
+    set, and so are the salts unless ``rerandomize`` draws new ones every
+    round.
     """
     live = np.arange(g.num_edges, dtype=np.int64)
+    us, vs = g.edge_u, g.edge_v
     cand = _new_candidates(g.num_vertices)
     vertex_matched = np.zeros(g.num_vertices, dtype=bool)
     wbits = weight_bits(g.edge_weight)
     salts = edge_salts(round_seed(seed, 0), live)
     round_index = 0
     while live.size:
-        us = g.edge_u[live]
-        vs = g.edge_v[live]
         # pass 1: lexicographic max per endpoint
         top_u, top_v = _raise_candidates(cand, ((us, wbits, salts), (vs, wbits, salts)))
         # pass 2: an edge wins iff it is the candidate at both endpoints
@@ -120,7 +120,7 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
         alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
         _reset_candidates(cand, us[alive], vs[alive])
         yield live.size, live[won], alive.size
-        live, wbits = live[alive], wbits[alive]
+        live, us, vs, wbits = live[alive], us[alive], vs[alive], wbits[alive]
         round_index += 1
         salts = edge_salts(round_seed(seed, round_index), live) if rerandomize else salts[alive]
 

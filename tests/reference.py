@@ -12,9 +12,11 @@ array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
 independent statement of the key order, and ``incident_edges`` and
 ``segmented_broadcast``, which only tests and the reference PRAM phase read,
-and ``scratch_cross_pointers``, the four-step exchange through one scratch
+``scratch_cross_pointers``, the four-step exchange through one scratch
 cell per edge that the two-step exchange through per-side edge cells in
-``locmax.pram.compute_cross_pointers`` replaced.
+``locmax.pram.compute_cross_pointers`` replaced, and
+``slot_bsp_local_max``, the bulk-synchronous engine over live slot arrays
+that ``locmax.bsp``'s live-edge arrays replaced.
 
 Deliberate differences from the original loops, which the package shares:
 ``read_matrix_market`` rejects NaN and infinite entries at their line, and
@@ -36,7 +38,7 @@ import numpy as np
 from locmax import Graph, Matching, MatchingCheck, matching_from_edge_ids
 from locmax.bsp import CANDIDATE_RECORD_BYTES, RoundMessages, partition_graph
 from locmax.generate import _morton_order, rgg_threshold
-from locmax.matchers import PhaseTrace, RbmDidNotConverge, RoundStats
+from locmax.matchers import PhaseTrace, RbmDidNotConverge, RoundStats, _drive
 from locmax.oracle import OracleResult
 from locmax.pram import (
     PramState,
@@ -45,7 +47,8 @@ from locmax.pram import (
     compaction_addresses,
     compute_cross_pointers,
 )
-from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins
+from locmax.tiebreak import _new_candidates, _raise_candidates, _reset_candidates
+from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins, weight_bits
 
 _MM_FIELDS = ("real", "integer", "pattern")
 _WEIGHT_REGIMES = ("uniform", "few_values", "all_equal", "powers")
@@ -703,6 +706,55 @@ def bsp_local_max(g: Graph, p: int, seed: int, rerandomize: bool = True):
     matched = np.nonzero(matched_ever)[0]
     trace.wall_millis = (time.perf_counter() - t0) * 1000.0
     return matching_from_edge_ids(g, matched), trace
+
+
+def slot_bsp_local_max(g: Graph, p: int, seed: int, rerandomize: bool = True):
+    """The slot-major bulk-synchronous engine, driven like ``locmax``'s.
+
+    Its round state is six arrays over the live slots (owned endpoint, far
+    endpoint and its owner, edge, weight bits, cut flag), filtered every
+    round; each slot draws its edge's salt, and the first barrier counts
+    one record per (vertex, receiving worker) over the live cut slots.
+    """
+    trace = PhaseTrace(messages=[])
+    return _drive(g, _slot_bsp_rounds(g, p, seed, rerandomize, trace.messages), trace)
+
+
+def _slot_bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool, messages: list):
+    owner = partition_graph(g, p).owner
+    cand = _new_candidates(g.num_vertices)
+    cand_id = np.full(g.num_vertices, -1, dtype=np.int64)  # each live vertex's winning edge
+    vertex_matched = np.zeros(g.num_vertices, dtype=bool)
+
+    ends, el = g.slot_vertex, g.slot_edge
+    far = (g.edge_u ^ g.edge_v)[el] ^ ends
+    far_owner = owner[far]
+    is_cut = owner[ends] != far_owner
+    wbits = weight_bits(g.edge_weight)[el]
+    round_index = 0
+    while ends.size:
+        salts = edge_salts(round_seed(seed, round_index, rerandomize), el)
+        top = np.flatnonzero(_raise_candidates(cand, ((ends, wbits, salts),))[0])
+        cand_id[ends[top]] = el[top]
+
+        cut = np.flatnonzero(is_cut)
+        records = int(np.unique(ends[cut] * p + far_owner[cut]).size)
+
+        won = top[cand_id[far[top]] == el[top]]
+        vertex_matched[ends[won]] = True
+        newly = el[won[ends[won] < far[won]]]
+        if not newly.size:
+            raise RuntimeError(
+                f"bsp: round {round_index} matched none of {ends.size // 2} live edges")
+
+        messages.append(RoundMessages(round_index, records, records * CANDIDATE_RECORD_BYTES,
+                                      cut.size // 2, cut.size))
+        alive = np.flatnonzero(~(vertex_matched[ends] | vertex_matched[far]))
+        _reset_candidates(cand, ends[alive])
+        yield ends.size // 2, newly, alive.size // 2
+        ends, far, far_owner, is_cut = ends[alive], far[alive], far_owner[alive], is_cut[alive]
+        el, wbits = el[alive], wbits[alive]
+        round_index += 1
 
 
 def rbm(g: Graph, seed: int):

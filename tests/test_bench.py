@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import locmax.bench
 from locmax.bench import (
     BENCH_COLUMNS,
     CrossCheckReport,
@@ -117,6 +118,22 @@ def test_cross_check_detects_no_mismatch():
     for row in report.rows:
         assert row.crew_conflicts == 0
         assert row.slot_ops <= row.work_budget
+
+
+def test_cross_check_flags_runs_whose_rounds_differ(monkeypatch):
+    # same matching, but the p=4 run reports one round more than seq's
+    bsp_local_max = locmax.bench.bsp_local_max
+
+    def extra_round(g, p, seed, rerandomize=True):
+        matching, trace = bsp_local_max(g, p, seed, rerandomize)
+        if p == 4:
+            trace.rounds.append(trace.rounds[-1])
+        return matching, trace
+
+    monkeypatch.setattr(locmax.bench, "bsp_local_max", extra_round)
+    report = engine_cross_check((InstanceSpec("rgg", 8),), seeds=(0,), workers=(2, 4))
+    assert not report.passed
+    assert [row.detail for row in report.rows] == ["bsp-p4:rounds"]
 
 
 def test_triangulation_fixture_shows_quality_separation():

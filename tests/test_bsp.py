@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locmax import (
     bsp_local_max,
@@ -15,7 +17,10 @@ from locmax import (
     partition_graph,
     validate_matching,
 )
-from reference import local_edges
+from locmax.generate import with_unit_weights
+from locmax.matchers import RoundStats
+from reference import local_edges, slot_bsp_local_max
+from test_equivalence import tie_graphs, worker_counts
 
 
 def test_single_worker_owns_everything(path4):
@@ -149,3 +154,52 @@ def test_messages_invariant_under_edge_orientation():
         assert trace_f.messages == trace.messages
         assert trace_f.rounds == trace.rounds
         assert matching_f.edges.tolist() == matching.edges.tolist()
+
+
+def assert_same_as_slot_major(g, p, seed, rerandomize):
+    (m, t), (want_m, want_t) = (bsp_local_max(g, p, seed, rerandomize),
+                                slot_bsp_local_max(g, p, seed, rerandomize))
+    assert m == want_m
+    assert t.rounds == want_t.rounds
+    assert t.messages == want_t.messages
+
+
+@given(tie_graphs(), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_live_edge_rounds_equal_slot_major_reference(g, seed, rerandomize):
+    for p in worker_counts(g):
+        assert_same_as_slot_major(g, p, seed, rerandomize)
+
+
+@pytest.mark.parametrize("p", [2, 4, 8])
+@pytest.mark.parametrize("x", [8, 10])
+@pytest.mark.parametrize("family", ["unit", "rgg"])
+def test_live_edge_rounds_equal_slot_major_reference_on_generated_graphs(family, x, p):
+    g = with_unit_weights(gen_random(1 << x, 4, x)) if family == "unit" else gen_rgg(x, x)
+    for rerandomize in (True, False):
+        assert_same_as_slot_major(g, p, 3, rerandomize)
+
+
+def test_barrier_records_of_a_hand_computed_run():
+    # workers own {0..3} and {4..7} (degree sums 8 and 8). Cut edges:
+    # (2,5) and (2,6), two from vertex 2 to worker 1; (7,3) and (4,3), whose
+    # worker-0 vertex 3 is on the v side. Distinct weights fix the rounds:
+    # round 0 matches (0,1) and (4,5); (2,6) and (7,3) survive and match
+    # in round 1, and (6,7) dies
+    g = build_graph_arrays(
+        np.array([0, 2, 2, 7, 4, 6, 1, 4]),
+        np.array([1, 5, 6, 3, 5, 7, 2, 3]),
+        np.array([9.0, 2.0, 3.0, 4.0, 8.0, 1.0, 5.0, 6.0]),
+        8,
+    )
+    assert partition_graph(g, 2).bounds.tolist() == [0, 4, 8]
+    for seed in (0, 1):
+        matching, trace = bsp_local_max(g, 2, seed)
+        assert matching.edges.tolist() == [0, 2, 3, 4]
+        assert trace.rounds == [RoundStats(8, 2, 5), RoundStats(3, 2, 3)]
+        # round 0: 8 (vertex, receiver) keys over 4 cut edges, of which
+        # (2, w1) and (3, w1) come twice: 6 records; round 1: (2, w1),
+        # (6, w0), (7, w0) and (3, w1). A status flag per cut slot
+        assert [(rm.candidate_records, rm.bytes_estimate, rm.cut_edges_surviving,
+                 rm.status_records) for rm in trace.messages] == [(6, 192, 4, 8), (4, 128, 2, 4)]
+        assert [rm.round_index for rm in trace.messages] == [0, 1]
