@@ -298,9 +298,12 @@ def engine_cross_check(
 
     Runs the sequential engine, the simulated-parallel engine (in checked
     mode, recording write conflicts and the work meter) and the
-    bulk-synchronous engine for every requested worker count. A run whose
-    matching differs from seq's is flagged by its engine (``bsp-p4``), one
-    whose ``RoundStats`` differ by its engine and ``:rounds``.
+    bulk-synchronous engine for every requested worker count. pram is the
+    independent engine; bsp runs seq's rounds under its message ledger, so
+    its rows check that the ledger passes the rounds through unchanged. A
+    run whose matching differs from seq's is flagged by its engine
+    (``bsp-p4``), one whose ``RoundStats`` differ by its engine and
+    ``:rounds``.
     """
     report = CrossCheckReport()
     for spec in instances:

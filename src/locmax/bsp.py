@@ -1,23 +1,21 @@
 """Partitioned bulk-synchronous local max with boundary-message accounting.
 
 Vertices are assigned to workers in contiguous ranges (balanced by degree
-sums), and every edge is stored at both endpoint owners: each worker holds
-one slot per owned endpoint of each live edge, so it settles the candidate
-of any vertex it owns from local data alone, by the staged (weight, salt)
-maximum the sequential engine uses. What crosses the network per round is
-(a) candidate records for the endpoints of surviving cut edges, exchanged
-at the first barrier so both owners of a cut edge reach the same match
-verdict, and (b) matched-status flags for cut-edge endpoints at the second
-barrier so both owners agree which edges die. The matching is identical to
-the sequential result for every worker count, because all decisions flow
-from the shared key order.
+sums), and every edge is stored at both endpoint owners, so a worker
+settles the candidate of any vertex it owns from local data alone. A BSP
+round is therefore a round of the sequential engine: the same staged
+(weight, salt) maximum, the same win rule and the same survivors, and the
+matching is identical for every worker count. The engine runs those rounds
+(:func:`locmax.matchers._local_max_rounds`) and adds a ledger of what
+would cross the network between the p workers in each round: (a) candidate
+records for the endpoints of surviving cut edges, exchanged at the first
+barrier so both owners of a cut edge reach the same match verdict, and
+(b) matched-status flags for cut-edge endpoints at the second barrier so
+both owners agree which edges die.
 
-Workers here are logical. The round state is kept per live edge: its id,
-endpoints, their owners and weight bits. The u-side and v-side slots of
-the live edges, taken together, are the live slot array, and every
-superstep is simulated as one pass over both sides in which each slot
-writes only to its own vertex: what its owner computes alone. The message
-accounting always reflects the requested partition.
+Workers here are logical. The ledger is computed once per run from the
+round in which each vertex was matched: a cut edge survives into every
+round up to the earlier of its endpoints' match rounds.
 """
 
 from __future__ import annotations
@@ -27,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, Matching
-from .matchers import PhaseTrace, Rounds, _drive
-from .tiebreak import _new_candidates, _raise_candidates, _reset_candidates
-from .tiebreak import edge_salts, round_seed, weight_bits
+from .matchers import PhaseTrace, Rounds, _drive, _local_max_rounds
 
 #: Bytes per candidate record: vertex id, weight, salt, edge id.
 CANDIDATE_RECORD_BYTES = 32
@@ -93,12 +89,6 @@ def partition_graph(g: Graph, p: int) -> Partition:
     return Partition(p, bounds, owner, cut, cut_fraction, imbalance)
 
 
-def _distinct_count(keys: np.ndarray) -> int:
-    """Number of distinct values: sort, then count the steps between neighbours."""
-    k = np.sort(keys)
-    return int(k.size and 1 + np.count_nonzero(k[1:] != k[:-1]))
-
-
 def bsp_local_max(
     g: Graph,
     p: int,
@@ -107,13 +97,10 @@ def bsp_local_max(
 ) -> tuple[Matching, PhaseTrace]:
     """Bulk-synchronous local max over a p-way contiguous partition.
 
-    Per round and per worker: settle the candidates of owned vertices from
-    their live incidences; after the first barrier (candidate exchange for
-    cut edges) every owner of an edge reaches the same match verdict; after
-    the second barrier (matched-status exchange) dead local edges are
-    dropped and surviving candidates reset. The returned matching equals
-    ``local_max_seq(g, seed)`` for every p, and ``trace.messages`` holds
-    one :class:`RoundMessages` per round.
+    The rounds are those of ``local_max_seq(g, seed, rerandomize)``, so the
+    matching and ``trace.rounds`` equal seq's for every p; ``trace.messages``
+    holds one :class:`RoundMessages` per round, the records that cross the
+    partition's boundaries at the two barriers of that round.
     """
     trace = PhaseTrace(messages=[])
     return _drive(g, _bsp_rounds(g, p, seed, rerandomize, trace.messages), trace)
@@ -121,47 +108,43 @@ def bsp_local_max(
 
 def _bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool,
                 messages: list[RoundMessages]) -> Rounds:
-    owner = partition_graph(g, p).owner
-    cand = _new_candidates(g.num_vertices)
-    vertex_matched = np.zeros(g.num_vertices, dtype=bool)
+    """Seq's rounds, passed through unchanged, then the run's message ledger."""
+    part = partition_graph(g, p)
+    # an unmatched vertex keeps n, later than any round
+    matched_round = np.full(g.num_vertices, g.num_vertices, dtype=np.int64)
+    rounds = 0
+    for before, won, after in _local_max_rounds(g, seed, rerandomize):
+        matched_round[g.edge_u[won]] = rounds
+        matched_round[g.edge_v[won]] = rounds
+        yield before, won, after
+        rounds += 1
+    messages.extend(_round_messages(g, part, matched_round, rounds))
 
-    # the live edges, filtered together as edges die: ids, endpoints, the
-    # endpoints' owners and weight bits. The u-side slots sit at ``ou``,
-    # the v-side slots at ``ov``; an edge is cut when those differ
-    live = np.arange(g.num_edges, dtype=np.int64)
-    us, vs = g.edge_u, g.edge_v
-    ou, ov = owner[us], owner[vs]
-    wbits = weight_bits(g.edge_weight)
-    round_index = 0
-    while live.size:
-        # superstep 1: each slot raises its own vertex's candidate, so a
-        # worker settles its owned vertices from its own slots
-        salts = edge_salts(round_seed(seed, round_index, rerandomize), live)
-        top_u, top_v = _raise_candidates(cand, ((us, wbits, salts), (vs, wbits, salts)))
-        del salts  # not read again this round
 
-        # barrier 1: candidate records for the endpoints of live cut edges,
-        # one per (vertex, receiving worker), from both sides of each edge
-        cut = np.flatnonzero(ou != ov)
-        records = _distinct_count(np.concatenate((us[cut] * p + ov[cut], vs[cut] * p + ou[cut])))
+def _round_messages(g: Graph, part: Partition, matched_round: np.ndarray,
+                    rounds: int) -> list[RoundMessages]:
+    """The records each round sends across the partition's boundaries.
 
-        # superstep 2: an edge wins iff it holds the candidate at both
-        # endpoints; the owner of each side learns the far flag through
-        # the record of a cut edge
-        won = top_u & top_v
-        if not won.any():
-            raise RuntimeError(
-                f"bsp: round {round_index} matched none of {live.size} live edges")
-        vertex_matched[us[won]] = True
-        vertex_matched[vs[won]] = True
-
-        # barrier 2: a matched-status flag per live cut slot; superstep 3:
-        # drop edges with a matched endpoint, reset survivors' candidates
-        messages.append(RoundMessages(round_index, records, records * CANDIDATE_RECORD_BYTES,
-                                      cut.size, 2 * cut.size))
-        alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
-        _reset_candidates(cand, us[alive], vs[alive])
-        yield live.size, live[won], alive.size
-        live, us, vs = live[alive], us[alive], vs[alive]
-        ou, ov, wbits = ou[alive], ov[alive], wbits[alive]
-        round_index += 1
+    A cut edge is live up to the earlier match round of its endpoints
+    (finite, as the matching is maximal). At barrier 1 each live cut edge
+    sends a candidate record to the far owner of each endpoint, one per
+    (vertex, receiving worker) key, so a key is live as long as its
+    longest-lived cut edge; barrier 2 sends a status flag per live cut slot.
+    """
+    owner, cut, p = part.owner, part.cut_edges, part.num_workers
+    us, vs = g.edge_u[cut], g.edge_v[cut]
+    life = np.minimum(matched_round[us], matched_round[vs])
+    # one sort of the keys, each packed above the life of its edge: the
+    # last entry of a key's run holds the key's life
+    shift = rounds.bit_length()
+    packed = np.concatenate((us * p + owner[vs], vs * p + owner[us])) << shift
+    packed |= np.tile(life, 2)
+    packed.sort()
+    key = packed >> shift
+    last = np.ones(packed.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    key_life = packed[np.flatnonzero(last)] & ((1 << shift) - 1)
+    records, edges = (np.bincount(lives, minlength=rounds)[::-1].cumsum()[::-1].tolist()
+                      for lives in (key_life, life))
+    return [RoundMessages(r, rec, rec * CANDIDATE_RECORD_BYTES, e, 2 * e)
+            for r, (rec, e) in enumerate(zip(records, edges))]

@@ -94,7 +94,8 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
 
 
 def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
-    """Local max on all edges of ``g``.
+    """Local max on all edges of ``g``: the rounds of both ``local_max_seq``
+    and ``bsp_local_max``, which adds its message ledger around them.
 
     Endpoints and weight bits are gathered once and filtered with the live
     set, and so are the salts unless ``rerandomize`` draws new ones every

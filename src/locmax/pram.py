@@ -127,7 +127,7 @@ def compute_cross_pointers(state: PramState, log: WriteLog | None = None) -> Non
     other cell of its edge. The 2m slots write into 2m cells, so the
     writes are exclusive exactly when every cell gets written; an
     incidence whose two slots claim the same side of an edge leaves a cell
-    empty and is rejected.
+    empty and is rejected, and so is a slot at neither end of its edge.
     """
     m = state.num_edges
     slot_edge = state.slot_edge
@@ -147,6 +147,10 @@ def compute_cross_pointers(state: PramState, log: WriteLog | None = None) -> Non
         log.record("cross/cell-writes", "edge.cells", cell)
     if np.any(cells < 0):
         raise ValueError("inconsistent incidence: two slots claim the same side of an edge")
+    # cell 2e holds the slot at edge e's smaller end, so cell 2e + 1 must
+    # hold the one at its larger end
+    if not np.array_equal(state.slot_vertex[cells[1::2]], np.maximum(state.edge_u, state.edge_v)):
+        raise ValueError("inconsistent incidence: a slot sits at neither end of its edge")
     cell ^= 1  # the partner's cell
     state.cross = cells[cell]
     if log is not None:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import locmax.bsp
 import locmax.matchers
 import locmax.pram
 import reference as ref
@@ -311,6 +310,26 @@ def test_every_matcher_handles_empty_graph(name):
     assert check.valid and check.maximal
 
 
+EMPTY_GRAPH_ENGINES = {
+    "seq": lambda g: local_max_seq(g, 0),
+    "pram": lambda g: pram_local_max(g, 0, checked=True),
+    "pram-unchecked": lambda g: pram_local_max(g, 0),
+    **{f"bsp-p{p}": (lambda g, p=p: bsp_local_max(g, p, 0)) for p in (1, 2, 4)},
+}
+
+
+@pytest.mark.parametrize("engine", sorted(EMPTY_GRAPH_ENGINES))
+def test_every_engine_handles_empty_graph(engine):
+    """No edges means no rounds; bsp's ledger then holds no messages."""
+    g = build_graph([], num_vertices=4)
+    matching, trace = EMPTY_GRAPH_ENGINES[engine](g)
+    assert matching.edges.tolist() == []
+    assert trace.rounds == []
+    assert trace.messages == ([] if engine.startswith("bsp") else None)
+    check = validate_matching(g, matching)
+    assert check.valid and check.maximal
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_all_matchers_valid_and_maximal(data):
@@ -463,14 +482,17 @@ def _zero_totals(state):
 
 
 # engine: (module, the kernel it calls, a broken kernel under which nothing
-# wins, the run, kernel calls per round)
+# wins, the run, kernel calls per round, the round loop named in the error).
+# bsp runs seq's rounds, so its row checks that the error passes through.
 NOTHING_WINS = {
-    "seq": (locmax.matchers, "_raise_candidates", _no_flags, lambda g: local_max_seq(g, 1), 1),
+    "seq": (locmax.matchers, "_raise_candidates", _no_flags,
+            lambda g: local_max_seq(g, 1), 1, "seq"),
     "pram": (locmax.pram, "_vertex_totals", _zero_totals,
-             lambda g: pram_local_max(g, 1, checked=True), 1),
+             lambda g: pram_local_max(g, 1, checked=True), 1, "pram"),
     "pram-unchecked": (locmax.pram, "_vertex_totals", _zero_totals,
-                       lambda g: pram_local_max(g, 1), 1),
-    "bsp": (locmax.bsp, "_raise_candidates", _no_flags, lambda g: bsp_local_max(g, 4, 1), 1),
+                       lambda g: pram_local_max(g, 1), 1, "pram"),
+    "bsp": (locmax.matchers, "_raise_candidates", _no_flags,
+            lambda g: bsp_local_max(g, 4, 1), 1, "seq"),
 }
 
 
@@ -479,7 +501,7 @@ def test_round_that_matches_nothing_raises(monkeypatch, engine):
     """The heaviest live edge always wins its round, so a round with live
     edges that matches nothing is a defect: the engine raises at once
     instead of running the same round forever."""
-    module, name, broken, run, per_round = NOTHING_WINS[engine]
+    module, name, broken, run, per_round, prefix = NOTHING_WINS[engine]
     calls = []
 
     def kernel(*args):
@@ -489,7 +511,6 @@ def test_round_that_matches_nothing_raises(monkeypatch, engine):
 
     monkeypatch.setattr(module, name, kernel)
     g = with_unit_weights(gen_random(64, 2, seed=1))
-    prefix = engine.partition("-")[0]
     with pytest.raises(RuntimeError, match=f"^{prefix}: round 0 matched none of {g.num_edges} "):
         run(g)
     assert len(calls) == per_round

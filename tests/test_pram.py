@@ -99,6 +99,16 @@ def test_cross_rejects_two_slots_on_one_side(slot_vertex, clashing_cells):
     assert [cell for _, _, cell in log.samples] == clashing_cells
 
 
+def test_cross_rejects_slot_at_neither_end():
+    # slot 1 sits at vertex 2, neither end of edge 0, yet it claims edge 0's
+    # larger side, so every cell is written exactly once
+    s = PramState.from_graph(build_graph([(0, 1, 1.0), (2, 3, 2.0)]))
+    assert s.slot_edge.tolist() == [0, 0, 1, 1]
+    s.slot_vertex = np.array([0, 2, 2, 3])
+    with pytest.raises(ValueError, match="inconsistent incidence: a slot sits at neither end"):
+        compute_cross_pointers(s)
+
+
 @pytest.mark.parametrize("bad_edge", [-1, -6, 3, 7])
 def test_cross_rejects_slot_edge_ids_out_of_range(triangle, bad_edge):
     s = PramState.from_graph(triangle)
