@@ -23,16 +23,16 @@ class OracleResult:
     instances_enumerated: int    # search-tree nodes explored
 
 
-def max_weight_matching_bruteforce(g: Graph, max_edges: int = ORACLE_EDGE_CAP) -> OracleResult:
+def max_weight_matching_bruteforce(g: Graph) -> OracleResult:
     """Exact optimum by include/exclude branching over edges.
 
     Edges are visited in decreasing weight order; a branch is cut when the
     remaining total weight cannot beat the incumbent. Refuses instances
-    with more than ``max_edges`` edges.
+    with more than ``ORACLE_EDGE_CAP`` edges.
     """
     m = g.num_edges
-    if m > max_edges:
-        raise ValueError(f"instance too large for the oracle: m={m} > {max_edges}")
+    if m > ORACLE_EDGE_CAP:
+        raise ValueError(f"instance too large for the oracle: m={m} > {ORACLE_EDGE_CAP}")
     weight, eu, ev = g.edge_weight.tolist(), g.edge_u.tolist(), g.edge_v.tolist()
     order = sorted(range(m), key=lambda k: -weight[k])
     w = [weight[k] for k in order]
@@ -96,10 +96,10 @@ _AUDIT_MAX_VERTICES = 12
 _AUDIT_PAIRS = np.triu_indices(_AUDIT_MAX_VERTICES, k=1)
 
 
-def random_audit_instance(rng: np.random.Generator, max_edges: int = ORACLE_EDGE_CAP) -> Graph:
+def random_audit_instance(rng: np.random.Generator) -> Graph:
     """Small random graph in mixed weight regimes, ties included on purpose."""
     n = int(rng.integers(2, _AUDIT_MAX_VERTICES + 1))
-    cap = min(max_edges, n * (n - 1) // 2)
+    cap = min(ORACLE_EDGE_CAP, n * (n - 1) // 2)
     m = int(rng.integers(0, cap + 1))
     inside = _AUDIT_PAIRS[1] < n
     lo, hi = _AUDIT_PAIRS[0][inside], _AUDIT_PAIRS[1][inside]

@@ -5,9 +5,9 @@ per-vertex incidence slots) and runs each phase as a fixed sequence of
 whole-array passes: draw per-edge keys, take each vertex's maximum key with
 segmented reductions whose totals land at the vertex, match edges that win
 at both endpoints via cross pointers, mark the matched vertices from the
-winner slots, then compact the edge and slot arrays with prefix sums,
-carrying the cross pointers through the new slot addresses, and rebuild
-the offsets. One pass corresponds to one simulated parallel step.
+winner slots, then compact the edge and slot arrays with prefix sums that
+also carry the cross pointers and shift the offsets. One pass corresponds
+to one simulated parallel step.
 
 In checked mode every shared-array write of a step is recorded, and two
 writes landing on the same cell within one step count as an exclusive-write
@@ -170,14 +170,14 @@ def compaction_addresses(delete_flags: np.ndarray) -> np.ndarray:
 
 def _vertex_totals(state: PramState):
     """The segment layout (the vertices with live slots, where their segments
-    start) as a function reducing a per-slot value over each vertex's
-    segment; the total lands at the vertex, and other vertices hold 0."""
+    start) as a function taking the maximum of a per-slot value over each
+    vertex's segment, which lands at the vertex; other vertices hold 0."""
     busy = np.flatnonzero(state.offsets[1:] != state.offsets[:-1])
     starts = state.offsets[busy]
 
-    def totals(slot_value: np.ndarray, op=np.maximum) -> np.ndarray:
+    def totals(slot_value: np.ndarray) -> np.ndarray:
         total = np.zeros(state.num_vertices, dtype=slot_value.dtype)
-        total[busy] = op.reduceat(slot_value, starts)
+        total[busy] = np.maximum.reduceat(slot_value, starts)
         return total
     return totals
 
@@ -195,8 +195,8 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     mark their vertices matched, and every edge reads the marks at its
     endpoints, (5) prefix sums over edge and slot deletion flags give every
     survivor its compacted address, (6) survivors copy over, slot and cross
-    pointers are rewritten through the new addresses, and offsets are
-    rebuilt from the surviving degrees. Checked mode also recomputes the
+    pointers are rewritten through the new addresses, and each offset
+    drops by the slots deleted before it. Checked mode also recomputes the
     cross pointers through the edge cells and compares them with the
     carried ones.
     """
@@ -233,10 +233,11 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     if log is not None:
         log.record("spread/edge-writes", "edge.flag", state.slot_edge[state.min_side])
 
-    # step 5: prefix sums give each survivor its new address
+    # step 5: prefix sums give survivors new addresses; the slots' (exclusive) also moves offsets
     dead_slot = dead_edge[state.slot_edge]
     new_edge_index = compaction_addresses(dead_edge)
-    new_slot_index = compaction_addresses(dead_slot)
+    dead_before = np.concatenate(([0], np.cumsum(dead_slot, dtype=np.int64)))
+    new_slot_index = np.arange(state.num_slots) - dead_before[:-1]
 
     # step 6: compact edges and slots, rewrite pointers
     keep_e = np.flatnonzero(~dead_edge)
@@ -256,8 +257,7 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     state.cross = new_slot_index[state.cross[keep_s]]
     state.min_side = state.min_side[keep_s]
 
-    surviving_deg = np.bincount(state.slot_vertex, minlength=state.num_vertices)
-    state.offsets = np.concatenate([[0], np.cumsum(surviving_deg)]).astype(np.int64)
+    state.offsets = state.offsets - dead_before[state.offsets]
     if log is not None:
         carried = state.cross, state.min_side
         compute_cross_pointers(state, log)

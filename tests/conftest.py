@@ -1,4 +1,4 @@
-"""Shared fixtures and reference implementations used as test oracles."""
+"""Shared fixtures, a random edge-list helper and the local-dominance count."""
 
 from __future__ import annotations
 
@@ -53,32 +53,3 @@ def undominated_edges(g: Graph, matching: Matching) -> int:
     at[g.edge_u[ids]] = at[g.edge_v[ids]] = g.edge_weight[ids]
     w = g.edge_weight
     return int(np.count_nonzero((w > at[g.edge_u]) & (w > at[g.edge_v])))
-
-
-def naive_validate(g: Graph, matching: Matching) -> tuple[bool, bool]:
-    """O(m*n) reference for validate_matching."""
-    used: set[int] = set()
-    for k in matching.edges:
-        if not 0 <= k < g.num_edges:
-            return False, False
-        u, v = g.endpoints(k)
-        if u in used or v in used:
-            return False, False
-        used.add(u)
-        used.add(v)
-    for v in range(g.num_vertices):
-        expected = -1
-        for k in matching.edges:
-            a, b = g.endpoints(k)
-            if v == a:
-                expected = b
-            elif v == b:
-                expected = a
-        if matching.mate[v] != expected:
-            return False, False
-    maximal = True
-    for k in range(g.num_edges):
-        u, v = g.endpoints(k)
-        if u not in used and v not in used:
-            maximal = False
-    return True, maximal

@@ -10,13 +10,9 @@ the path-end tables replaced, and the brute-force oracle as it was before
 its bookkeeping was trimmed. The tests check the package against them
 array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
-independent statement of the key order, and ``incident_edges`` and
-``segmented_broadcast``, which only tests and the reference PRAM phase read,
-``scratch_cross_pointers``, the four-step exchange through one scratch
-cell per edge that the two-step exchange through per-side edge cells in
-``locmax.pram.compute_cross_pointers`` replaced, and
-``slot_bsp_local_max``, the bulk-synchronous engine over live slot arrays
-that ``locmax.bsp``'s live-edge arrays replaced.
+independent statement of the key order, and so do ``incident_edges``,
+which only tests read, and ``segmented_broadcast``, which only the
+reference PRAM phase reads.
 
 Deliberate differences from the original loops, which the package shares:
 ``read_matrix_market`` rejects NaN and infinite entries at their line, and
@@ -38,7 +34,7 @@ import numpy as np
 from locmax import Graph, Matching, MatchingCheck, matching_from_edge_ids
 from locmax.bsp import CANDIDATE_RECORD_BYTES, RoundMessages, partition_graph
 from locmax.generate import _morton_order, rgg_threshold
-from locmax.matchers import PhaseTrace, RbmDidNotConverge, RoundStats, _drive
+from locmax.matchers import PhaseTrace, RbmDidNotConverge, RoundStats
 from locmax.oracle import OracleResult
 from locmax.pram import (
     PramState,
@@ -47,8 +43,7 @@ from locmax.pram import (
     compaction_addresses,
     compute_cross_pointers,
 )
-from locmax.tiebreak import _new_candidates, _raise_candidates, _reset_candidates
-from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins, weight_bits
+from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins
 
 _MM_FIELDS = ("real", "integer", "pattern")
 _WEIGHT_REGIMES = ("uniform", "few_values", "all_equal", "powers")
@@ -497,44 +492,11 @@ def tie_key(edge_id: int, weight: float, round_seed_value: int) -> TieKey:
     return TieKey(float(weight), salt, int(edge_id))
 
 
-def segmented_broadcast(state: PramState, per_edge_value: np.ndarray, op=np.maximum) -> np.ndarray:
-    """Reduce a per-edge value over each vertex's incident edges and deliver
-    the segment total to every slot of the segment.
-
-    Segments are the per-vertex slot ranges given by the offsets; ``op``
-    must be an associative numpy ufunc (max, add, ...).
-    """
-    return _vertex_totals(state)(per_edge_value[state.slot_edge], op)[state.slot_vertex]
-
-
-def scratch_cross_pointers(state: PramState) -> tuple[np.ndarray, np.ndarray]:
-    """The partner slot of every slot and the min-side marks, as ``(cross,
-    min_side)``, by two write/read step pairs through a per-edge scratch
-    cell: the endpoint with the smaller vertex id deposits its slot index
-    and the larger-id endpoint reads it, then the roles swap."""
-    m = state.num_edges
-    if state.slot_edge.size != 2 * m:
-        raise ValueError("slot array length disagrees with the edge count")
-    if m == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    counts = np.bincount(state.slot_edge, minlength=m)
-    if not np.all(counts == 2):
-        raise ValueError("inconsistent incidence: some edge is not referenced exactly twice")
-    lo = np.minimum(state.edge_u, state.edge_v)
-    min_side = state.slot_vertex == lo[state.slot_edge]
-    if int(min_side.sum()) != m:
-        raise ValueError("inconsistent incidence: endpoints and slot owners disagree")
-    min_slots = np.flatnonzero(min_side)
-    max_slots = np.flatnonzero(~min_side)
-    min_edges = state.slot_edge[min_slots]
-    max_edges = state.slot_edge[max_slots]
-    scratch = np.full(m, -1, dtype=np.int64)
-    cross = np.empty(2 * m, dtype=np.int64)
-    scratch[min_edges] = min_slots
-    cross[max_slots] = scratch[max_edges]
-    scratch[max_edges] = max_slots
-    cross[min_slots] = scratch[min_edges]
-    return cross, min_side
+def segmented_broadcast(state: PramState, per_edge_value: np.ndarray) -> np.ndarray:
+    """The maximum of a per-edge value over each vertex's incident edges,
+    delivered to every slot of the vertex's segment (the per-vertex slot
+    range given by the offsets)."""
+    return _vertex_totals(state)(per_edge_value[state.slot_edge])[state.slot_vertex]
 
 
 def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:
@@ -546,7 +508,7 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
 
     salts = edge_salts(round_seed_value, state.edge_orig)
     ranks = key_ranks(state.edge_weight, salts, state.edge_orig)
-    best = segmented_broadcast(state, ranks, np.maximum)
+    best = segmented_broadcast(state, ranks)
 
     lo = np.minimum(state.edge_u, state.edge_v)
     min_side = state.slot_vertex == lo[state.slot_edge]
@@ -561,7 +523,7 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
         log.record("match/flag-writes", "edge.flag", matched_edges)
     matched_orig = state.edge_orig[matched_edges]
 
-    spread = segmented_broadcast(state, flags, np.maximum)
+    spread = segmented_broadcast(state, flags)
     min_slots = idx[min_side]
     dead_edge = np.zeros(m, dtype=bool)
     dead_edge[state.slot_edge[min_slots]] = (
@@ -706,55 +668,6 @@ def bsp_local_max(g: Graph, p: int, seed: int, rerandomize: bool = True):
     matched = np.nonzero(matched_ever)[0]
     trace.wall_millis = (time.perf_counter() - t0) * 1000.0
     return matching_from_edge_ids(g, matched), trace
-
-
-def slot_bsp_local_max(g: Graph, p: int, seed: int, rerandomize: bool = True):
-    """The slot-major bulk-synchronous engine, driven like ``locmax``'s.
-
-    Its round state is six arrays over the live slots (owned endpoint, far
-    endpoint and its owner, edge, weight bits, cut flag), filtered every
-    round; each slot draws its edge's salt, and the first barrier counts
-    one record per (vertex, receiving worker) over the live cut slots.
-    """
-    trace = PhaseTrace(messages=[])
-    return _drive(g, _slot_bsp_rounds(g, p, seed, rerandomize, trace.messages), trace)
-
-
-def _slot_bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool, messages: list):
-    owner = partition_graph(g, p).owner
-    cand = _new_candidates(g.num_vertices)
-    cand_id = np.full(g.num_vertices, -1, dtype=np.int64)  # each live vertex's winning edge
-    vertex_matched = np.zeros(g.num_vertices, dtype=bool)
-
-    ends, el = g.slot_vertex, g.slot_edge
-    far = (g.edge_u ^ g.edge_v)[el] ^ ends
-    far_owner = owner[far]
-    is_cut = owner[ends] != far_owner
-    wbits = weight_bits(g.edge_weight)[el]
-    round_index = 0
-    while ends.size:
-        salts = edge_salts(round_seed(seed, round_index, rerandomize), el)
-        top = np.flatnonzero(_raise_candidates(cand, ((ends, wbits, salts),))[0])
-        cand_id[ends[top]] = el[top]
-
-        cut = np.flatnonzero(is_cut)
-        records = int(np.unique(ends[cut] * p + far_owner[cut]).size)
-
-        won = top[cand_id[far[top]] == el[top]]
-        vertex_matched[ends[won]] = True
-        newly = el[won[ends[won] < far[won]]]
-        if not newly.size:
-            raise RuntimeError(
-                f"bsp: round {round_index} matched none of {ends.size // 2} live edges")
-
-        messages.append(RoundMessages(round_index, records, records * CANDIDATE_RECORD_BYTES,
-                                      cut.size // 2, cut.size))
-        alive = np.flatnonzero(~(vertex_matched[ends] | vertex_matched[far]))
-        _reset_candidates(cand, ends[alive])
-        yield ends.size // 2, newly, alive.size // 2
-        ends, far, far_owner, is_cut = ends[alive], far[alive], far_owner[alive], is_cut[alive]
-        el, wbits = el[alive], wbits[alive]
-        round_index += 1
 
 
 def rbm(g: Graph, seed: int):

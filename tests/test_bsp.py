@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from locmax import (
     bsp_local_max,
@@ -17,10 +15,8 @@ from locmax import (
     partition_graph,
     validate_matching,
 )
-from locmax.generate import with_unit_weights
 from locmax.matchers import RoundStats
-from reference import local_edges, slot_bsp_local_max
-from test_equivalence import tie_graphs, worker_counts
+from reference import local_edges
 
 
 def test_single_worker_owns_everything(path4):
@@ -154,30 +150,6 @@ def test_messages_invariant_under_edge_orientation():
         assert trace_f.messages == trace.messages
         assert trace_f.rounds == trace.rounds
         assert matching_f.edges.tolist() == matching.edges.tolist()
-
-
-def assert_same_as_slot_major(g, p, seed, rerandomize):
-    (m, t), (want_m, want_t) = (bsp_local_max(g, p, seed, rerandomize),
-                                slot_bsp_local_max(g, p, seed, rerandomize))
-    assert m == want_m
-    assert t.rounds == want_t.rounds
-    assert t.messages == want_t.messages
-
-
-@given(tie_graphs(), st.integers(0, 2**32), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_live_edge_rounds_equal_slot_major_reference(g, seed, rerandomize):
-    for p in worker_counts(g):
-        assert_same_as_slot_major(g, p, seed, rerandomize)
-
-
-@pytest.mark.parametrize("p", [2, 4, 8])
-@pytest.mark.parametrize("x", [8, 10])
-@pytest.mark.parametrize("family", ["unit", "rgg"])
-def test_live_edge_rounds_equal_slot_major_reference_on_generated_graphs(family, x, p):
-    g = with_unit_weights(gen_random(1 << x, 4, x)) if family == "unit" else gen_rgg(x, x)
-    for rerandomize in (True, False):
-        assert_same_as_slot_major(g, p, 3, rerandomize)
 
 
 def test_barrier_records_of_a_hand_computed_run():

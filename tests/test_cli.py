@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
+import locmax.bench
 from locmax.cli import main
 from locmax.graphio import read_edge_list
 
@@ -171,6 +173,40 @@ def test_crosscheck_ok(capsys):
                "--seeds", "0", "1", "--p", "1", "2", "4"])
     assert rc == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_crosscheck_fails_on_mismatching_runs(monkeypatch, capsys):
+    # same matching, but the p=4 run reports one round more than seq's
+    bsp_local_max = locmax.bench.bsp_local_max
+
+    def extra_round(g, p, seed, rerandomize=True):
+        matching, trace = bsp_local_max(g, p, seed, rerandomize)
+        if p == 4:
+            trace.rounds.append(trace.rounds[-1])
+        return matching, trace
+
+    monkeypatch.setattr(locmax.bench, "bsp_local_max", extra_round)
+    assert main(["crosscheck", "--family", "rgg", "--x", "6", "--seeds", "0",
+                 "--p", "2", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("rgg-x6-wdefault-s0 seed=0: MISMATCH (bsp-p4:rounds) rounds=")
+    assert err == "FAIL 1 mismatching runs\n"
+
+
+def test_crosscheck_fails_on_exclusive_write_conflicts(monkeypatch, capsys):
+    pram_local_max = locmax.bench.pram_local_max
+
+    def clashing_write(g, seed, checked=False, rerandomize=True):
+        matching, trace = pram_local_max(g, seed, checked, rerandomize)
+        trace.write_log.record("demo", "cells", np.array([5, 5]))  # one writer too many
+        return matching, trace
+
+    monkeypatch.setattr(locmax.bench, "pram_local_max", clashing_write)
+    assert main(["crosscheck", "--family", "rgg", "--x", "6", "--seeds", "0", "1",
+                 "--p", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.count(": ok rounds=") == out.count("crew_conflicts=1 ") == 2
+    assert err == "FAIL 2 exclusive-write conflicts\n"
 
 
 def test_unknown_algorithm_rejected(capsys):

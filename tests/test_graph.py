@@ -15,7 +15,7 @@ from locmax import (
     validate_matching,
 )
 
-from conftest import naive_validate, random_graph_edges
+from conftest import random_graph_edges
 from reference import incident_edges
 
 
@@ -131,24 +131,6 @@ def test_validate_rejects_inconsistent_mate(path4):
     mate = np.full(4, -1, dtype=np.int64)
     m = Matching(np.array([0]), mate)  # edge listed but mate table empty
     assert not validate_matching(path4, m).valid
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_validate_agrees_with_naive_checker(data):
-    n = data.draw(st.integers(2, 10))
-    m = data.draw(st.integers(0, min(16, n * (n - 1) // 2)))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-    g = build_graph(random_graph_edges(rng, n, m), num_vertices=n)
-    # random (possibly invalid) candidate subsets
-    subset = [k for k in range(g.num_edges) if rng.random() < 0.4]
-    mate = np.full(n, -1, dtype=np.int64)
-    for k in subset:
-        u, v = g.endpoints(k)
-        mate[u], mate[v] = v, u
-    candidate = Matching(np.array(subset, dtype=np.int64), mate)
-    got = validate_matching(g, candidate)
-    assert (got.valid, got.maximal) == naive_validate(g, candidate)
 
 
 def test_matching_edges_sorted_read_only_whatever_the_input_order():

@@ -478,7 +478,7 @@ def _no_flags(cand, offers):
 
 
 def _zero_totals(state):
-    return lambda slot_value, op=np.maximum: np.zeros(state.num_vertices, slot_value.dtype)
+    return lambda slot_value: np.zeros(state.num_vertices, slot_value.dtype)
 
 
 # engine: (module, the kernel it calls, a broken kernel under which nothing

@@ -1,4 +1,4 @@
-"""Parallel-phase engine: cross pointers, broadcasts, compaction, equivalence."""
+"""Parallel-phase engine: cross pointers, compaction, equivalence."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locmax import (
-    bsp_local_max,
     build_graph,
     gen_random,
     gen_rgg,
@@ -27,8 +26,6 @@ from locmax.pram import (
 )
 from locmax.tiebreak import round_seed
 
-from conftest import random_graph_edges
-from reference import incident_edges, scratch_cross_pointers, segmented_broadcast
 from test_equivalence import tie_graphs
 
 
@@ -165,71 +162,11 @@ def _states_after_every_phase(g, seed):
         round_index += 1
 
 
-def _assert_cross_pointers_equal_scratch_exchange(g, seed):
-    for phases, state in enumerate(_states_after_every_phase(g, seed)):
-        fresh = dataclasses.replace(state)
-        compute_cross_pointers(fresh)
-        cross, min_side = scratch_cross_pointers(state)
-        assert np.array_equal(fresh.cross, cross)
-        assert np.array_equal(fresh.min_side, min_side)
-    return phases
-
-
-@given(tie_graphs(), st.integers(0, 10_000))
-@settings(max_examples=200, deadline=None)
-def test_cross_pointers_equal_scratch_exchange(g, seed):
-    _assert_cross_pointers_equal_scratch_exchange(g, seed)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_cross_pointers_equal_scratch_exchange_over_many_phases(seed):
-    g = with_unit_weights(gen_random(2**10, 4, seed))
-    assert _assert_cross_pointers_equal_scratch_exchange(g, seed) >= 4
-
-
 def test_write_log_counts_conflicts_when_present():
     log = WriteLog()
     log.record("demo", "cells", np.array([3, 4, 3, 3]))
     assert log.conflicts == 2  # three writers on cell 3 -> two too many
     assert log.samples[0] == ("demo", "cells", 3)
-
-
-# ------------------------------------------------------- segmented broadcast
-
-def test_broadcast_max_over_star_slots():
-    g = build_graph([(0, 1, 0.2), (0, 2, 0.9), (0, 3, 0.5)])
-    s = _state(g)
-    out = segmented_broadcast(s, s.edge_weight, np.maximum)
-    # slots of the hub vertex all receive the segment max
-    hub = slice(s.offsets[0], s.offsets[1])
-    assert np.allclose(out[hub], 0.9)
-    # each leaf has a single slot: identity passthrough of its own edge
-    for leaf, expect in ((1, 0.2), (2, 0.9), (3, 0.5)):
-        sl = slice(s.offsets[leaf], s.offsets[leaf + 1])
-        assert np.allclose(out[sl], expect)
-
-
-def test_broadcast_matches_naive_per_vertex_loop():
-    rng = np.random.default_rng(7)
-    g = build_graph(random_graph_edges(rng, 12, 20), num_vertices=12)
-    s = _state(g)
-    values = rng.random(g.num_edges)
-    out = segmented_broadcast(s, values, np.maximum)
-    for v in range(g.num_vertices):
-        incident = incident_edges(g, v)
-        if incident.size == 0:
-            continue
-        expect = values[incident].max()
-        sl = slice(s.offsets[v], s.offsets[v + 1])
-        assert np.allclose(out[sl], expect)
-
-
-def test_broadcast_supports_addition():
-    g = build_graph([(0, 1, 1.0), (0, 2, 2.0)])
-    s = _state(g)
-    out = segmented_broadcast(s, s.edge_weight, np.add)
-    hub = slice(s.offsets[0], s.offsets[1])
-    assert np.allclose(out[hub], 3.0)
 
 
 # ------------------------------------------------------------------ phases
@@ -337,26 +274,6 @@ def test_unit_weight_graph_stays_crew_clean():
     assert trace.write_log.conflicts == 0
     seq, _ = local_max_seq(g, 3)
     assert matching == seq
-
-
-@given(st.data())
-@settings(max_examples=50, deadline=None)
-def test_engines_agree_on_arbitrary_small_graphs(data):
-    """seq, pram (checked) and bsp agree edge-for-edge, ties included."""
-    n = data.draw(st.integers(2, 14))
-    cap = n * (n - 1) // 2
-    m = data.draw(st.integers(0, min(20, cap)))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-    g = build_graph(random_graph_edges(rng, n, m), num_vertices=n)
-    seed = data.draw(st.integers(0, 10_000))
-    rerandomize = data.draw(st.booleans())
-    base, _ = local_max_seq(g, seed, rerandomize)
-    par, trace = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
-    assert par == base
-    assert trace.write_log.conflicts == 0
-    for p in (1, 2, min(3, n)):
-        dist, _ = bsp_local_max(g, p, seed, rerandomize)
-        assert dist == base
 
 
 # ------------------------------------------ carried cross pointers (unchecked)
