@@ -123,7 +123,10 @@ def approximation_audit(matcher_id: str, trials: int, seed: int) -> AuditReport:
     Ratios are matcher weight over optimum (1.0 when the optimum is zero).
     A ratio below 1/2 counts as a guarantee violation only for matchers in
     HALF_APPROX_MATCHERS; validity and maximality are enforced for all.
+    Zero trials give an empty audit; a negative count is a ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     from .matchers import MATCHERS  # here, so the oracle's module imports no matcher
     matcher = MATCHERS[matcher_id]
     enforce_half = matcher_id in HALF_APPROX_MATCHERS

@@ -3,17 +3,18 @@
 The engine keeps the graph in the adjacency-array layout (edge records plus
 per-vertex incidence slots) and runs each phase as a fixed sequence of
 whole-array passes: draw per-edge keys, take each vertex's maximum key with
-segmented reductions whose totals land at the vertex, match edges that win
-at both endpoints via cross pointers, mark the matched vertices from the
-winner slots, then compact the edge and slot arrays with prefix sums that
-also carry the cross pointers and shift the offsets. One pass corresponds
-to one simulated parallel step.
+segmented reductions whose totals land at the vertex, let every slot write
+whether its edge is the heaviest at its vertex into its edge's cell on its
+side (two cells per edge), match the edges whose two cells are both set,
+mark their endpoints matched, then compact the edge and slot arrays with
+prefix sums that also carry the min-side marks and shift the offsets. One
+pass corresponds to one simulated parallel step.
 
 In checked mode every shared-array write of a step is recorded, and two
 writes landing on the same cell within one step count as an exclusive-write
-violation (there should be none). Checked mode also recomputes the cross
-pointers through the edge cells after every compaction and requires them to
-equal the carried ones.
+violation (there should be none): a layout with two slots on one side of an
+edge shows up as clashing side-cell writes. Checked mode also validates the
+whole layout after every phase.
 """
 
 from __future__ import annotations
@@ -61,11 +62,9 @@ class PramState:
     phase replaces them and never writes to them. ``edge_orig`` keeps each
     surviving edge's id in the input graph, so the per-round tie-breaking
     keys and the reported matching are immune to the renumbering done by
-    compaction. ``cross`` maps each incidence slot to the partner slot of
-    the same edge and ``min_side`` marks the slot at the smaller endpoint
-    id; :func:`compute_cross_pointers` sets both for the input graph, and
-    each phase carries them through its compaction (checked mode recomputes
-    them through the edge cells and compares).
+    compaction. ``min_side`` marks the slot at its edge's smaller endpoint
+    id, which picks the slot's cell among its edge's two side cells; it is
+    set once for the input graph and carried through each compaction.
     """
 
     num_vertices: int
@@ -76,11 +75,11 @@ class PramState:
     edge_v: np.ndarray
     edge_weight: np.ndarray
     edge_orig: np.ndarray
-    cross: np.ndarray | None = None
-    min_side: np.ndarray | None = None
+    min_side: np.ndarray
 
     @classmethod
     def from_graph(cls, g: Graph) -> "PramState":
+        lo = np.minimum(g.edge_u, g.edge_v)
         return cls(
             num_vertices=g.num_vertices,
             offsets=g.offsets,
@@ -90,6 +89,7 @@ class PramState:
             edge_v=g.edge_v,
             edge_weight=g.edge_weight,
             edge_orig=np.arange(g.num_edges, dtype=np.int64),
+            min_side=g.slot_vertex == lo[g.slot_edge],
         )
 
     @property
@@ -101,61 +101,13 @@ class PramState:
         return int(self.slot_edge.size)
 
     def check_consistent(self) -> None:
-        """Full structural validation: graph invariants + cross involution."""
+        """Full structural validation: graph invariants + min-side marks."""
         assert_graph_invariants(Graph(self.num_vertices, self.offsets, self.slot_vertex,
                                       self.slot_edge, self.edge_u, self.edge_v,
                                       self.edge_weight))
-        if self.num_slots:
-            idx = np.arange(self.num_slots, dtype=np.int64)
-            if not np.array_equal(self.cross[self.cross], idx):
-                raise ValueError("cross pointers are not an involution")
-            if not np.array_equal(self.slot_edge[self.cross], self.slot_edge):
-                raise ValueError("cross pointer leaves its edge")
-            if np.any(self.slot_vertex[self.cross] == self.slot_vertex):
-                raise ValueError("cross pointer fails to switch endpoints")
-            lo = np.minimum(self.edge_u, self.edge_v)
-            if not np.array_equal(self.min_side, self.slot_vertex == lo[self.slot_edge]):
-                raise ValueError("min-side slot marks disagree with the endpoints")
-
-
-def compute_cross_pointers(state: PramState, log: WriteLog | None = None) -> None:
-    """Make each incidence slot know the index of its partner slot.
-
-    Every edge has two cells, one per side: a slot's cell is
-    ``2 * edge + (slot is not at the smaller endpoint id)``. In one step
-    each slot writes its own index into its cell, in the next it reads the
-    other cell of its edge. The 2m slots write into 2m cells, so the
-    writes are exclusive exactly when every cell gets written; an
-    incidence whose two slots claim the same side of an edge leaves a cell
-    empty and is rejected, and so is a slot at neither end of its edge.
-    """
-    m = state.num_edges
-    slot_edge = state.slot_edge
-    if slot_edge.size != 2 * m:
-        raise ValueError("slot array length disagrees with the edge count")
-    if m and (slot_edge.min() < 0 or slot_edge.max() >= m):
-        raise ValueError("inconsistent incidence: a slot edge id is out of range")
-    lo = np.minimum(state.edge_u, state.edge_v)
-    min_side = state.slot_vertex == lo[slot_edge]
-    cell = 2 * slot_edge
-    cell += ~min_side  # in place: a fresh 2m-array here costs more than the arithmetic
-    slots = np.arange(2 * m, dtype=np.int64)
-
-    cells = np.full(2 * m, -1, dtype=np.int64)
-    cells[cell] = slots
-    if log is not None:
-        log.record("cross/cell-writes", "edge.cells", cell)
-    if np.any(cells < 0):
-        raise ValueError("inconsistent incidence: two slots claim the same side of an edge")
-    # cell 2e holds the slot at edge e's smaller end, so cell 2e + 1 must
-    # hold the one at its larger end
-    if not np.array_equal(state.slot_vertex[cells[1::2]], np.maximum(state.edge_u, state.edge_v)):
-        raise ValueError("inconsistent incidence: a slot sits at neither end of its edge")
-    cell ^= 1  # the partner's cell
-    state.cross = cells[cell]
-    if log is not None:
-        log.record("cross/cell-reads", "slot.cross", slots)
-    state.min_side = min_side
+        lo = np.minimum(self.edge_u, self.edge_v)
+        if not np.array_equal(self.min_side, self.slot_vertex == lo[self.slot_edge]):
+            raise ValueError("min-side slot marks disagree with the endpoints")
 
 
 def compaction_addresses(delete_flags: np.ndarray) -> np.ndarray:
@@ -188,19 +140,19 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     Steps: (1) per-edge keys, read by the slots, (2) which slots hold their
     vertex's heaviest key, by two segmented max reductions (weight bits,
     then salts among weight ties; salts are distinct, so the id never
-    decides) whose totals land at the vertex, (3) the smaller-id endpoint
-    matches an edge heaviest on both sides (partner checked through the
-    cross pointer) and flags it (the log records the write; no step reads
-    the flag, so no array keeps it), (4) each winner slot and its partner
-    mark their vertices matched, and every edge reads the marks at its
-    endpoints, (5) prefix sums over edge and slot deletion flags give every
-    survivor its compacted address, (6) survivors copy over, slot and cross
-    pointers are rewritten through the new addresses, and each offset
-    drops by the slots deleted before it. Checked mode also recomputes the
-    cross pointers through the edge cells and compares them with the
-    carried ones.
+    decides) whose totals land at the vertex, (3) every slot writes that
+    flag into its edge's cell on its side, ``2 * edge + (slot is not at the
+    smaller endpoint id)``, and an edge whose two cells are both set is
+    matched and flags itself (the log records the write; no step reads the
+    flag, so no array keeps it), (4) each matched edge marks both its
+    endpoints matched, and every edge reads the marks at its endpoints,
+    (5) prefix sums over edge and slot deletion flags give every survivor
+    its compacted address, (6) survivors copy over, slot edge ids are
+    rewritten through the new addresses, and each offset drops by the
+    slots deleted before it.
     """
-    if state.num_edges == 0:
+    m = state.num_edges
+    if m == 0:
         return np.empty(0, dtype=np.int64)
     totals = _vertex_totals(state)
 
@@ -214,21 +166,27 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     top &= totals(np.where(top, slot_s, 0))[state.slot_vertex] == slot_s
     del slot_w, slot_s  # not read again; freed before step 6 copies the survivors
 
-    # step 3: match edges that are heaviest at both endpoints
-    winners = np.flatnonzero(state.min_side & top & top[state.cross])  # concurrent read
-    matched_edges = state.slot_edge[winners]
+    # step 3: each slot writes its flag into its side's cell (one write per
+    # cell); edges heaviest at both endpoints have both cells set
+    cell = 2 * state.slot_edge
+    cell += ~state.min_side  # in place: a fresh 2m-array here costs more than the arithmetic
+    cells = np.zeros(2 * m, dtype=bool)
+    cells[cell] = top
+    if log is not None:
+        log.record("match/cell-writes", "edge.cells", cell)
+    matched_edges = np.flatnonzero(cells[0::2] & cells[1::2])
     if log is not None:
         log.record("match/flag-writes", "edge.flag", matched_edges)
     matched_orig = state.edge_orig[matched_edges]
 
-    # step 4: mark matched vertices from both slots of each winner (a vertex
-    # has at most one matched edge, so the writes are exclusive), then every
-    # edge incident to a matched vertex dies
+    # step 4: mark both endpoints of each matched edge (a vertex has at most
+    # one matched edge, so the writes are exclusive), then every edge
+    # incident to a matched vertex dies
     matched_vertex = np.zeros(state.num_vertices, dtype=bool)
-    matched_vertex[state.slot_vertex[winners]] = True
-    matched_vertex[state.slot_vertex[state.cross[winners]]] = True
-    if log is not None and np.count_nonzero(matched_vertex) != 2 * winners.size:
-        raise RuntimeError("pram: the winner slots do not mark 2 distinct vertices per match")
+    matched_vertex[state.edge_u[matched_edges]] = True
+    matched_vertex[state.edge_v[matched_edges]] = True
+    if log is not None and np.count_nonzero(matched_vertex) != 2 * matched_edges.size:
+        raise RuntimeError("pram: the matched edges do not mark 2 distinct vertices each")
     dead_edge = matched_vertex[state.edge_u] | matched_vertex[state.edge_v]
     if log is not None:
         log.record("spread/edge-writes", "edge.flag", state.slot_edge[state.min_side])
@@ -237,9 +195,8 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     dead_slot = dead_edge[state.slot_edge]
     new_edge_index = compaction_addresses(dead_edge)
     dead_before = np.concatenate(([0], np.cumsum(dead_slot, dtype=np.int64)))
-    new_slot_index = np.arange(state.num_slots) - dead_before[:-1]
 
-    # step 6: compact edges and slots, rewrite pointers
+    # step 6: compact edges and slots, rewrite the slots' edge ids
     keep_e = np.flatnonzero(~dead_edge)
     if log is not None:
         log.record("compact/edge-copies", "edge.records", new_edge_index[keep_e])
@@ -250,19 +207,13 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
 
     keep_s = np.flatnonzero(~dead_slot)
     if log is not None:
+        new_slot_index = np.arange(state.num_slots) - dead_before[:-1]
         log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
     state.slot_vertex = state.slot_vertex[keep_s]
     state.slot_edge = new_edge_index[state.slot_edge[keep_s]]
-    # a surviving slot's partner survives too
-    state.cross = new_slot_index[state.cross[keep_s]]
     state.min_side = state.min_side[keep_s]
 
     state.offsets = state.offsets - dead_before[state.offsets]
-    if log is not None:
-        carried = state.cross, state.min_side
-        compute_cross_pointers(state, log)
-        if not (np.array_equal(carried[0], state.cross) and np.array_equal(carried[1], state.min_side)):
-            raise RuntimeError("pram: carried cross pointers disagree with recomputed ones")
     return matched_orig
 
 
@@ -284,7 +235,7 @@ def pram_local_max(
     log = WriteLog() if checked else None
     trace = PhaseTrace(write_log=log)
     matching, _ = _drive(g, _pram_rounds(g, seed, rerandomize, log), trace)
-    # the layout and first cross pass, then each phase's live edges and their 2 slots each
+    # the layout and the min-side marks, then each phase's live edges and their 2 slots each
     live_edges = sum(r.edges_before for r in trace.rounds)
     trace.slot_ops = g.num_vertices + 3 * g.num_edges + 3 * live_edges
     return matching, trace
@@ -293,7 +244,6 @@ def pram_local_max(
 def _pram_rounds(g: Graph, seed: int, rerandomize: bool, log: WriteLog | None) -> Rounds:
     """The phases of :func:`pram_local_max`; a write log means checked mode."""
     state = PramState.from_graph(g)
-    compute_cross_pointers(state, log)
     if log is not None:
         state.check_consistent()
     round_index = 0

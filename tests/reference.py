@@ -10,9 +10,8 @@ the path-end tables replaced, and the brute-force oracle as it was before
 its bookkeeping was trimmed. The tests check the package against them
 array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
-independent statement of the key order, and so do ``incident_edges``,
-which only tests read, and ``segmented_broadcast``, which only the
-reference PRAM phase reads.
+independent statement of the key order, and so does ``incident_edges``,
+which only tests read.
 
 Deliberate differences from the original loops, which the package shares:
 ``read_matrix_market`` rejects NaN and infinite entries at their line, and
@@ -36,13 +35,7 @@ from locmax.bsp import CANDIDATE_RECORD_BYTES, RoundMessages, partition_graph
 from locmax.generate import _morton_order, rgg_threshold
 from locmax.matchers import PhaseTrace, RbmDidNotConverge, RoundStats
 from locmax.oracle import OracleResult
-from locmax.pram import (
-    PramState,
-    WriteLog,
-    _vertex_totals,
-    compaction_addresses,
-    compute_cross_pointers,
-)
+from locmax.pram import PramState, WriteLog, _vertex_totals, compaction_addresses
 from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins
 
 _MM_FIELDS = ("real", "integer", "pattern")
@@ -360,25 +353,6 @@ def radius_edges_grid(points: np.ndarray, radius: float) -> tuple[np.ndarray, np
     return np.concatenate(us), np.concatenate(vs), np.concatenate(ds)
 
 
-def radius_edges_bruteforce(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadratic all-pairs reference for :func:`radius_edges_grid`."""
-    n = points.shape[0]
-    us, vs, ds = [], [], []
-    r2 = radius * radius
-    for u in range(n):
-        diff = points[u + 1:] - points[u]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        hit = np.nonzero(d2 < r2)[0]
-        if hit.size:
-            us.append(np.full(hit.size, u, dtype=np.int64))
-            vs.append(hit + u + 1)
-            ds.append(np.sqrt(d2[hit]))
-    if not us:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), np.empty(0, dtype=np.float64)
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ds)
-
-
 def with_unit_weights(g: Graph) -> Graph:
     """Copy of the graph with every weight forced to 1.0 (cardinality runs)."""
     edges = zip(g.edge_u.tolist(), g.edge_v.tolist(), [1.0] * g.num_edges)
@@ -492,45 +466,33 @@ def tie_key(edge_id: int, weight: float, round_seed_value: int) -> TieKey:
     return TieKey(float(weight), salt, int(edge_id))
 
 
-def segmented_broadcast(state: PramState, per_edge_value: np.ndarray) -> np.ndarray:
-    """The maximum of a per-edge value over each vertex's incident edges,
-    delivered to every slot of the vertex's segment (the per-vertex slot
-    range given by the offsets)."""
-    return _vertex_totals(state)(per_edge_value[state.slot_edge])[state.slot_vertex]
-
-
 def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:
-    """One parallel local max phase with the keys encoded as dense ranks."""
+    """One parallel local max phase with the keys encoded as dense ranks.
+
+    Wins and the matched flags reach the edges through per-vertex totals
+    read at both endpoints; the side cells only name the logged writes."""
     m = state.num_edges
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    idx = np.arange(2 * m, dtype=np.int64)
+    totals = _vertex_totals(state)
 
     salts = edge_salts(round_seed_value, state.edge_orig)
     ranks = key_ranks(state.edge_weight, salts, state.edge_orig)
-    best = segmented_broadcast(state, ranks)
-
-    lo = np.minimum(state.edge_u, state.edge_v)
-    min_side = state.slot_vertex == lo[state.slot_edge]
-    slot_rank = ranks[state.slot_edge]
-    wins_here = best == slot_rank
-    wins_there = best[state.cross] == slot_rank
-    winner_slots = min_side & wins_here & wins_there
+    best = totals(ranks[state.slot_edge])
+    wins = (best[state.edge_u] == ranks) & (best[state.edge_v] == ranks)
+    if log is not None:
+        log.record("match/cell-writes", "edge.cells", 2 * state.slot_edge + ~state.min_side)
     flags = np.zeros(m, dtype=np.int64)
-    matched_edges = state.slot_edge[winner_slots]
+    matched_edges = np.flatnonzero(wins)
     flags[matched_edges] = 1
     if log is not None:
         log.record("match/flag-writes", "edge.flag", matched_edges)
     matched_orig = state.edge_orig[matched_edges]
 
-    spread = segmented_broadcast(state, flags)
-    min_slots = idx[min_side]
-    dead_edge = np.zeros(m, dtype=bool)
-    dead_edge[state.slot_edge[min_slots]] = (
-        spread[min_slots] | spread[state.cross[min_slots]]
-    ).astype(bool)
+    spread = totals(flags[state.slot_edge])
+    dead_edge = (spread[state.edge_u] | spread[state.edge_v]).astype(bool)
     if log is not None:
-        log.record("spread/edge-writes", "edge.flag", state.slot_edge[min_slots])
+        log.record("spread/edge-writes", "edge.flag", state.slot_edge[state.min_side])
 
     dead_slot = dead_edge[state.slot_edge]
     new_edge_index = compaction_addresses(dead_edge)
@@ -549,10 +511,11 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
         log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
     state.slot_vertex = state.slot_vertex[keep_s]
     state.slot_edge = new_edge_index[state.slot_edge[keep_s]]
+    lo = np.minimum(state.edge_u, state.edge_v)
+    state.min_side = state.slot_vertex == lo[state.slot_edge]
 
     surviving_deg = np.bincount(state.slot_vertex, minlength=state.num_vertices)
     state.offsets = np.concatenate([[0], np.cumsum(surviving_deg)]).astype(np.int64)
-    compute_cross_pointers(state, log)
     return matched_orig
 
 
@@ -563,7 +526,6 @@ def pram_local_max(g: Graph, seed: int, checked: bool = False, rerandomize: bool
     log = WriteLog() if checked else None
     trace = PhaseTrace(write_log=log)
     slot_ops = g.num_vertices + 3 * g.num_edges
-    compute_cross_pointers(state, log)
     if checked:
         state.check_consistent()
     matched_parts: list[np.ndarray] = []

@@ -168,6 +168,12 @@ def test_audit_exit_codes(capsys):
     assert "min_ratio" in out
 
 
+def test_audit_negative_trials_is_a_usage_error(capsys):
+    assert main(["audit", "--alg", "localmax", "--trials", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "locmax: error: trials must be >= 0, got -3\n")
+
+
 def test_crosscheck_ok(capsys):
     rc = main(["crosscheck", "--family", "random", "--x", "7", "--alpha", "4",
                "--seeds", "0", "1", "--p", "1", "2", "4"])

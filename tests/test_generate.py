@@ -10,8 +10,6 @@ import pytest
 from locmax import assert_graph_invariants, gen_random, gen_rgg, rgg_threshold
 from locmax.generate import radius_edges_grid, with_unit_weights
 
-from reference import radius_edges_bruteforce
-
 
 def _edge_set(g):
     return {
@@ -77,20 +75,6 @@ def test_rgg_mean_degree_near_expectation():
     assert 4.0 <= mean <= 9.0
 
 
-def test_rgg_grid_equals_bruteforce():
-    for seed, x in ((0, 8), (1, 10), (2, 11)):
-        rng = np.random.default_rng(seed)
-        n = 1 << x
-        pts = rng.random((n, 2))
-        r = rgg_threshold(n)
-        gu, gv, gd = radius_edges_grid(pts, r)
-        bu, bv, bd = radius_edges_bruteforce(pts, r)
-        got = sorted(zip(gu.tolist(), gv.tolist()))
-        want = sorted(zip(bu.tolist(), bv.tolist()))
-        assert got == want
-        assert np.allclose(np.sort(gd), np.sort(bd))
-
-
 def _tiny_radius_points(r):
     """Two close pairs (one at distance 0) and, where 1/r is finite, three
     close points about the row where the cell id x * s + y of a grid with
@@ -106,14 +90,9 @@ def _tiny_radius_points(r):
 @pytest.mark.parametrize("r", [1e-10, 3e-10, 1e-15, 5e-324])
 def test_grid_keeps_pairs_at_tiny_radii(r):
     # 1/r cells per side would overflow int64 cell ids; the grid caps them
-    pts = _tiny_radius_points(r)
-    gu, gv, gd = radius_edges_grid(pts, r)
-    bu, bv, bd = radius_edges_bruteforce(pts, r)
-    got = dict(zip(zip(gu.tolist(), gv.tolist()), gd.tolist()))
-    want = dict(zip(zip(bu.tolist(), bv.tolist()), bd.tolist()))
-    assert got == want
-    if r * r > 0:
-        assert set(got) == {(0, 1), (2, 3), (4, 5), (4, 6), (5, 6)}
+    u, v, _ = radius_edges_grid(_tiny_radius_points(r), r)
+    want = {(0, 1), (2, 3), (4, 5), (4, 6), (5, 6)} if r * r > 0 else set()
+    assert set(zip(u.tolist(), v.tolist())) == want
 
 
 def test_rgg_boundary_is_strict():
@@ -122,8 +101,6 @@ def test_rgg_boundary_is_strict():
     u, v, _ = radius_edges_grid(pts, 0.25)
     pairs = set(zip(u.tolist(), v.tolist()))
     assert (0, 1) not in pairs
-    bu, bv, _ = radius_edges_bruteforce(pts, 0.25)
-    assert (0, 1) not in set(zip(bu.tolist(), bv.tolist()))
 
 
 def test_rgg_deterministic_and_validates():

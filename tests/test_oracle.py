@@ -97,3 +97,8 @@ def test_audit_zero_trials_is_empty():
     assert report.trials == 0
     assert math.isnan(report.min_ratio)
     assert report.passed
+
+
+def test_audit_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials must be >= 0, got -3"):
+        approximation_audit("localmax", trials=-3, seed=0)

@@ -1,8 +1,6 @@
-"""Parallel-phase engine: cross pointers, compaction, equivalence."""
+"""Parallel-phase engine: side cells, write log, compaction, equivalence."""
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -17,149 +15,86 @@ from locmax import (
     pram_local_max,
 )
 from locmax.generate import with_unit_weights
-from locmax.pram import (
-    PramState,
-    WriteLog,
-    compaction_addresses,
-    compute_cross_pointers,
-    pram_phase,
-)
+from locmax.pram import PramState, WriteLog, compaction_addresses, pram_phase
 from locmax.tiebreak import round_seed
 
 from test_equivalence import tie_graphs
 
 
-def _state(g):
-    s = PramState.from_graph(g)
-    compute_cross_pointers(s)
+# ------------------------------------------------- side cells and write log
+
+def _two_edges_with(slot_vertex):
+    """Edges (0, 1) and (2, 3) with the slots moved to ``slot_vertex`` and
+    the min-side marks recomputed for the moved slots."""
+    s = PramState.from_graph(build_graph([(0, 1, 1.0), (2, 3, 2.0)]))
+    assert s.slot_edge.tolist() == [0, 0, 1, 1]
+    s.slot_vertex = np.array(slot_vertex)
+    s.min_side = s.slot_vertex == np.minimum(s.edge_u, s.edge_v)[s.slot_edge]
     return s
-
-
-# ------------------------------------------------------------ cross pointers
-
-def test_cross_single_edge():
-    s = _state(build_graph([(0, 1, 1.0)]))
-    assert s.cross.tolist() == [1, 0]
-
-
-def test_cross_matches_naive_partner_search(triangle):
-    s = _state(triangle)
-    for p in range(s.num_slots):
-        partners = [
-            q
-            for q in range(s.num_slots)
-            if q != p and s.slot_edge[q] == s.slot_edge[p]
-        ]
-        assert partners == [s.cross[p]]
-
-
-def test_cross_is_involution_on_random_graph():
-    g = gen_random(128, 4, seed=1)
-    s = _state(g)
-    s.check_consistent()
-
-
-def test_cross_logs_no_conflicts(triangle):
-    log = WriteLog()
-    s = PramState.from_graph(triangle)
-    compute_cross_pointers(s, log)
-    assert log.conflicts == 0
-    # one step writes the 2m edge cells, one writes the 2m slot pointers
-    assert log.steps == 2
-    assert log.writes == 4 * triangle.num_edges
-
-
-def test_cross_rejects_inconsistent_incidence(triangle):
-    s = PramState.from_graph(triangle)
-    bad = s.slot_edge.copy()
-    where = int(np.nonzero(bad != 1)[0][0])
-    bad[where] = 1  # edge 1 now referenced three times, another only once
-    s.slot_edge = bad
-    with pytest.raises(ValueError, match="inconsistent"):
-        compute_cross_pointers(s)
 
 
 @pytest.mark.parametrize("slot_vertex, clashing_cells", [
     # each edge is referenced twice and m slots sit at a smaller endpoint,
     # but edge 0 has both slots at vertex 0 and edge 1 both at vertex 3
-    ([0, 0, 3, 3], [0, 3]),
+    pytest.param([0, 0, 3, 3], [0, 3], id="both-slots-at-one-end"),
     # edge 0's first slot sits at neither endpoint, so it claims the larger side
-    ([2, 1, 2, 3], [1]),
+    pytest.param([2, 1, 2, 3], [1], id="slot-at-neither-end"),
 ])
-def test_cross_rejects_two_slots_on_one_side(slot_vertex, clashing_cells):
-    s = PramState.from_graph(build_graph([(0, 1, 1.0), (2, 3, 2.0)]))
-    s.slot_vertex = np.array(slot_vertex)
+def test_checked_phase_logs_two_slots_on_one_side(slot_vertex, clashing_cells):
     log = WriteLog()
-    with pytest.raises(ValueError, match="inconsistent"):
-        compute_cross_pointers(s, log)
+    pram_phase(_two_edges_with(slot_vertex), round_seed(0, 0), log)
     # cell 2e belongs to edge e's slot at its smaller endpoint, 2e + 1 to the other
-    assert [cell for _, _, cell in log.samples] == clashing_cells
-
-
-def test_cross_rejects_slot_at_neither_end():
-    # slot 1 sits at vertex 2, neither end of edge 0, yet it claims edge 0's
-    # larger side, so every cell is written exactly once
-    s = PramState.from_graph(build_graph([(0, 1, 1.0), (2, 3, 2.0)]))
-    assert s.slot_edge.tolist() == [0, 0, 1, 1]
-    s.slot_vertex = np.array([0, 2, 2, 3])
-    with pytest.raises(ValueError, match="inconsistent incidence: a slot sits at neither end"):
-        compute_cross_pointers(s)
-
-
-@pytest.mark.parametrize("bad_edge", [-1, -6, 3, 7])
-def test_cross_rejects_slot_edge_ids_out_of_range(triangle, bad_edge):
-    s = PramState.from_graph(triangle)
-    s.slot_edge = s.slot_edge.copy()
-    s.slot_edge[0] = bad_edge
-    with pytest.raises(ValueError):
-        compute_cross_pointers(s)
-
-
-def _slots_of_two_edges(s):
-    return (np.flatnonzero(s.slot_edge == e) for e in (0, 1))
-
-
-def _swap_partners(s):
-    a, b = _slots_of_two_edges(s)
-    s.cross[a[0]], s.cross[b[0]] = s.cross[b[0]], s.cross[a[0]]
-
-
-def _pair_across_edges(s):
-    a, b = _slots_of_two_edges(s)
-    s.cross[a], s.cross[b] = b[::-1], a[::-1]
-
-
-def _point_at_self(s):
-    s.cross = np.arange(s.num_slots)
+    assert [cell for step, _, cell in log.samples if step == "match/cell-writes"] == clashing_cells
 
 
 def _flip_min_side(s):
     s.min_side = ~s.min_side
 
 
+def _slot_at_neither_end(s):
+    # slot 1 sits at vertex 2, neither end of edge 0, yet it still claims
+    # edge 0's larger side, so every side cell would be written once
+    s.slot_vertex = np.array([0, 2, 2, 3])
+
+
+def _slot_edge_id(bad_edge):
+    def corrupt(s):
+        s.slot_edge = s.slot_edge.copy()
+        s.slot_edge[0] = bad_edge
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
-    (_swap_partners, "not an involution"),
-    (_pair_across_edges, "leaves its edge"),
-    (_point_at_self, "fails to switch endpoints"),
-    (_flip_min_side, "min-side slot marks disagree"),
+    pytest.param(_flip_min_side, "min-side slot marks disagree", id="flipped-min-side"),
+    pytest.param(_slot_at_neither_end, "slot_vertex disagrees", id="slot-at-neither-end"),
+    *(pytest.param(_slot_edge_id(e), "edge id out of range", id=f"slot-edge-{e}")
+      for e in (-1, -6, 2, 7)),
 ])
-def test_check_consistent_rejects_bad_pointers(triangle, corrupt, message):
-    s = _state(triangle)
+def test_check_consistent_rejects_bad_layouts(corrupt, message):
+    s = _two_edges_with([0, 1, 2, 3])
     s.check_consistent()
     corrupt(s)
     with pytest.raises(ValueError, match=message):
         s.check_consistent()
 
 
-def _states_after_every_phase(g, seed):
-    """The unchecked run's state on the input graph and after each phase."""
-    state = _state(g)
-    yield state
-    round_index = 0
-    while state.num_edges:
-        pram_phase(state, round_seed(seed, round_index))
-        yield state
-        round_index += 1
+def _write_log_figures(g):
+    log = pram_local_max(g, 0, checked=True)[1].write_log
+    return log.steps, log.writes, log.conflicts
+
+
+def test_checked_write_log_of_the_triangle(triangle):
+    # one phase of 5 steps: 6 cell writes, 1 match flag (the weight-3 edge),
+    # 3 spread writes, and no survivors to copy
+    assert _write_log_figures(triangle) == (5, 10, 0)
+
+
+def test_checked_write_log_of_a_path():
+    # phase 1: 10 cell writes, 2 match flags (both weight-5 ends), 5 spread
+    # writes, then the weight-1 middle edge and its 2 slots copy over;
+    # phase 2: 2 cell writes, 1 match flag, 1 spread write, no copies
+    g = build_graph([(0, 1, 5.0), (1, 2, 4.0), (2, 3, 1.0), (3, 4, 4.0), (4, 5, 5.0)])
+    assert _write_log_figures(g) == (10, 24, 0)
 
 
 def test_write_log_counts_conflicts_when_present():
@@ -180,7 +115,7 @@ def test_compaction_addresses_frozen_example():
 
 
 def test_phase_on_triangle_clears_graph(triangle):
-    s = _state(triangle)
+    s = PramState.from_graph(triangle)
     matched = pram_phase(s, round_seed(0, 0))
     assert matched.tolist() == [2]  # the weight-3 edge
     assert s.num_edges == 0
@@ -193,7 +128,7 @@ def test_phase_matches_sequential_first_round():
 
     for seed in range(5):
         g = gen_random(256, 4, seed=seed)
-        s = _state(g)
+        s = PramState.from_graph(g)
         matched = set(pram_phase(s, round_seed(seed, 0)).tolist())
         # independent reconstruction of the round-1 matched set: an edge is
         # matched iff it is the key-max at both endpoints
@@ -276,13 +211,13 @@ def test_unit_weight_graph_stays_crew_clean():
     assert matching == seq
 
 
-# ------------------------------------------ carried cross pointers (unchecked)
+# -------------------------------------------- carried min-side marks (unchecked)
 
 @given(tie_graphs(), st.integers(0, 10_000), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_unchecked_run_equals_checked_and_sequential(g, seed, rerandomize):
-    """The unchecked run carries its cross pointers through compaction and
-    never recomputes them; it must still match the checked run, which does."""
+    """The unchecked run carries its min-side marks through compaction and
+    never validates them; it must still match the checked run, which does."""
     got_m, got_t = pram_local_max(g, seed, rerandomize=rerandomize)
     want_m, want_t = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
     seq_m, seq_t = local_max_seq(g, seed, rerandomize)
@@ -291,38 +226,26 @@ def test_unchecked_run_equals_checked_and_sequential(g, seed, rerandomize):
     assert got_t.slot_ops == want_t.slot_ops
 
 
-def _assert_carried_pointers_after_every_phase(g, seed):
-    for phases, state in enumerate(_states_after_every_phase(g, seed)):
-        fresh = dataclasses.replace(state)
-        compute_cross_pointers(fresh)
-        assert np.array_equal(state.cross, fresh.cross)
-        assert np.array_equal(state.min_side, fresh.min_side)
-    return phases
+def _assert_carried_min_side_after_every_phase(g, seed):
+    """Walks the unchecked phases; returns how many there were."""
+    state = PramState.from_graph(g)
+    phases = 0
+    while True:
+        lo = np.minimum(state.edge_u, state.edge_v)
+        assert np.array_equal(state.min_side, state.slot_vertex == lo[state.slot_edge])
+        if not state.num_edges:
+            return phases
+        pram_phase(state, round_seed(seed, phases))
+        phases += 1
 
 
 @given(tie_graphs(), st.integers(0, 10_000))
 @settings(max_examples=200, deadline=None)
-def test_carried_cross_pointers_equal_recomputed_ones(g, seed):
-    _assert_carried_pointers_after_every_phase(g, seed)
+def test_carried_min_side_equals_recomputed_marks(g, seed):
+    _assert_carried_min_side_after_every_phase(g, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_carried_cross_pointers_over_many_phases(seed):
+def test_carried_min_side_over_many_phases(seed):
     g = with_unit_weights(gen_random(2**10, 4, seed))
-    assert _assert_carried_pointers_after_every_phase(g, seed) >= 4
-
-
-def test_checked_phase_rejects_carried_pointers_that_disagree():
-    # two copies of a path whose middle edge (weight 1) wins at neither end
-    # and survives the first phase, while its neighbours die
-    path = [(0, 1, 5.0), (1, 2, 4.0), (2, 3, 1.0), (3, 4, 4.0), (4, 5, 5.0)]
-    g = build_graph(path + [(u + 6, v + 6, w) for u, v, w in path])
-    s = _state(g)
-    pram_phase(s, round_seed(0, 0), WriteLog())
-    assert s.num_edges == 2
-
-    s = _state(g)  # pair the slots of one middle edge with those of the other
-    a, b = (np.flatnonzero(s.slot_edge == int(np.flatnonzero(g.edge_u == u)[0])) for u in (2, 8))
-    s.cross[a], s.cross[b] = b[::-1], a[::-1]
-    with pytest.raises(RuntimeError, match="carried cross pointers"):
-        pram_phase(s, round_seed(0, 0), WriteLog())
+    assert _assert_carried_min_side_after_every_phase(g, seed) >= 4
