@@ -104,12 +104,12 @@ class InstanceSpec:
         (random family) and euclidean weights on the random family.
         """
         if self.family == "file":
-            return read_graph(self.path)
-        if self.family not in ("random", "rgg"):
+            g = read_graph(self.path)
+        elif self.family not in ("random", "rgg"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.x < 1:
+        elif self.x < 1:
             raise ValueError("x must be >= 1")
-        if self.family == "random":
+        elif self.family == "random":
             if self.weights == "euclidean":
                 raise ValueError("euclidean weights are undefined for the random family")
             g = gen_random(1 << self.x, self.alpha, seed)
@@ -171,11 +171,12 @@ def run_suite(config: SuiteConfig) -> list[BenchRecord]:
             gpa_matching, gpa_trace = run_matcher(g, "gpa", seed)
             gpa_weight = gpa_matching.weight(g)
             for alg in config.algorithms:
+                engine = config.engine if alg == "localmax" else "seq"
                 if alg == "gpa":
                     matching, trace = gpa_matching, gpa_trace
                 else:
                     matching, trace = run_matcher(
-                        g, alg, seed, config.engine, config.p, config.rerandomize
+                        g, alg, seed, engine, config.p, config.rerandomize
                     )
                 check = validate_matching(g, matching)
                 if not (check.valid and check.maximal):
@@ -185,7 +186,6 @@ def run_suite(config: SuiteConfig) -> list[BenchRecord]:
                     )
                 weight = matching.weight(g)
                 ratio = weight / gpa_weight if gpa_weight > 0 else 1.0
-                engine = config.engine if alg == "localmax" else "seq"
                 records.append(
                     BenchRecord.from_run(label, alg, engine, seed, weight, ratio, trace)
                 )

@@ -3,18 +3,16 @@
 The engine keeps the graph in the adjacency-array layout (edge records plus
 per-vertex incidence slots) and runs each phase as a fixed sequence of
 whole-array passes: draw per-edge keys, take each vertex's maximum key with
-segmented reductions whose totals land at the vertex, let every slot write
-whether its edge is the heaviest at its vertex into its edge's cell on its
-side (two cells per edge), match the edges whose two cells are both set,
-mark their endpoints matched, then compact the edge and slot arrays with
-prefix sums that also carry the min-side marks and shift the offsets. One
-pass corresponds to one simulated parallel step.
+segmented reductions whose totals land at the vertex, match the edges whose
+key equals the total read (concurrently) at both endpoints, mark their
+endpoints matched, then compact the edge and slot arrays with prefix sums
+that also shift the offsets. One pass corresponds to one simulated parallel
+step.
 
 In checked mode every shared-array write of a step is recorded, and two
 writes landing on the same cell within one step count as an exclusive-write
-violation (there should be none): a layout with two slots on one side of an
-edge shows up as clashing side-cell writes. Checked mode also validates the
-whole layout after every phase.
+violation (there should be none). Checked mode also validates the whole
+layout after every phase.
 """
 
 from __future__ import annotations
@@ -62,9 +60,7 @@ class PramState:
     phase replaces them and never writes to them. ``edge_orig`` keeps each
     surviving edge's id in the input graph, so the per-round tie-breaking
     keys and the reported matching are immune to the renumbering done by
-    compaction. ``min_side`` marks the slot at its edge's smaller endpoint
-    id, which picks the slot's cell among its edge's two side cells; it is
-    set once for the input graph and carried through each compaction.
+    compaction.
     """
 
     num_vertices: int
@@ -75,11 +71,9 @@ class PramState:
     edge_v: np.ndarray
     edge_weight: np.ndarray
     edge_orig: np.ndarray
-    min_side: np.ndarray
 
     @classmethod
     def from_graph(cls, g: Graph) -> "PramState":
-        lo = np.minimum(g.edge_u, g.edge_v)
         return cls(
             num_vertices=g.num_vertices,
             offsets=g.offsets,
@@ -89,7 +83,6 @@ class PramState:
             edge_v=g.edge_v,
             edge_weight=g.edge_weight,
             edge_orig=np.arange(g.num_edges, dtype=np.int64),
-            min_side=g.slot_vertex == lo[g.slot_edge],
         )
 
     @property
@@ -101,13 +94,10 @@ class PramState:
         return int(self.slot_edge.size)
 
     def check_consistent(self) -> None:
-        """Full structural validation: graph invariants + min-side marks."""
+        """Full structural validation: the graph invariants of the layout."""
         assert_graph_invariants(Graph(self.num_vertices, self.offsets, self.slot_vertex,
                                       self.slot_edge, self.edge_u, self.edge_v,
                                       self.edge_weight))
-        lo = np.minimum(self.edge_u, self.edge_v)
-        if not np.array_equal(self.min_side, self.slot_vertex == lo[self.slot_edge]):
-            raise ValueError("min-side slot marks disagree with the endpoints")
 
 
 def compaction_addresses(delete_flags: np.ndarray) -> np.ndarray:
@@ -137,19 +127,18 @@ def _vertex_totals(state: PramState):
 def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:
     """One parallel local max phase; returns the matched original edge ids.
 
-    Steps: (1) per-edge keys, read by the slots, (2) which slots hold their
-    vertex's heaviest key, by two segmented max reductions (weight bits,
-    then salts among weight ties; salts are distinct, so the id never
-    decides) whose totals land at the vertex, (3) every slot writes that
-    flag into its edge's cell on its side, ``2 * edge + (slot is not at the
-    smaller endpoint id)``, and an edge whose two cells are both set is
-    matched and flags itself (the log records the write; no step reads the
-    flag, so no array keeps it), (4) each matched edge marks both its
-    endpoints matched, and every edge reads the marks at its endpoints,
-    (5) prefix sums over edge and slot deletion flags give every survivor
-    its compacted address, (6) survivors copy over, slot edge ids are
-    rewritten through the new addresses, and each offset drops by the
-    slots deleted before it.
+    Steps: (1) per-edge keys, read by the slots, (2) each vertex's heaviest
+    key, by two segmented max reductions (weight bits, then salts among the
+    weight-maximal slots; salts are distinct, so the id never decides)
+    whose totals land at the vertex, (3) every edge reads the best salt at
+    both its endpoints, and an edge whose salt equals both is matched and
+    flags itself (the log records the write; no step reads the flag, so no
+    array keeps it), (4) each matched edge marks both its endpoints
+    matched, and every edge reads the marks at its endpoints, (5) prefix
+    sums over edge and slot deletion flags give every survivor its
+    compacted address, (6) survivors copy over, slot edge ids are rewritten
+    through the new addresses, and each offset drops by the slots deleted
+    before it.
     """
     m = state.num_edges
     if m == 0:
@@ -158,23 +147,18 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
 
     # step 1: the tie-breaking key of every edge, read by its slots
     slot_w = weight_bits(state.edge_weight)[state.slot_edge]
-    slot_s = edge_salts(round_seed_value, state.edge_orig)[state.slot_edge]
+    salts = edge_salts(round_seed_value, state.edge_orig)
+    slot_s = salts[state.slot_edge]
 
     # step 2: heaviest incident key at every vertex, one component per
     # reduction; slots out of the running offer 0, the least salt
     top = totals(slot_w)[state.slot_vertex] == slot_w
-    top &= totals(np.where(top, slot_s, 0))[state.slot_vertex] == slot_s
-    del slot_w, slot_s  # not read again; freed before step 6 copies the survivors
+    best = totals(np.where(top, slot_s, 0))
+    del slot_w, slot_s, top  # not read again; freed before step 6 copies the survivors
 
-    # step 3: each slot writes its flag into its side's cell (one write per
-    # cell); edges heaviest at both endpoints have both cells set
-    cell = 2 * state.slot_edge
-    cell += ~state.min_side  # in place: a fresh 2m-array here costs more than the arithmetic
-    cells = np.zeros(2 * m, dtype=bool)
-    cells[cell] = top
-    if log is not None:
-        log.record("match/cell-writes", "edge.cells", cell)
-    matched_edges = np.flatnonzero(cells[0::2] & cells[1::2])
+    # step 3: salts are distinct, so best[x] equals an edge's salt (0 too)
+    # only if the edge is weight-maximal at x and has the best salt there
+    matched_edges = np.flatnonzero((best[state.edge_u] == salts) & (best[state.edge_v] == salts))
     if log is not None:
         log.record("match/flag-writes", "edge.flag", matched_edges)
     matched_orig = state.edge_orig[matched_edges]
@@ -189,7 +173,7 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
         raise RuntimeError("pram: the matched edges do not mark 2 distinct vertices each")
     dead_edge = matched_vertex[state.edge_u] | matched_vertex[state.edge_v]
     if log is not None:
-        log.record("spread/edge-writes", "edge.flag", state.slot_edge[state.min_side])
+        log.record("spread/edge-writes", "edge.flag", np.arange(m))
 
     # step 5: prefix sums give survivors new addresses; the slots' (exclusive) also moves offsets
     dead_slot = dead_edge[state.slot_edge]
@@ -211,7 +195,6 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
         log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
     state.slot_vertex = state.slot_vertex[keep_s]
     state.slot_edge = new_edge_index[state.slot_edge[keep_s]]
-    state.min_side = state.min_side[keep_s]
 
     state.offsets = state.offsets - dead_before[state.offsets]
     return matched_orig
@@ -235,7 +218,7 @@ def pram_local_max(
     log = WriteLog() if checked else None
     trace = PhaseTrace(write_log=log)
     matching, _ = _drive(g, _pram_rounds(g, seed, rerandomize, log), trace)
-    # the layout and the min-side marks, then each phase's live edges and their 2 slots each
+    # the layout and the edge_orig ids, then each phase's live edges and their 2 slots each
     live_edges = sum(r.edges_before for r in trace.rounds)
     trace.slot_ops = g.num_vertices + 3 * g.num_edges + 3 * live_edges
     return matching, trace

@@ -470,7 +470,7 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     """One parallel local max phase with the keys encoded as dense ranks.
 
     Wins and the matched flags reach the edges through per-vertex totals
-    read at both endpoints; the side cells only name the logged writes."""
+    read at both endpoints."""
     m = state.num_edges
     if m == 0:
         return np.empty(0, dtype=np.int64)
@@ -480,8 +480,6 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     ranks = key_ranks(state.edge_weight, salts, state.edge_orig)
     best = totals(ranks[state.slot_edge])
     wins = (best[state.edge_u] == ranks) & (best[state.edge_v] == ranks)
-    if log is not None:
-        log.record("match/cell-writes", "edge.cells", 2 * state.slot_edge + ~state.min_side)
     flags = np.zeros(m, dtype=np.int64)
     matched_edges = np.flatnonzero(wins)
     flags[matched_edges] = 1
@@ -492,7 +490,7 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     spread = totals(flags[state.slot_edge])
     dead_edge = (spread[state.edge_u] | spread[state.edge_v]).astype(bool)
     if log is not None:
-        log.record("spread/edge-writes", "edge.flag", state.slot_edge[state.min_side])
+        log.record("spread/edge-writes", "edge.flag", np.arange(m))
 
     dead_slot = dead_edge[state.slot_edge]
     new_edge_index = compaction_addresses(dead_edge)
@@ -511,8 +509,6 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
         log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
     state.slot_vertex = state.slot_vertex[keep_s]
     state.slot_edge = new_edge_index[state.slot_edge[keep_s]]
-    lo = np.minimum(state.edge_u, state.edge_v)
-    state.min_side = state.slot_vertex == lo[state.slot_edge]
 
     surviving_deg = np.bincount(state.slot_vertex, minlength=state.num_vertices)
     state.offsets = np.concatenate([[0], np.cumsum(surviving_deg)]).astype(np.int64)

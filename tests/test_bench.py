@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import locmax.bench
+from locmax import local_max_seq
 from locmax.bench import (
     BENCH_COLUMNS,
     CrossCheckReport,
@@ -20,6 +21,8 @@ from locmax.bench import (
     shrink_report,
     write_bench_csv,
 )
+from locmax.generate import with_unit_weights
+from locmax.graphio import read_graph, write_edge_list
 
 
 def test_suite_cardinality_and_ratio_baseline(tmp_path):
@@ -98,6 +101,18 @@ def test_shrink_report_halves_edges_per_round():
     rows = report.rows()
     assert rows[0]["round"] == 0
     assert rows[0]["seeds_alive"] == 10
+
+
+def test_shrink_report_on_a_file_uses_unit_weights(tmp_path):
+    path = tmp_path / "random10.txt"
+    write_edge_list(InstanceSpec("random", 10, alpha=4).build(3), path)
+    g = with_unit_weights(read_graph(path))
+    for seed in (0, 1, 2):
+        report = shrink_report(InstanceSpec("file", path=str(path)), (seed,))
+        _, trace = local_max_seq(g, seed)
+        assert report.max_rounds == trace.total_rounds
+        assert report.per_round_removed == [r.edges_removed / r.edges_before
+                                            for r in trace.rounds]
 
 
 def test_round_bound_matches_formula():

@@ -106,6 +106,20 @@ def test_bench_bsp_engine_records_messages(tmp_path):
     assert messages >= 0
 
 
+def test_bench_on_a_parallel_engine_runs_the_other_matchers_on_seq(tmp_path):
+    def rows(*engine_args):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--x", "6", "--seeds", "0", *engine_args, "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()
+        return {r["algorithm"]: r for r in (dict(zip(header.split(","), ln.split(","))) for ln in lines)}
+
+    bsp, seq = rows("--engine", "bsp"), rows()
+    assert {alg: r["engine"] for alg, r in bsp.items()} == {
+        alg: "bsp" if alg == "localmax" else "seq" for alg in seq}
+    for column in ("weight", "rounds"):
+        assert bsp["localmax"][column] == seq["localmax"][column]
+
+
 def test_shrink_passes_on_random_family(tmp_path, capsys):
     out = tmp_path / "shrink.csv"
     rc = main(["shrink", "--family", "random", "--x", "9", "--alpha", "4",

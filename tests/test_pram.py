@@ -1,4 +1,4 @@
-"""Parallel-phase engine: side cells, write log, compaction, equivalence."""
+"""Parallel-phase engine: layout checks, write log, compaction, equivalence."""
 
 from __future__ import annotations
 
@@ -14,47 +14,18 @@ from locmax import (
     local_max_seq,
     pram_local_max,
 )
-from locmax.generate import with_unit_weights
 from locmax.pram import PramState, WriteLog, compaction_addresses, pram_phase
 from locmax.tiebreak import round_seed
 
 from test_equivalence import tie_graphs
 
 
-# ------------------------------------------------- side cells and write log
+# ------------------------------------------------------ layouts and write log
 
-def _two_edges_with(slot_vertex):
-    """Edges (0, 1) and (2, 3) with the slots moved to ``slot_vertex`` and
-    the min-side marks recomputed for the moved slots."""
-    s = PramState.from_graph(build_graph([(0, 1, 1.0), (2, 3, 2.0)]))
-    assert s.slot_edge.tolist() == [0, 0, 1, 1]
-    s.slot_vertex = np.array(slot_vertex)
-    s.min_side = s.slot_vertex == np.minimum(s.edge_u, s.edge_v)[s.slot_edge]
-    return s
-
-
-@pytest.mark.parametrize("slot_vertex, clashing_cells", [
-    # each edge is referenced twice and m slots sit at a smaller endpoint,
-    # but edge 0 has both slots at vertex 0 and edge 1 both at vertex 3
-    pytest.param([0, 0, 3, 3], [0, 3], id="both-slots-at-one-end"),
-    # edge 0's first slot sits at neither endpoint, so it claims the larger side
-    pytest.param([2, 1, 2, 3], [1], id="slot-at-neither-end"),
-])
-def test_checked_phase_logs_two_slots_on_one_side(slot_vertex, clashing_cells):
-    log = WriteLog()
-    pram_phase(_two_edges_with(slot_vertex), round_seed(0, 0), log)
-    # cell 2e belongs to edge e's slot at its smaller endpoint, 2e + 1 to the other
-    assert [cell for step, _, cell in log.samples if step == "match/cell-writes"] == clashing_cells
-
-
-def _flip_min_side(s):
-    s.min_side = ~s.min_side
-
-
-def _slot_at_neither_end(s):
-    # slot 1 sits at vertex 2, neither end of edge 0, yet it still claims
-    # edge 0's larger side, so every side cell would be written once
-    s.slot_vertex = np.array([0, 2, 2, 3])
+def _slot_vertex(slot_vertex):
+    def corrupt(s):
+        s.slot_vertex = np.array(slot_vertex)
+    return corrupt
 
 
 def _slot_edge_id(bad_edge):
@@ -65,13 +36,16 @@ def _slot_edge_id(bad_edge):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    pytest.param(_flip_min_side, "min-side slot marks disagree", id="flipped-min-side"),
-    pytest.param(_slot_at_neither_end, "slot_vertex disagrees", id="slot-at-neither-end"),
+    # edge 0 keeps both its slots at vertex 0 and edge 1 both at vertex 3
+    pytest.param(_slot_vertex([0, 0, 3, 3]), "slot_vertex disagrees", id="both-slots-at-one-end"),
+    # slot 1 sits at vertex 2, neither end of edge 0
+    pytest.param(_slot_vertex([0, 2, 2, 3]), "slot_vertex disagrees", id="slot-at-neither-end"),
     *(pytest.param(_slot_edge_id(e), "edge id out of range", id=f"slot-edge-{e}")
       for e in (-1, -6, 2, 7)),
 ])
 def test_check_consistent_rejects_bad_layouts(corrupt, message):
-    s = _two_edges_with([0, 1, 2, 3])
+    s = PramState.from_graph(build_graph([(0, 1, 1.0), (2, 3, 2.0)]))
+    assert s.slot_edge.tolist() == [0, 0, 1, 1]
     s.check_consistent()
     corrupt(s)
     with pytest.raises(ValueError, match=message):
@@ -84,17 +58,17 @@ def _write_log_figures(g):
 
 
 def test_checked_write_log_of_the_triangle(triangle):
-    # one phase of 5 steps: 6 cell writes, 1 match flag (the weight-3 edge),
-    # 3 spread writes, and no survivors to copy
-    assert _write_log_figures(triangle) == (5, 10, 0)
+    # one phase of 4 steps: 1 match flag (the weight-3 edge), 3 spread
+    # writes, and no survivors to copy
+    assert _write_log_figures(triangle) == (4, 4, 0)
 
 
 def test_checked_write_log_of_a_path():
-    # phase 1: 10 cell writes, 2 match flags (both weight-5 ends), 5 spread
-    # writes, then the weight-1 middle edge and its 2 slots copy over;
-    # phase 2: 2 cell writes, 1 match flag, 1 spread write, no copies
+    # phase 1: 2 match flags (both weight-5 ends), 5 spread writes, then
+    # the weight-1 middle edge and its 2 slots copy over; phase 2: 1 match
+    # flag, 1 spread write, no copies
     g = build_graph([(0, 1, 5.0), (1, 2, 4.0), (2, 3, 1.0), (3, 4, 4.0), (4, 5, 5.0)])
-    assert _write_log_figures(g) == (10, 24, 0)
+    assert _write_log_figures(g) == (8, 12, 0)
 
 
 def test_write_log_counts_conflicts_when_present():
@@ -121,6 +95,17 @@ def test_phase_on_triangle_clears_graph(triangle):
     assert s.num_edges == 0
     assert s.num_slots == 0
     s.check_consistent()
+
+
+@pytest.mark.parametrize("w0, matched", [(1.0, [1]), (2.0, [1]), (3.0, [0])],
+                         ids=["edge-1-heavier", "weight-tie", "edge-0-heavier"])
+def test_edge_with_salt_zero(monkeypatch, w0, matched):
+    # on the path (0,1), (1,2) edge 0 gets salt 0 (the value masked offers
+    # take) and edge 1 salt 5; edge 1 weighs 2
+    monkeypatch.setattr("locmax.pram.edge_salts",
+                        lambda seed, ids: np.array([0, 5], dtype=np.uint64)[ids])
+    s = PramState.from_graph(build_graph([(0, 1, w0), (1, 2, 2.0)]))
+    assert pram_phase(s, round_seed(0, 0)).tolist() == matched
 
 
 def test_phase_matches_sequential_first_round():
@@ -211,41 +196,16 @@ def test_unit_weight_graph_stays_crew_clean():
     assert matching == seq
 
 
-# -------------------------------------------- carried min-side marks (unchecked)
+# ---------------------------------------------------------- unchecked runs
 
 @given(tie_graphs(), st.integers(0, 10_000), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_unchecked_run_equals_checked_and_sequential(g, seed, rerandomize):
-    """The unchecked run carries its min-side marks through compaction and
-    never validates them; it must still match the checked run, which does."""
+    """The unchecked run never validates its layout; it must still match
+    the checked run, which does after every phase."""
     got_m, got_t = pram_local_max(g, seed, rerandomize=rerandomize)
     want_m, want_t = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
     seq_m, seq_t = local_max_seq(g, seed, rerandomize)
     assert got_m == want_m == seq_m
     assert got_t.rounds == want_t.rounds == seq_t.rounds
     assert got_t.slot_ops == want_t.slot_ops
-
-
-def _assert_carried_min_side_after_every_phase(g, seed):
-    """Walks the unchecked phases; returns how many there were."""
-    state = PramState.from_graph(g)
-    phases = 0
-    while True:
-        lo = np.minimum(state.edge_u, state.edge_v)
-        assert np.array_equal(state.min_side, state.slot_vertex == lo[state.slot_edge])
-        if not state.num_edges:
-            return phases
-        pram_phase(state, round_seed(seed, phases))
-        phases += 1
-
-
-@given(tie_graphs(), st.integers(0, 10_000))
-@settings(max_examples=200, deadline=None)
-def test_carried_min_side_equals_recomputed_marks(g, seed):
-    _assert_carried_min_side_after_every_phase(g, seed)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_carried_min_side_over_many_phases(seed):
-    g = with_unit_weights(gen_random(2**10, 4, seed))
-    assert _assert_carried_min_side_after_every_phase(g, seed) >= 4
