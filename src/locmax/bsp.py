@@ -135,9 +135,12 @@ def _round_messages(g: Graph, part: Partition, matched_round: np.ndarray,
     us, vs = g.edge_u[cut], g.edge_v[cut]
     life = np.minimum(matched_round[us], matched_round[vs])
     # one sort of the keys, each packed above the life of its edge: the
-    # last entry of a key's run holds the key's life
+    # last entry of a key's run holds the key's life; int32 when they fit
     shift = rounds.bit_length()
-    packed = np.concatenate((us * p + owner[vs], vs * p + owner[us])) << shift
+    fits = (g.num_vertices * p) << shift < 2**31
+    packed = np.concatenate((us * p + owner[vs], vs * p + owner[us]),
+                            dtype=np.int32 if fits else np.int64)
+    packed <<= shift
     packed |= np.tile(life, 2)
     packed.sort()
     key = packed >> shift

@@ -112,16 +112,16 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
         # pass 1: lexicographic max per endpoint
         top_u, top_v = _raise_candidates(cand, ((us, wbits, salts), (vs, wbits, salts)))
         # pass 2: an edge wins iff it is the candidate at both endpoints
-        won = top_u & top_v
-        if not won.any():
+        won = np.flatnonzero(top_u & top_v)
+        if not won.size:
             raise RuntimeError(f"seq: round {round_index} matched none of {live.size} live edges")
         vertex_matched[us[won]] = True
         vertex_matched[vs[won]] = True
         # pass 3: drop edges with a matched endpoint, reset survivors' candidates
         alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
-        _reset_candidates(cand, us[alive], vs[alive])
         yield live.size, live[won], alive.size
         live, us, vs, wbits = live[alive], us[alive], vs[alive], wbits[alive]
+        _reset_candidates(cand, us, vs)
         round_index += 1
         salts = edge_salts(round_seed(seed, round_index), live) if rerandomize else salts[alive]
 
@@ -158,13 +158,16 @@ def _greedy_matching(g: Graph, order: np.ndarray) -> np.ndarray:
         first = np.full(n, size)  # per vertex: its first live position
         np.minimum.at(first, us, pos)
         np.minimum.at(first, vs, pos)
-        won = (first[us] == pos) & (first[vs] == pos)
+        won = np.flatnonzero((first[us] == pos) & (first[vs] == pos))
         matched[us[won]] = True
         matched[vs[won]] = True
-        alive = ~(matched[us] | matched[vs])
+        alive = np.flatnonzero(~(matched[us] | matched[vs]))
         parts.append(pos[won])
-        few = np.count_nonzero(won) < _SCAN_FRACTION * pos.size
-        pos, us, vs = pos[alive], us[alive], vs[alive]
+        few = won.size < _SCAN_FRACTION * pos.size
+        # one array at a time, so each old array is freed before the next gather
+        pos = pos[alive]
+        us = us[alive]
+        vs = vs[alive]
         if few:
             break
     for at in range(0, pos.size, _CHUNK):
@@ -500,8 +503,8 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
         vertex_matched[to[took]] = True
         _reset_candidates(prop, blue)
         _reset_candidates(acc, to)
-        alive = ~(vertex_matched[us] | vertex_matched[vs])
-        yield live.size, sent_ids[took], int(np.count_nonzero(alive))
+        alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
+        yield live.size, sent_ids[took], alive.size
         live, us, vs, wbits = live[alive], us[alive], vs[alive], wbits[alive]
         round_index += 1
 

@@ -5,9 +5,9 @@ per-vertex incidence slots) and runs each phase as a fixed sequence of
 whole-array passes: draw per-edge keys, take each vertex's maximum key with
 segmented reductions whose totals land at the vertex, match the edges whose
 key equals the total read (concurrently) at both endpoints, mark their
-endpoints matched, then compact the edge and slot arrays with prefix sums
-that also shift the offsets. One pass corresponds to one simulated parallel
-step.
+endpoints matched, then compact the edges through the list of survivors and
+the slots with a prefix sum that also shifts the offsets. One pass
+corresponds to one simulated parallel step.
 
 In checked mode every shared-array write of a step is recorded, and two
 writes landing on the same cell within one step count as an exclusive-write
@@ -100,16 +100,6 @@ class PramState:
                                       self.edge_weight))
 
 
-def compaction_addresses(delete_flags: np.ndarray) -> np.ndarray:
-    """New address of every entry after deleting the flagged ones.
-
-    The inclusive prefix sum d of the flags counts deletions at or before
-    each index, and index - d is where a surviving entry lands; addresses
-    of deleted entries are meaningless and never used.
-    """
-    return np.arange(len(delete_flags), dtype=np.int64) - np.cumsum(delete_flags, dtype=np.int64)
-
-
 def _vertex_totals(state: PramState):
     """The segment layout (the vertices with live slots, where their segments
     start) as a function taking the maximum of a per-slot value over each
@@ -134,11 +124,12 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     both its endpoints, and an edge whose salt equals both is matched and
     flags itself (the log records the write; no step reads the flag, so no
     array keeps it), (4) each matched edge marks both its endpoints
-    matched, and every edge reads the marks at its endpoints, (5) prefix
-    sums over edge and slot deletion flags give every survivor its
-    compacted address, (6) survivors copy over, slot edge ids are rewritten
-    through the new addresses, and each offset drops by the slots deleted
-    before it.
+    matched, and every edge reads the marks at its endpoints, (5) each
+    surviving edge writes its compacted address, its index in the list of
+    survivors, and an exclusive prefix sum over the slot deletion flags,
+    written in place, gives the slots theirs, (6) survivors copy over, slot
+    edge ids are rewritten through the new addresses, and each offset drops
+    by the slots deleted before it.
     """
     m = state.num_edges
     if m == 0:
@@ -175,13 +166,16 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     if log is not None:
         log.record("spread/edge-writes", "edge.flag", np.arange(m))
 
-    # step 5: prefix sums give survivors new addresses; the slots' (exclusive) also moves offsets
+    # step 5: each surviving edge writes its own new address, its index in keep_e (exclusive
+    # writes); the slots' exclusive prefix sum, written in place, moves slots and offsets
+    keep_e = np.flatnonzero(~dead_edge)
+    new_edge_index = np.empty(m, dtype=np.int64)
+    new_edge_index[keep_e] = np.arange(keep_e.size)
     dead_slot = dead_edge[state.slot_edge]
-    new_edge_index = compaction_addresses(dead_edge)
-    dead_before = np.concatenate(([0], np.cumsum(dead_slot, dtype=np.int64)))
+    dead_before = np.zeros(state.num_slots + 1, dtype=np.int64)
+    np.cumsum(dead_slot, out=dead_before[1:])
 
     # step 6: compact edges and slots, rewrite the slots' edge ids
-    keep_e = np.flatnonzero(~dead_edge)
     if log is not None:
         log.record("compact/edge-copies", "edge.records", new_edge_index[keep_e])
     state.edge_u = state.edge_u[keep_e]

@@ -35,7 +35,7 @@ from locmax.bsp import CANDIDATE_RECORD_BYTES, RoundMessages, partition_graph
 from locmax.generate import _morton_order, rgg_threshold
 from locmax.matchers import PhaseTrace, RbmDidNotConverge, RoundStats
 from locmax.oracle import OracleResult
-from locmax.pram import PramState, WriteLog, _vertex_totals, compaction_addresses
+from locmax.pram import PramState, WriteLog, _vertex_totals
 from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins
 
 _MM_FIELDS = ("real", "integer", "pattern")
@@ -464,6 +464,16 @@ def tie_key(edge_id: int, weight: float, round_seed_value: int) -> TieKey:
     """The tie-breaking key of one edge under a given per-round seed."""
     salt = int(edge_salts(round_seed_value, np.array([edge_id], dtype=np.uint64))[0])
     return TieKey(float(weight), salt, int(edge_id))
+
+
+def compaction_addresses(delete_flags: np.ndarray) -> np.ndarray:
+    """New address of every entry after deleting the flagged ones.
+
+    The inclusive prefix sum d of the flags counts deletions at or before
+    each index, and index - d is where a surviving entry lands; addresses
+    of deleted entries are meaningless and never used.
+    """
+    return np.arange(len(delete_flags), dtype=np.int64) - np.cumsum(delete_flags, dtype=np.int64)
 
 
 def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:

@@ -16,6 +16,7 @@ from locmax import (
     validate_matching,
 )
 from locmax.matchers import RoundStats
+import reference as ref
 from reference import local_edges
 
 
@@ -175,3 +176,22 @@ def test_barrier_records_of_a_hand_computed_run():
         assert [(rm.candidate_records, rm.bytes_estimate, rm.cut_edges_surviving,
                  rm.status_records) for rm in trace.messages] == [(6, 192, 4, 8), (4, 128, 2, 4)]
         assert [rm.round_index for rm in trace.messages] == [0, 1]
+
+
+def test_ledger_keys_wider_than_32_bits():
+    # p = n = 2^16 puts every vertex in its own worker and the packed
+    # (vertex, receiving worker) keys past 2^31, so the ledger sorts them as
+    # int64 (the other bsp tests take the int32 path). The keys of 5 and
+    # 5 + 2^15 towards worker 7 differ by exactly 2^31, so shifted in 32 bits
+    # they would collide. Rising weights match (5 + 2^15, 9) in round 0 and
+    # (5, 7) in round 1
+    n, far = 1 << 16, 5 + (1 << 15)
+    g = build_graph_arrays(np.array([5, 7, far]), np.array([7, far, 9]),
+                           np.array([1.0, 2.0, 3.0]), n)
+    matching, trace = bsp_local_max(g, n, 0)
+    ref_matching, ref_trace = ref.bsp_local_max(g, n, 0)
+    assert (n * n) << len(trace.rounds).bit_length() >= 2**31
+    assert matching == ref_matching and matching.edges.tolist() == [0, 2]
+    assert trace.rounds == ref_trace.rounds == [RoundStats(3, 1, 2), RoundStats(1, 1, 1)]
+    assert trace.messages == ref_trace.messages
+    assert [rm.candidate_records for rm in trace.messages] == [6, 2]

@@ -14,9 +14,10 @@ from locmax import (
     local_max_seq,
     pram_local_max,
 )
-from locmax.pram import PramState, WriteLog, compaction_addresses, pram_phase
+from locmax.pram import PramState, WriteLog, pram_phase
 from locmax.tiebreak import round_seed
 
+from reference import compaction_addresses
 from test_equivalence import tie_graphs
 
 
