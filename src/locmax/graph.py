@@ -229,8 +229,9 @@ def matching_from_edge_ids(g: Graph, edge_ids) -> Matching:
 
 def _induced_mate(g: Graph, ids: np.ndarray) -> np.ndarray:
     mate = np.full(g.num_vertices, -1, dtype=np.int64)
-    mate[g.edge_u[ids]] = g.edge_v[ids]
-    mate[g.edge_v[ids]] = g.edge_u[ids]
+    u, v = g.edge_u[ids], g.edge_v[ids]
+    mate[u] = v
+    mate[v] = u
     return mate
 
 

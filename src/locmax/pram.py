@@ -3,11 +3,12 @@
 The engine keeps the graph in the adjacency-array layout (edge records plus
 per-vertex incidence slots) and runs each phase as a fixed sequence of
 whole-array passes: draw per-edge keys, take each vertex's maximum key with
-segmented reductions whose totals land at the vertex, match the edges whose
-key equals the total read (concurrently) at both endpoints, mark their
-endpoints matched, then compact the edges through the list of survivors and
-the slots with a prefix sum that also shifts the offsets. One pass
-corresponds to one simulated parallel step.
+segmented reductions whose totals land at the vertex (the simulator computes
+them by scatter-max over the vertex-sorted slots), match the edges whose key
+equals the total read (concurrently) at both endpoints, mark their endpoints
+matched, then compact the edges through the list of survivors and the slots
+with a prefix sum that also shifts the offsets. One pass corresponds to one
+simulated parallel step.
 
 In checked mode every shared-array write of a step is recorded, and two
 writes landing on the same cell within one step count as an exclusive-write
@@ -101,15 +102,13 @@ class PramState:
 
 
 def _vertex_totals(state: PramState):
-    """The segment layout (the vertices with live slots, where their segments
-    start) as a function taking the maximum of a per-slot value over each
-    vertex's segment, which lands at the vertex; other vertices hold 0."""
-    busy = np.flatnonzero(state.offsets[1:] != state.offsets[:-1])
-    starts = state.offsets[busy]
-
+    """A function taking the maximum of a nonnegative per-slot value over each
+    vertex's contiguous slots, which lands at the vertex (0 with no live slot).
+    In the model, a segmented max reduction (depth ceil(log2 deg), exclusive
+    writes at each tree level); the simulator scatter-maxes the slots."""
     def totals(slot_value: np.ndarray) -> np.ndarray:
         total = np.zeros(state.num_vertices, dtype=slot_value.dtype)
-        total[busy] = np.maximum.reduceat(slot_value, starts)
+        np.maximum.at(total, state.slot_vertex, slot_value)
         return total
     return totals
 
@@ -120,16 +119,17 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     Steps: (1) per-edge keys, read by the slots, (2) each vertex's heaviest
     key, by two segmented max reductions (weight bits, then salts among the
     weight-maximal slots; salts are distinct, so the id never decides)
-    whose totals land at the vertex, (3) every edge reads the best salt at
-    both its endpoints, and an edge whose salt equals both is matched and
-    flags itself (the log records the write; no step reads the flag, so no
-    array keeps it), (4) each matched edge marks both its endpoints
-    matched, and every edge reads the marks at its endpoints, (5) each
-    surviving edge writes its compacted address, its index in the list of
-    survivors, and an exclusive prefix sum over the slot deletion flags,
-    written in place, gives the slots theirs, (6) survivors copy over, slot
-    edge ids are rewritten through the new addresses, and each offset drops
-    by the slots deleted before it.
+    whose totals land at the vertex (each simulated by one scatter-max of
+    the slots), (3) every edge reads the best salt at both its endpoints,
+    and an edge whose salt equals both is matched and flags itself (the log
+    records the write; no step reads the flag, so no array keeps it), (4)
+    each matched edge marks both its endpoints matched, and every edge
+    reads the marks at its endpoints, (5) each surviving edge writes its
+    compacted address, its index in the list of survivors, and an exclusive
+    prefix sum over the slot deletion flags, written in place, gives the
+    slots theirs, (6) survivors copy over, slot edge ids are rewritten
+    through the new addresses, and each offset drops by the slots deleted
+    before it.
     """
     m = state.num_edges
     if m == 0:

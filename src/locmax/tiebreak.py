@@ -6,9 +6,9 @@ hash of (experiment seed, round number, edge id), so the same edge gets the
 same salt in the sequential, PRAM and bulk-synchronous engines regardless of
 scheduling. Salts cannot collide within a round, because the finalizer is
 a bijection of 64-bit words, so the id stays in the key but never decides.
-Every engine takes per-vertex maxima of this order with two max stages, the
-scatter-max of :func:`_raise_candidates` or pram's segmented form; none
-sorts keys.
+Every engine takes per-vertex maxima of this order with two max stages:
+scatter-max passes (:func:`_raise_candidates`), or pram's segmented max
+reductions, which its simulator also computes by scatter-max; none sorts keys.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ _MIX_B = 0x94D049BB133111EB
 # finalizer converts no Python int (those above 2**63 are slow to convert).
 _U_GOLDEN, _U_MIX_A, _U_MIX_B = np.uint64(_GOLDEN), np.uint64(_MIX_A), np.uint64(_MIX_B)
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+# Words per block of the array finalizer: 2**14 (128 KiB), inside a core's L2.
+_MIX_BLOCK = 1 << 14
 
 # Stream tag keeping per-vertex coin flips decorrelated from edge salts.
 _COIN_STREAM = 0xD6E8FEB86659FD93
@@ -33,15 +35,18 @@ _COIN_STREAM = 0xD6E8FEB86659FD93
 def _mix64_in_place(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array, in place (wrapping arithmetic).
 
-    In-place array arithmetic wraps silently; only numpy scalars warn on
-    overflow, so a 0-d input stays an array until the result is returned.
+    A 1-d array takes all six steps one ``_MIX_BLOCK`` at a time, the blocked
+    scan of the external-memory model done in memory. In-place array
+    arithmetic wraps silently; only numpy scalars warn on overflow, so a 0-d
+    input stays an array until the result is returned.
     """
-    x += _U_GOLDEN
-    x ^= x >> _U30
-    x *= _U_MIX_A
-    x ^= x >> _U27
-    x *= _U_MIX_B
-    x ^= x >> _U31
+    for b in [x[i:i + _MIX_BLOCK] for i in range(0, x.size, _MIX_BLOCK)] if x.ndim else [x]:
+        b += _U_GOLDEN
+        b ^= b >> _U30
+        b *= _U_MIX_A
+        b ^= b >> _U27
+        b *= _U_MIX_B
+        b ^= b >> _U31
     return x if x.ndim else x[()]
 
 

@@ -6,8 +6,10 @@ the array-based code in ``locmax`` replaced, the rank-based PRAM, BSP
 and red-blue engines that sorted every round's keys before the staged
 (weight, salt, id) maximum replaced the sort, the edge-scan greedy,
 per-vertex HEM and union-find GPA that the fixed-order greedy kernel and
-the path-end tables replaced, and the brute-force oracle as it was before
-its bookkeeping was trimmed. The tests check the package against them
+the path-end tables replaced, pram's ``reduceat`` vertex totals and the
+one-pass SplitMix64 finalizer that a scatter-max and a blocked mix
+replaced, and the brute-force oracle as it was before its bookkeeping was
+trimmed. The tests check the package against them
 array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
 independent statement of the key order, and so does ``incident_edges``,
@@ -35,7 +37,7 @@ from locmax.bsp import CANDIDATE_RECORD_BYTES, RoundMessages, partition_graph
 from locmax.generate import _morton_order, rgg_threshold
 from locmax.matchers import PhaseTrace, RbmDidNotConverge, RoundStats
 from locmax.oracle import OracleResult
-from locmax.pram import PramState, WriteLog, _vertex_totals
+from locmax.pram import PramState, WriteLog
 from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins
 
 _MM_FIELDS = ("real", "integer", "pattern")
@@ -460,6 +462,19 @@ class TieKey(NamedTuple):
 DUMMY_KEY = TieKey(float("-inf"), 0, -1)
 
 
+def mix64(x) -> np.ndarray:
+    """The SplitMix64 finalizer in one pass over a uint64 copy of ``x``, each
+    step over the whole array, as ``tiebreak`` mixed before it blocked."""
+    x = np.array(x, dtype=np.uint64)
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
 def tie_key(edge_id: int, weight: float, round_seed_value: int) -> TieKey:
     """The tie-breaking key of one edge under a given per-round seed."""
     salt = int(edge_salts(round_seed_value, np.array([edge_id], dtype=np.uint64))[0])
@@ -476,6 +491,22 @@ def compaction_addresses(delete_flags: np.ndarray) -> np.ndarray:
     return np.arange(len(delete_flags), dtype=np.int64) - np.cumsum(delete_flags, dtype=np.int64)
 
 
+def vertex_totals(state: PramState):
+    """The segment layout (the vertices with live slots, where their segments
+    start) as a function taking the maximum of a per-slot value over each
+    vertex's segment by one ``np.maximum.reduceat``, which lands at the
+    vertex; other vertices hold 0. The package's ``pram._vertex_totals``
+    computed its totals this way before it scattered them."""
+    busy = np.flatnonzero(state.offsets[1:] != state.offsets[:-1])
+    starts = state.offsets[busy]
+
+    def totals(slot_value: np.ndarray) -> np.ndarray:
+        total = np.zeros(state.num_vertices, dtype=slot_value.dtype)
+        total[busy] = np.maximum.reduceat(slot_value, starts)
+        return total
+    return totals
+
+
 def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:
     """One parallel local max phase with the keys encoded as dense ranks.
 
@@ -484,7 +515,7 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     m = state.num_edges
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    totals = _vertex_totals(state)
+    totals = vertex_totals(state)
 
     salts = edge_salts(round_seed_value, state.edge_orig)
     ranks = key_ranks(state.edge_weight, salts, state.edge_orig)
@@ -576,7 +607,9 @@ def bsp_local_max(g: Graph, p: int, seed: int, rerandomize: bool = True):
         rank_of[live_union] = key_ranks(
             g.edge_weight[live_union], edge_salts(rs, live_union), live_union
         )
-        for w in range(p):
+        # other workers own no endpoint of a live edge, so their lists are empty
+        active = np.union1d(owner[g.edge_u[live_union]], owner[g.edge_v[live_union]]).tolist()
+        for w in active:
             el = local_live[w]
             us, vs = g.edge_u[el], g.edge_v[el]
             r = rank_of[el]
@@ -590,7 +623,7 @@ def bsp_local_max(g: Graph, p: int, seed: int, rerandomize: bool = True):
         records = int(np.unique(np.concatenate([cu * np.int64(p) + owner[cv],
                                                 cv * np.int64(p) + owner[cu]])).size)
 
-        for w in range(p):
+        for w in active:
             el = local_live[w]
             us, vs = g.edge_u[el], g.edge_v[el]
             r = rank_of[el]
@@ -603,7 +636,7 @@ def bsp_local_max(g: Graph, p: int, seed: int, rerandomize: bool = True):
 
         status_records = 2 * int(cut_live.size)
 
-        for w in range(p):
+        for w in active:
             el = local_live[w]
             us, vs = g.edge_u[el], g.edge_v[el]
             alive = ~(vertex_matched[us] | vertex_matched[vs])
@@ -696,7 +729,10 @@ def local_edges(g: Graph, part) -> list[np.ndarray]:
     owner_u = part.owner[g.edge_u]
     owner_v = part.owner[g.edge_v]
     edge_ids = np.arange(g.num_edges, dtype=np.int64)
-    return [edge_ids[(owner_u == w) | (owner_v == w)] for w in range(part.num_workers)]
+    local = [edge_ids[:0]] * part.num_workers
+    for w in np.union1d(owner_u, owner_v).tolist():
+        local[w] = edge_ids[(owner_u == w) | (owner_v == w)]
+    return local
 
 
 def descending_key_order(g: Graph, seed: int) -> np.ndarray:

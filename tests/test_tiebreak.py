@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from locmax.tiebreak import (
     _GOLDEN,
     _MIX_A,
     _MIX_B,
+    _MIX_BLOCK,
     _UINT64_MASK,
     _mix64_int,
     _new_candidates,
@@ -24,7 +26,7 @@ from locmax.tiebreak import (
     weight_bits,
 )
 
-from reference import DUMMY_KEY, tie_key
+from reference import DUMMY_KEY, mix64, tie_key
 
 
 def test_equal_weights_get_distinct_keys():
@@ -119,6 +121,36 @@ def test_array_finalizer_matches_scalar_without_warnings():
             assert type(one) is np.uint64 and int(one) == _mix64_int(5 ^ rs)
             assert type(vertex_coins(rs, 5)) is np.bool_
             assert vertex_coins(rs, 5) == coins[2]
+
+
+@pytest.mark.parametrize("size", [0, 1, _MIX_BLOCK - 1, _MIX_BLOCK, _MIX_BLOCK + 1,
+                                  3 * _MIX_BLOCK + 5])
+def test_blocked_finalizer_equals_one_pass(size):
+    """Salts and coins mixed block by block equal a one-pass mix at every
+    block boundary, for list, int64 and uint64 ids, and leave the ids as
+    they were."""
+    assert _MIX_BLOCK == 2**14
+    rs = round_seed(13, 2)
+    ids = np.arange(size, dtype=np.uint64) * np.uint64(0x9E3779B1) + np.uint64(3)
+    want_salts = mix64(ids ^ np.uint64(rs))
+    want_coins = (mix64(ids ^ np.uint64(rs ^ _COIN_STREAM)) & np.uint64(1)).astype(bool)
+    for given_ids in (ids.tolist(), ids.astype(np.int64), ids):
+        before = np.array(given_ids, dtype=np.uint64)
+        salts = edge_salts(rs, given_ids)
+        coins = vertex_coins(rs, given_ids)
+        assert salts.dtype == np.uint64 and salts.shape == (size,)
+        assert coins.dtype == bool and coins.shape == (size,)
+        assert np.array_equal(salts, want_salts)
+        assert np.array_equal(coins, want_coins)
+        assert np.array_equal(np.array(given_ids, dtype=np.uint64), before)
+
+
+def test_zero_d_ids_give_numpy_scalars():
+    rs = round_seed(13, 2)
+    for one in (5, np.int64(5), np.uint64(5), np.array(5)):
+        salt, coin = edge_salts(rs, one), vertex_coins(rs, one)
+        assert type(salt) is np.uint64 and salt == mix64(5 ^ rs)
+        assert type(coin) is np.bool_ and coin == bool(mix64(5 ^ rs ^ _COIN_STREAM) & 1)
 
 
 # ties, signed zeros and subnormals, and the salt extremes
