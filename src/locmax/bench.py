@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bsp import bsp_local_max
 from .generate import gen_random, gen_rgg, with_unit_weights
-from .graph import Graph, Matching, validate_matching
+from .graph import Graph, Matching, undominated_edges, validate_matching
 from .graphio import read_graph, write_csv
 from .matchers import MATCHERS, PhaseTrace, local_max_seq
 from .pram import pram_local_max
@@ -265,7 +265,7 @@ def round_bound(m: int) -> int:
 class CrossCheckRow:
     instance: str
     seed: int
-    matched: bool                # all engines produced seq's matching and round stats
+    matched: bool                # every engine gave seq's rounds and locally dominant matching
     detail: str
     rounds: int
     crew_conflicts: int
@@ -298,12 +298,13 @@ def engine_cross_check(
 
     Runs the sequential engine, the simulated-parallel engine (in checked
     mode, recording write conflicts and the work meter) and the
-    bulk-synchronous engine for every requested worker count. pram is the
-    independent engine; bsp runs seq's rounds under its message ledger, so
-    its rows check that the ledger passes the rounds through unchanged. A
-    run whose matching differs from seq's is flagged by its engine
+    bulk-synchronous engine for every requested worker count. bsp runs
+    seq's rounds and pram shares their kernel, so agreement cannot catch a
+    kernel defect: every matching must also be locally dominant, a
+    certificate shared with no engine (as are the tests' reference engines).
+    A run whose matching differs from seq's is flagged by its engine
     (``bsp-p4``), one whose ``RoundStats`` differ by its engine and
-    ``:rounds``.
+    ``:rounds``, one not locally dominant by its engine and ``:dominance``.
     """
     report = CrossCheckReport()
     for spec in instances:
@@ -313,14 +314,17 @@ def engine_cross_check(
             base, base_trace = local_max_seq(g, seed, rerandomize)
             pram_run = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
             pram_trace = pram_run[1]
-            runs = [("pram", pram_run)] + [(f"bsp-p{p}", bsp_local_max(g, p, seed, rerandomize))
-                                           for p in workers if p <= g.num_vertices]
+            runs = [("seq", (base, base_trace)), ("pram", pram_run)]
+            runs += [(f"bsp-p{p}", bsp_local_max(g, p, seed, rerandomize))
+                     for p in workers if p <= g.num_vertices]
             mismatch = []
             for name, (matching, trace) in runs:
                 if matching != base:
                     mismatch.append(name)
                 if trace.rounds != base_trace.rounds:
                     mismatch.append(f"{name}:rounds")
+                if undominated_edges(g, matching):
+                    mismatch.append(f"{name}:dominance")
             report.rows.append(
                 CrossCheckRow(
                     instance=label,

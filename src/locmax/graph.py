@@ -263,6 +263,19 @@ def validate_matching(g: Graph, m: Matching) -> MatchingCheck:
     return MatchingCheck(False, False, _first_fault(g, m.mate, ids))
 
 
+def undominated_edges(g: Graph, m: Matching) -> int:
+    """Count the edges heavier than the matched edge at both their endpoints
+    (weight 0 at an unmatched endpoint). 0 means the matching is locally
+    dominant: the matched weight at each vertex is then a feasible dual of
+    the fractional matching LP with value 2 w(M), which certifies
+    w(M) >= OPT/2 (Preis 1999). Shares no code with any matcher."""
+    at = np.zeros(g.num_vertices)
+    ids = m.edges
+    at[g.edge_u[ids]] = at[g.edge_v[ids]] = g.edge_weight[ids]
+    w = g.edge_weight
+    return int(np.count_nonzero((w > at[g.edge_u]) & (w > at[g.edge_v])))
+
+
 def _first_fault(g: Graph, mate: np.ndarray, ids: np.ndarray) -> str:
     """Describe what makes ``ids`` with ``mate`` an invalid matching, checking
     edge by edge (id range, shared vertex, mate entries) and then the mate

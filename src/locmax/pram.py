@@ -4,8 +4,8 @@ The engine keeps the graph in the adjacency-array layout (edge records plus
 per-vertex incidence slots) and runs each phase as a fixed sequence of
 whole-array passes: draw per-edge keys, take each vertex's maximum key with
 segmented reductions whose totals land at the vertex (the simulator computes
-them by scatter-max over the vertex-sorted slots), match the edges whose key
-equals the total read (concurrently) at both endpoints, mark their endpoints
+them with the kernel all engines share), match the edges whose key equals
+the total read (concurrently) at both endpoints, mark their endpoints
 matched, then compact the edges through the list of survivors and the slots
 with a prefix sum that also shifts the offsets. One pass corresponds to one
 simulated parallel step.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import Graph, Matching, assert_graph_invariants
 from .matchers import PhaseTrace, Rounds, _drive
-from .tiebreak import edge_salts, round_seed, weight_bits
+from .tiebreak import _new_candidates, _raise_candidates, edge_salts, round_seed, weight_bits
 
 
 @dataclass
@@ -101,55 +101,35 @@ class PramState:
                                       self.edge_weight))
 
 
-def _vertex_totals(state: PramState):
-    """A function taking the maximum of a nonnegative per-slot value over each
-    vertex's contiguous slots, which lands at the vertex (0 with no live slot).
-    In the model, a segmented max reduction (depth ceil(log2 deg), exclusive
-    writes at each tree level); the simulator scatter-maxes the slots."""
-    def totals(slot_value: np.ndarray) -> np.ndarray:
-        total = np.zeros(state.num_vertices, dtype=slot_value.dtype)
-        np.maximum.at(total, state.slot_vertex, slot_value)
-        return total
-    return totals
-
-
 def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:
     """One parallel local max phase; returns the matched original edge ids.
 
     Steps: (1) per-edge keys, read by the slots, (2) each vertex's heaviest
-    key, by two segmented max reductions (weight bits, then salts among the
-    weight-maximal slots; salts are distinct, so the id never decides)
-    whose totals land at the vertex (each simulated by one scatter-max of
-    the slots), (3) every edge reads the best salt at both its endpoints,
-    and an edge whose salt equals both is matched and flags itself (the log
-    records the write; no step reads the flag, so no array keeps it), (4)
-    each matched edge marks both its endpoints matched, and every edge
-    reads the marks at its endpoints, (5) each surviving edge writes its
-    compacted address, its index in the list of survivors, and an exclusive
-    prefix sum over the slot deletion flags, written in place, gives the
-    slots theirs, (6) survivors copy over, slot edge ids are rewritten
-    through the new addresses, and each offset drops by the slots deleted
-    before it.
+    key, by two segmented max reductions over its contiguous slots (weight
+    bits, then salts among the weight-maximal slots; salts are distinct, so
+    the id never decides) whose totals land at the vertex, (3) every edge
+    reads the best key at both its endpoints, and an edge whose key equals
+    both is matched and flags itself (the log records the write; no step
+    reads the flag, so no array keeps it), (4) each matched edge marks both
+    its endpoints matched, and every edge reads the marks at its endpoints,
+    (5) each surviving edge writes its compacted address, its index in the
+    list of survivors, and an exclusive prefix sum over the slot deletion
+    flags, written in place, gives the slots theirs, (6) survivors copy
+    over, slot edge ids are rewritten through the new addresses, and each
+    offset drops by the slots deleted before it. Steps 1-3 run in the shared
+    kernel over the two endpoint columns, which hold exactly a vertex's slots.
     """
     m = state.num_edges
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    totals = _vertex_totals(state)
 
-    # step 1: the tie-breaking key of every edge, read by its slots
-    slot_w = weight_bits(state.edge_weight)[state.slot_edge]
+    # steps 1-3: every edge's key, each vertex's heaviest key, and the edges
+    # holding it at both endpoints
+    wb = weight_bits(state.edge_weight)
     salts = edge_salts(round_seed_value, state.edge_orig)
-    slot_s = salts[state.slot_edge]
-
-    # step 2: heaviest incident key at every vertex, one component per
-    # reduction; slots out of the running offer 0, the least salt
-    top = totals(slot_w)[state.slot_vertex] == slot_w
-    best = totals(np.where(top, slot_s, 0))
-    del slot_w, slot_s, top  # not read again; freed before step 6 copies the survivors
-
-    # step 3: salts are distinct, so best[x] equals an edge's salt (0 too)
-    # only if the edge is weight-maximal at x and has the best salt there
-    matched_edges = np.flatnonzero((best[state.edge_u] == salts) & (best[state.edge_v] == salts))
+    top_u, top_v = _raise_candidates(_new_candidates(state.num_vertices),
+                                     ((state.edge_u, wb, salts), (state.edge_v, wb, salts)))
+    matched_edges = np.flatnonzero(top_u & top_v)
     if log is not None:
         log.record("match/flag-writes", "edge.flag", matched_edges)
     matched_orig = state.edge_orig[matched_edges]

@@ -6,9 +6,9 @@ hash of (experiment seed, round number, edge id), so the same edge gets the
 same salt in the sequential, PRAM and bulk-synchronous engines regardless of
 scheduling. Salts cannot collide within a round, because the finalizer is
 a bijection of 64-bit words, so the id stays in the key but never decides.
-Every engine takes per-vertex maxima of this order with two max stages:
-scatter-max passes (:func:`_raise_candidates`), or pram's segmented max
-reductions, which its simulator also computes by scatter-max; none sorts keys.
+Every engine takes per-vertex maxima of this order through one kernel,
+:func:`_raise_candidates`, in two scatter-max stages (pram's model counts them
+as segmented max reductions over each vertex's slots); none sorts keys.
 """
 
 from __future__ import annotations

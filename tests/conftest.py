@@ -1,11 +1,13 @@
-"""Shared fixtures, a random edge-list helper and the local-dominance count."""
+"""Shared fixtures and a random edge-list helper."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from locmax import Graph, Matching, build_graph
+import locmax.matchers
+import locmax.pram
+from locmax import Graph, build_graph
 
 
 @pytest.fixture
@@ -26,6 +28,16 @@ def star9() -> Graph:
     return build_graph([(0, leaf, 1.0) for leaf in range(1, 9)])
 
 
+@pytest.fixture
+def salt_only(monkeypatch) -> None:
+    """Every engine's weight bits read 0, so each picks by salt alone: the
+    engines still agree with each other, but they match lighter edges."""
+    def zero_bits(weights):
+        return np.zeros(len(weights), dtype=np.uint64)
+    monkeypatch.setattr(locmax.matchers, "weight_bits", zero_bits)
+    monkeypatch.setattr(locmax.pram, "weight_bits", zero_bits)
+
+
 def random_graph_edges(rng: np.random.Generator, n: int, m: int) -> list[tuple[int, int, float]]:
     """Simple random edge list, possibly with weight ties."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -38,18 +50,3 @@ def random_graph_edges(rng: np.random.Generator, n: int, m: int) -> list[tuple[i
         w = float(rng.integers(1, 4)) if tie_heavy else float(rng.random())
         edges.append((u, v, w))
     return edges
-
-
-def undominated_edges(g: Graph, matching: Matching) -> int:
-    """Count the edges heavier than the matched edge at both their endpoints
-    (weight 0 at an unmatched endpoint).
-
-    0 means the matching is locally dominant: the matched weight at each
-    vertex is then a feasible dual of the fractional matching LP with value
-    2 w(M), which certifies w(M) >= OPT/2 (Preis 1999).
-    """
-    at = np.zeros(g.num_vertices)
-    ids = matching.edges
-    at[g.edge_u[ids]] = at[g.edge_v[ids]] = g.edge_weight[ids]
-    w = g.edge_weight
-    return int(np.count_nonzero((w > at[g.edge_u]) & (w > at[g.edge_v])))

@@ -495,8 +495,8 @@ def vertex_totals(state: PramState):
     """The segment layout (the vertices with live slots, where their segments
     start) as a function taking the maximum of a per-slot value over each
     vertex's segment by one ``np.maximum.reduceat``, which lands at the
-    vertex; other vertices hold 0. The package's ``pram._vertex_totals``
-    computed its totals this way before it scattered them."""
+    vertex; other vertices hold 0. The reference's own segmented reduction,
+    sharing no code with the package's kernel."""
     busy = np.flatnonzero(state.offsets[1:] != state.offsets[:-1])
     starts = state.offsets[busy]
 
@@ -556,6 +556,16 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     return matched_orig
 
 
+def check_progress(round_index: int, before: int, matched: np.ndarray, m: int) -> None:
+    """The package's guard on a phase loop: a phase with live edges that
+    matches nothing, or more phases than the m input edges, is a defect,
+    which raises instead of looping."""
+    if not matched.size:
+        raise RuntimeError(f"pram: round {round_index} matched none of {before} live edges")
+    if round_index >= m:
+        raise RuntimeError(f"pram: more than {m} phases on {m} edges")
+
+
 def pram_local_max(g: Graph, seed: int, checked: bool = False, rerandomize: bool = True):
     """The PRAM engine driving the rank-based :func:`pram_phase`."""
     t0 = time.perf_counter()
@@ -571,6 +581,7 @@ def pram_local_max(g: Graph, seed: int, checked: bool = False, rerandomize: bool
         before = state.num_edges
         slot_ops += state.num_edges + state.num_slots
         matched = pram_phase(state, round_seed(seed, round_index, rerandomize), log)
+        check_progress(round_index, before, matched, g.num_edges)
         if checked:
             state.check_consistent()
         matched_parts.append(matched)

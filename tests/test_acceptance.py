@@ -28,6 +28,8 @@ from locmax.oracle import approximation_audit
 from locmax.pram import PramState, pram_phase
 from locmax.tiebreak import round_seed
 
+from reference import check_progress
+
 FIVE_MATCHERS = ("localmax", "greedy", "gpa", "hem", "rbm")
 
 
@@ -252,7 +254,8 @@ def test_c09_compaction_correctness():
         state.check_consistent()
         rnd = 0
         while state.num_edges:
-            pram_phase(state, round_seed(seed, rnd))
+            before = state.num_edges
+            check_progress(rnd, before, pram_phase(state, round_seed(seed, rnd)), g.num_edges)
             state.check_consistent()  # graph invariants
             checked += 1
             rnd += 1

@@ -151,6 +151,13 @@ def test_cross_check_flags_runs_whose_rounds_differ(monkeypatch):
     assert [row.detail for row in report.rows] == ["bsp-p4:rounds"]
 
 
+def test_cross_check_flags_matchings_that_are_not_locally_dominant(salt_only):
+    report = engine_cross_check((InstanceSpec("rgg", 8),), seeds=(0,), workers=(2, 4))
+    assert not report.passed
+    assert [row.detail for row in report.rows] == [
+        "seq:dominance,pram:dominance,bsp-p2:dominance,bsp-p4:dominance"]
+
+
 def test_triangulation_fixture_shows_quality_separation():
     # pre-generated Delaunay-triangulation edge list (ingestion only): on
     # this family the per-vertex greedy heuristics trail the path-based

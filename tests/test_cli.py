@@ -229,6 +229,15 @@ def test_crosscheck_fails_on_exclusive_write_conflicts(monkeypatch, capsys):
     assert err == "FAIL 2 exclusive-write conflicts\n"
 
 
+def test_crosscheck_fails_on_matchings_that_are_not_locally_dominant(salt_only, capsys):
+    assert main(["crosscheck", "--family", "rgg", "--x", "10", "--seeds", "0", "1", "2",
+                 "--p", "1", "2", "4", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out.count(": MISMATCH (seq:dominance,pram:dominance,bsp-p1:dominance,"
+                     "bsp-p2:dominance,bsp-p4:dominance,bsp-p8:dominance) rounds=") == 3
+    assert err == "FAIL 3 mismatching runs\n"
+
+
 def test_unknown_algorithm_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["match", "--alg", "nosuch"])

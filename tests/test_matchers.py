@@ -23,7 +23,7 @@ from locmax import (
     validate_matching,
 )
 from locmax.generate import with_unit_weights
-from locmax.graph import matching_from_edge_ids
+from locmax.graph import matching_from_edge_ids, undominated_edges
 from locmax.matchers import (
     MATCHERS,
     _descending_key_order,
@@ -38,7 +38,7 @@ from locmax.matchers import (
 from locmax.oracle import random_audit_instance
 from locmax.tiebreak import round_seed, vertex_coins
 
-from conftest import random_graph_edges, undominated_edges
+from conftest import random_graph_edges
 from reference import ParityUnionFind, descending_key_order, gpa_accepted, incident_edges, tie_key
 
 
@@ -477,19 +477,15 @@ def _no_flags(cand, offers):
     return [np.zeros(len(ends), dtype=bool) for ends, *_ in offers]
 
 
-def _zero_totals(state):
-    return lambda slot_value: np.zeros(state.num_vertices, slot_value.dtype)
-
-
 # engine: (module, the kernel it calls, a broken kernel under which nothing
 # wins, the run, kernel calls per round, the round loop named in the error).
 # bsp runs seq's rounds, so its row checks that the error passes through.
 NOTHING_WINS = {
     "seq": (locmax.matchers, "_raise_candidates", _no_flags,
             lambda g: local_max_seq(g, 1), 1, "seq"),
-    "pram": (locmax.pram, "_vertex_totals", _zero_totals,
+    "pram": (locmax.pram, "_raise_candidates", _no_flags,
              lambda g: pram_local_max(g, 1, checked=True), 1, "pram"),
-    "pram-unchecked": (locmax.pram, "_vertex_totals", _zero_totals,
+    "pram-unchecked": (locmax.pram, "_raise_candidates", _no_flags,
                        lambda g: pram_local_max(g, 1), 1, "pram"),
     "bsp": (locmax.matchers, "_raise_candidates", _no_flags,
             lambda g: bsp_local_max(g, 4, 1), 1, "seq"),
