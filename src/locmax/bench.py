@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .bsp import bsp_local_max
@@ -299,26 +300,31 @@ def engine_cross_check(
     Runs the sequential engine, the simulated-parallel engine (in checked
     mode, recording write conflicts and the work meter) and the
     bulk-synchronous engine for every requested worker count. bsp runs
-    seq's rounds and pram shares their kernel, so agreement cannot catch a
+    seq's rounds and pram shares their round, so agreement cannot catch a
     kernel defect: every matching must also be locally dominant, a
     certificate shared with no engine (as are the tests' reference engines).
     A run whose matching differs from seq's is flagged by its engine
     (``bsp-p4``), one whose ``RoundStats`` differ by its engine and
-    ``:rounds``, one not locally dominant by its engine and ``:dominance``.
+    ``:rounds``, one not locally dominant by its engine and ``:dominance``,
+    and one that raises ``RuntimeError`` by its engine and ``:error``.
     """
     report = CrossCheckReport()
     for spec in instances:
         for seed in seeds:
             g = spec.build(seed)
             label = spec.label(seed)
-            base, base_trace = local_max_seq(g, seed, rerandomize)
-            pram_run = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
-            pram_trace = pram_run[1]
-            runs = [("seq", (base, base_trace)), ("pram", pram_run)]
-            runs += [(f"bsp-p{p}", bsp_local_max(g, p, seed, rerandomize))
-                     for p in workers if p <= g.num_vertices]
-            mismatch = []
-            for name, (matching, trace) in runs:
+            runs = {"seq": partial(local_max_seq, g, seed, rerandomize),
+                    "pram": partial(pram_local_max, g, seed, True, rerandomize)}
+            runs.update((f"bsp-p{p}", partial(bsp_local_max, g, p, seed, rerandomize))
+                        for p in workers if p <= g.num_vertices)
+            done, mismatch = {}, []
+            for name, run in runs.items():
+                try:
+                    done[name] = matching, trace = run()
+                except RuntimeError:
+                    mismatch.append(f"{name}:error")
+                    continue
+                base, base_trace = done.get("seq", (matching, trace))  # seq raised: no comparison
                 if matching != base:
                     mismatch.append(name)
                 if trace.rounds != base_trace.rounds:
@@ -331,9 +337,9 @@ def engine_cross_check(
                     seed=seed,
                     matched=not mismatch,
                     detail=",".join(mismatch),
-                    rounds=base_trace.total_rounds,
-                    crew_conflicts=pram_trace.write_log.conflicts,
-                    slot_ops=pram_trace.slot_ops,
+                    rounds=done["seq"][1].total_rounds if "seq" in done else 0,
+                    crew_conflicts=done["pram"][1].write_log.conflicts if "pram" in done else 0,
+                    slot_ops=done["pram"][1].slot_ops if "pram" in done else 0,
                     work_budget=8 * (g.num_vertices + 2 * g.num_edges),
                     n=g.num_vertices,
                     m=g.num_edges,

@@ -81,16 +81,26 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
 
     Each round makes three passes over the surviving edges: pass 1 raises
     per-vertex candidates to the heaviest incident edge, pass 2 matches
-    edges that are the candidate of both endpoints, pass 3 drops edges with
-    a matched endpoint and resets the candidates of surviving endpoints to
+    edges that are the candidate of both endpoints (both are
+    :func:`_local_max_round`, pram's round too), pass 3 drops edges with a
+    matched endpoint and resets the candidates of surviving endpoints to
     the dummy. Candidates are allocated once up front; rounds touch only
     surviving edges (no sorting, no vertex scans), so total work stays
     linear under geometric shrinkage.
-
-    Pass 1 is the staged (weight, salt) maximum of :func:`_raise_candidates`,
-    and pass 2 reads its flags at both endpoints.
     """
     return _drive(g, _local_max_rounds(g, seed, rerandomize))
+
+
+def _local_max_round(cand, vertex_matched, us, vs, wbits, salts):
+    """The round of seq, bsp and pram over the live edges ``(us, vs)``: the
+    indices of the edges :func:`_raise_candidates` flags at both endpoints,
+    whose endpoints it marks in ``vertex_matched``, and the mask of the
+    edges with a matched endpoint."""
+    top_u, top_v = _raise_candidates(cand, ((us, wbits, salts), (vs, wbits, salts)))
+    won = np.flatnonzero(top_u & top_v)
+    vertex_matched[us[won]] = True
+    vertex_matched[vs[won]] = True
+    return won, vertex_matched[us] | vertex_matched[vs]
 
 
 def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
@@ -99,7 +109,7 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
 
     Endpoints and weight bits are gathered once and filtered with the live
     set, and so are the salts unless ``rerandomize`` draws new ones every
-    round.
+    round. Each round is :func:`_local_max_round` on the survivors.
     """
     live = np.arange(g.num_edges, dtype=np.int64)
     us, vs = g.edge_u, g.edge_v
@@ -109,16 +119,11 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
     salts = edge_salts(round_seed(seed, 0), live)
     round_index = 0
     while live.size:
-        # pass 1: lexicographic max per endpoint
-        top_u, top_v = _raise_candidates(cand, ((us, wbits, salts), (vs, wbits, salts)))
-        # pass 2: an edge wins iff it is the candidate at both endpoints
-        won = np.flatnonzero(top_u & top_v)
+        won, dead = _local_max_round(cand, vertex_matched, us, vs, wbits, salts)
         if not won.size:
             raise RuntimeError(f"seq: round {round_index} matched none of {live.size} live edges")
-        vertex_matched[us[won]] = True
-        vertex_matched[vs[won]] = True
         # pass 3: drop edges with a matched endpoint, reset survivors' candidates
-        alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
+        alive = np.flatnonzero(~dead)
         yield live.size, live[won], alive.size
         live, us, vs, wbits = live[alive], us[alive], vs[alive], wbits[alive]
         _reset_candidates(cand, us, vs)
@@ -476,14 +481,15 @@ def rbm(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
 def _rbm_rounds(g: Graph, seed: int) -> Rounds:
     """The rounds of :func:`rbm`. Only a bichromatic edge can carry a
     proposal, so each round keeps just those, each oriented once from its
-    blue proposer to its red receiver."""
+    blue proposer to its red receiver. With fair coins, 64 rounds in a row
+    without one (chance 2^-64) mean broken coins, and the run raises."""
     n = g.num_vertices
     prop = _new_candidates(n)   # heaviest outgoing proposal per blue vertex
     acc = _new_candidates(n)    # heaviest incoming proposal per red vertex
     vertex_matched = np.zeros(n, dtype=bool)
     live = np.arange(g.num_edges, dtype=np.int64)
     us, vs, wbits = g.edge_u, g.edge_v, weight_bits(g.edge_weight)
-    round_index = 0
+    round_index = idle = 0
     max_rounds = 10_000
     while live.size:
         if round_index >= max_rounds:
@@ -491,6 +497,9 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
         rs = round_seed(seed, round_index, rerandomize=True)
         blue_u = vertex_coins(rs, us)
         bi = np.flatnonzero(blue_u != vertex_coins(rs, vs))
+        idle = 0 if bi.size else idle + 1
+        if idle == 64:
+            raise RbmDidNotConverge(f"no bichromatic live edge in {idle} rounds in a row")
         u_blue = blue_u[bi]
         blue = np.where(u_blue, us[bi], vs[bi])
         red = np.where(u_blue, vs[bi], us[bi])

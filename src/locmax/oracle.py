@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _assemble, validate_matching
+from .graph import Graph, _assemble, undominated_edges, validate_matching
 
 ORACLE_EDGE_CAP = 24
 
@@ -121,8 +121,9 @@ def approximation_audit(matcher_id: str, trials: int, seed: int) -> AuditReport:
     """Compare a matcher against the exact oracle on random small instances.
 
     Ratios are matcher weight over optimum (1.0 when the optimum is zero).
-    A ratio below 1/2 counts as a guarantee violation only for matchers in
-    HALF_APPROX_MATCHERS; validity and maximality are enforced for all.
+    For matchers in HALF_APPROX_MATCHERS a ratio below 1/2, or a matching
+    that is not locally dominant (the certificate of the 1/2 bound), counts
+    as a guarantee violation; validity and maximality are enforced for all.
     Zero trials give an empty audit; a negative count is a ValueError.
     """
     if trials < 0:
@@ -145,7 +146,7 @@ def approximation_audit(matcher_id: str, trials: int, seed: int) -> AuditReport:
         got = matching.weight(g)
         ratio = 1.0 if opt.opt_weight == 0.0 else got / opt.opt_weight
         ratios.append(ratio)
-        if enforce_half and ratio < 0.5 - RATIO_EPS:
+        if enforce_half and (ratio < 0.5 - RATIO_EPS or undominated_edges(g, matching)):
             violations += 1
     if ratios:
         min_ratio = min(ratios)

@@ -3,12 +3,11 @@
 The engine keeps the graph in the adjacency-array layout (edge records plus
 per-vertex incidence slots) and runs each phase as a fixed sequence of
 whole-array passes: draw per-edge keys, take each vertex's maximum key with
-segmented reductions whose totals land at the vertex (the simulator computes
-them with the kernel all engines share), match the edges whose key equals
-the total read (concurrently) at both endpoints, mark their endpoints
-matched, then compact the edges through the list of survivors and the slots
-with a prefix sum that also shifts the offsets. One pass corresponds to one
-simulated parallel step.
+segmented reductions whose totals land at the vertex, match the edges whose
+key equals the total read (concurrently) at both endpoints, mark their
+endpoints matched (together, the sequential engine's round), then compact
+the edges through the list of survivors and the slots with a prefix sum
+that also shifts the offsets. One pass is one simulated parallel step.
 
 In checked mode every shared-array write of a step is recorded, and two
 writes landing on the same cell within one step count as an exclusive-write
@@ -23,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, Matching, assert_graph_invariants
-from .matchers import PhaseTrace, Rounds, _drive
-from .tiebreak import _new_candidates, _raise_candidates, edge_salts, round_seed, weight_bits
+from .matchers import PhaseTrace, Rounds, _drive, _local_max_round
+from .tiebreak import _new_candidates, edge_salts, round_seed, weight_bits
 
 
 @dataclass
@@ -116,35 +115,20 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     list of survivors, and an exclusive prefix sum over the slot deletion
     flags, written in place, gives the slots theirs, (6) survivors copy
     over, slot edge ids are rewritten through the new addresses, and each
-    offset drops by the slots deleted before it. Steps 1-3 run in the shared
-    kernel over the two endpoint columns, which hold exactly a vertex's slots.
+    offset drops by the slots deleted before it. Steps 1-4 are seq's round
+    on fresh candidates and marks; its kernel reads the endpoint columns,
+    which hold exactly a vertex's slots. The log records before step 6.
     """
     m = state.num_edges
     if m == 0:
         return np.empty(0, dtype=np.int64)
 
-    # steps 1-3: every edge's key, each vertex's heaviest key, and the edges
-    # holding it at both endpoints
-    wb = weight_bits(state.edge_weight)
-    salts = edge_salts(round_seed_value, state.edge_orig)
-    top_u, top_v = _raise_candidates(_new_candidates(state.num_vertices),
-                                     ((state.edge_u, wb, salts), (state.edge_v, wb, salts)))
-    matched_edges = np.flatnonzero(top_u & top_v)
-    if log is not None:
-        log.record("match/flag-writes", "edge.flag", matched_edges)
-    matched_orig = state.edge_orig[matched_edges]
-
-    # step 4: mark both endpoints of each matched edge (a vertex has at most
-    # one matched edge, so the writes are exclusive), then every edge
-    # incident to a matched vertex dies
+    # steps 1-4: seq's round, on fresh candidates and marks
     matched_vertex = np.zeros(state.num_vertices, dtype=bool)
-    matched_vertex[state.edge_u[matched_edges]] = True
-    matched_vertex[state.edge_v[matched_edges]] = True
-    if log is not None and np.count_nonzero(matched_vertex) != 2 * matched_edges.size:
-        raise RuntimeError("pram: the matched edges do not mark 2 distinct vertices each")
-    dead_edge = matched_vertex[state.edge_u] | matched_vertex[state.edge_v]
-    if log is not None:
-        log.record("spread/edge-writes", "edge.flag", np.arange(m))
+    matched_edges, dead_edge = _local_max_round(
+        _new_candidates(state.num_vertices), matched_vertex, state.edge_u, state.edge_v,
+        weight_bits(state.edge_weight), edge_salts(round_seed_value, state.edge_orig))
+    matched_orig = state.edge_orig[matched_edges]
 
     # step 5: each surviving edge writes its own new address, its index in keep_e (exclusive
     # writes); the slots' exclusive prefix sum, written in place, moves slots and offsets
@@ -155,18 +139,23 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     dead_before = np.zeros(state.num_slots + 1, dtype=np.int64)
     np.cumsum(dead_slot, out=dead_before[1:])
 
-    # step 6: compact edges and slots, rewrite the slots' edge ids
     if log is not None:
+        log.record("match/flag-writes", "edge.flag", matched_edges)
+        # a vertex has at most one matched edge, so the step 4 writes are exclusive
+        if np.count_nonzero(matched_vertex) != 2 * matched_edges.size:
+            raise RuntimeError("pram: the matched edges do not mark 2 distinct vertices each")
+        log.record("spread/edge-writes", "edge.flag", np.arange(m))
         log.record("compact/edge-copies", "edge.records", new_edge_index[keep_e])
+        new_slot_index = np.arange(state.num_slots) - dead_before[:-1]
+        log.record("compact/slot-copies", "slot.records", new_slot_index[~dead_slot])
+
+    # step 6: compact edges and slots, rewrite the slots' edge ids
     state.edge_u = state.edge_u[keep_e]
     state.edge_v = state.edge_v[keep_e]
     state.edge_weight = state.edge_weight[keep_e]
     state.edge_orig = state.edge_orig[keep_e]
 
     keep_s = np.flatnonzero(~dead_slot)
-    if log is not None:
-        new_slot_index = np.arange(state.num_slots) - dead_before[:-1]
-        log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
     state.slot_vertex = state.slot_vertex[keep_s]
     state.slot_edge = new_edge_index[state.slot_edge[keep_s]]
 

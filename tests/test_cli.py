@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import locmax.bench
+import locmax.matchers
 from locmax.cli import main
 from locmax.graphio import read_edge_list
+
+from test_matchers import _no_flags
 
 
 def test_gen_writes_edge_list(tmp_path, capsys):
@@ -236,6 +239,17 @@ def test_crosscheck_fails_on_matchings_that_are_not_locally_dominant(salt_only, 
     assert out.count(": MISMATCH (seq:dominance,pram:dominance,bsp-p1:dominance,"
                      "bsp-p2:dominance,bsp-p4:dominance,bsp-p8:dominance) rounds=") == 3
     assert err == "FAIL 3 mismatching runs\n"
+
+
+def test_crosscheck_names_the_engines_that_raise(monkeypatch, capsys):
+    # no round matches anything, so every engine raises on its first round
+    monkeypatch.setattr(locmax.matchers, "_raise_candidates", _no_flags)
+    assert main(["crosscheck", "--family", "rgg", "--x", "6", "--seeds", "0",
+                 "--p", "1", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ("rgg-x6-wdefault-s0 seed=0: MISMATCH (seq:error,pram:error,bsp-p1:error,"
+                   "bsp-p2:error) rounds=0 crew_conflicts=0 slot_ops=0 budget=2176\n")
+    assert err == "FAIL 1 mismatching runs\n"
 
 
 def test_unknown_algorithm_rejected(capsys):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locmax.matchers
-import locmax.pram
 import reference as ref
 from locmax import (
     bsp_local_max,
@@ -26,6 +25,7 @@ from locmax.generate import with_unit_weights
 from locmax.graph import matching_from_edge_ids, undominated_edges
 from locmax.matchers import (
     MATCHERS,
+    RbmDidNotConverge,
     _descending_key_order,
     _greedy_matching,
     gpa,
@@ -299,6 +299,20 @@ def test_rbm_terminates_within_logarithmic_rounds():
         assert trace.total_rounds <= sbound
 
 
+def test_rbm_raises_once_no_live_edge_is_bichromatic_for_64_rounds(monkeypatch):
+    # coins by id parity never colour the edge (0, 2) blue-red
+    calls = []
+
+    def parity(rs, ids):
+        calls.append(None)
+        return np.asarray(ids) % 2 == 1
+
+    monkeypatch.setattr(locmax.matchers, "vertex_coins", parity)
+    with pytest.raises(RbmDidNotConverge, match="^no bichromatic live edge in 64 rounds in a row$"):
+        rbm(build_graph([(0, 2, 1.0)]), 0)
+    assert len(calls) <= 2 * 64
+
+
 # ------------------------------------------------------------ all matchers
 
 @pytest.mark.parametrize("name", sorted(MATCHERS))
@@ -479,13 +493,14 @@ def _no_flags(cand, offers):
 
 # engine: (module, the kernel it calls, a broken kernel under which nothing
 # wins, the run, kernel calls per round, the round loop named in the error).
-# bsp runs seq's rounds, so its row checks that the error passes through.
+# bsp runs seq's rounds, so its row checks that the error passes through;
+# pram runs seq's round under its own guard.
 NOTHING_WINS = {
     "seq": (locmax.matchers, "_raise_candidates", _no_flags,
             lambda g: local_max_seq(g, 1), 1, "seq"),
-    "pram": (locmax.pram, "_raise_candidates", _no_flags,
+    "pram": (locmax.matchers, "_raise_candidates", _no_flags,
              lambda g: pram_local_max(g, 1, checked=True), 1, "pram"),
-    "pram-unchecked": (locmax.pram, "_raise_candidates", _no_flags,
+    "pram-unchecked": (locmax.matchers, "_raise_candidates", _no_flags,
                        lambda g: pram_local_max(g, 1), 1, "pram"),
     "bsp": (locmax.matchers, "_raise_candidates", _no_flags,
             lambda g: bsp_local_max(g, 4, 1), 1, "seq"),

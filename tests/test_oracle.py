@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locmax import build_graph, gen_random, max_weight_matching_bruteforce
+from locmax import build_graph, gen_random, local_max_seq, max_weight_matching_bruteforce
+from locmax.graph import undominated_edges
 from locmax.matchers import MATCHERS
 from locmax.oracle import approximation_audit, random_audit_instance
 
@@ -82,6 +83,23 @@ def test_audit_localmax_and_greedy_hold_half_guarantee():
         assert report.passed
         assert report.min_ratio >= 0.5 - 1e-9
         assert report.guarantee_violations == 0
+
+
+def test_audit_counts_matchings_that_are_not_locally_dominant(salt_only):
+    # picking by salt alone rarely drops below 1/2 of the optimum, but it
+    # often leaves an edge heavier than the matched edges at both its ends
+    below_half = undominated = violations = 0
+    for t in range(200):
+        g = random_audit_instance(np.random.default_rng((0, t)))
+        matching, _ = local_max_seq(g, t)
+        opt = max_weight_matching_bruteforce(g).opt_weight
+        below = opt > 0 and matching.weight(g) / opt < 0.5 - 1e-9
+        dominated = undominated_edges(g, matching) > 0
+        below_half += below
+        undominated += dominated
+        violations += below or dominated
+    assert undominated > below_half
+    assert approximation_audit("localmax", 200, 0).guarantee_violations == violations
 
 
 def test_audit_hem_reports_without_half_bound():

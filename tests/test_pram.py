@@ -72,6 +72,17 @@ def test_checked_write_log_of_a_path():
     assert _write_log_figures(g) == (8, 12, 0)
 
 
+def test_checked_mode_rejects_matched_edges_that_share_a_vertex(monkeypatch, star9):
+    # a kernel that flags every offer lets all 8 edges at the centre win
+    def every_flag(cand, offers):
+        return [np.ones(len(ends), dtype=bool) for ends, *_ in offers]
+
+    monkeypatch.setattr("locmax.matchers._raise_candidates", every_flag)
+    with pytest.raises(RuntimeError, match="^pram: the matched edges do not mark 2 distinct "
+                                           "vertices each$"):
+        pram_local_max(star9, 0, checked=True)
+
+
 def test_write_log_counts_conflicts_when_present():
     log = WriteLog()
     log.record("demo", "cells", np.array([3, 4, 3, 3]))
