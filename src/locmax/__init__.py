@@ -8,11 +8,11 @@ instances, and a benchmark harness with a CLI (``locmax``).
 """
 
 from .bench import (
+    AuditReport,
     BenchRecord,
-    CrossCheckReport,
     InstanceSpec,
     ShrinkReport,
-    SuiteConfig,
+    approximation_audit,
     engine_cross_check,
     run_matcher,
     run_suite,
@@ -47,23 +47,18 @@ from .matchers import (
     local_max_seq,
     rbm,
 )
-from .oracle import (
-    AuditReport,
-    OracleResult,
-    approximation_audit,
-    max_weight_matching_bruteforce,
-)
+from .oracle import OracleResult, max_weight_matching_bruteforce
 from .pram import PramState, WriteLog, pram_local_max, pram_phase
 from .tiebreak import edge_salts, key_ranks, round_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "AuditReport",
     "BenchRecord",
-    "CrossCheckReport",
     "InstanceSpec",
     "ShrinkReport",
-    "SuiteConfig",
+    "approximation_audit",
     "engine_cross_check",
     "run_matcher",
     "run_suite",
@@ -96,9 +91,7 @@ __all__ = [
     "hem",
     "local_max_seq",
     "rbm",
-    "AuditReport",
     "OracleResult",
-    "approximation_audit",
     "max_weight_matching_bruteforce",
     "PramState",
     "WriteLog",

@@ -1,39 +1,29 @@
-"""Benchmark harness: quality ratios, shrink statistics and engine checks.
+"""Benchmark harness: the suite, shrink statistics, the engine cross-check
+and the oracle audit.
 
-All results are plain records convertible to CSV rows under a fixed,
-versioned schema; timing columns are informational only and are the one
-part of a record that is not reproducible across runs.
+The suite, shrink and audit results are plain records convertible to CSV
+rows under one fixed, versioned schema; timing columns are informational
+only and are the one part of a record that is not reproducible across runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from .bsp import bsp_local_max
 from .generate import gen_random, gen_rgg, with_unit_weights
 from .graph import Graph, Matching, undominated_edges, validate_matching
 from .graphio import read_graph, write_csv
 from .matchers import MATCHERS, PhaseTrace, local_max_seq
+from .oracle import max_weight_matching_bruteforce, random_audit_instance
 from .pram import pram_local_max
 
 CSV_SCHEMA_VERSION = "locmax-bench-1"
-
-BENCH_COLUMNS = (
-    "schema",
-    "instance",
-    "algorithm",
-    "engine",
-    "seed",
-    "weight",
-    "ratio_vs_gpa",
-    "rounds",
-    "mean_removed_fraction",
-    "millis",
-    "messages",
-)
 
 SHRINK_COLUMNS = (
     "schema",
@@ -82,6 +72,9 @@ class BenchRecord:
         }
 
 
+BENCH_COLUMNS = ("schema", *(f.name for f in fields(BenchRecord)))
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """An instance either generated from a family or read from a file."""
@@ -102,9 +95,13 @@ class InstanceSpec:
         """Read the file, or generate the family's 2^x-vertex instance for ``seed``.
 
         Raises ValueError for an unknown family, ``x < 1``, ``alpha < 1``
-        (random family) and euclidean weights on the random family.
+        (random family), euclidean weights on the random family, and random
+        or euclidean weights on a file, which keeps its own.
         """
         if self.family == "file":
+            if self.weights in ("random", "euclidean"):
+                raise ValueError(f"{self.weights} weights are undefined for a file, "
+                                 "which keeps its own weights")
             g = read_graph(self.path)
         elif self.family not in ("random", "rgg"):
             raise ValueError(f"unknown family {self.family!r}")
@@ -120,16 +117,6 @@ class InstanceSpec:
         if self.weights == "unit":
             g = with_unit_weights(g)
         return g
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    instances: tuple[InstanceSpec, ...]
-    algorithms: tuple[str, ...]
-    seeds: tuple[int, ...]
-    engine: str = "seq"          # engine for the localmax algorithm
-    p: int = 4                   # workers for the bsp engine
-    rerandomize: bool = True
 
 
 def run_matcher(
@@ -158,27 +145,29 @@ def run_matcher(
     return matcher(g, seed)
 
 
-def run_suite(config: SuiteConfig) -> list[BenchRecord]:
+def run_suite(instances: tuple[InstanceSpec, ...], algorithms: tuple[str, ...],
+              seeds: tuple[int, ...], engine: str = "seq", p: int = 4,
+              rerandomize: bool = True) -> list[BenchRecord]:
     """One record per (instance, algorithm, seed); GPA is the quality baseline.
 
-    The GPA weight for each (instance, seed) cell is computed regardless of
-    whether GPA was requested, so ratio_vs_gpa is always defined.
+    ``engine`` (with ``p`` workers for bsp) runs localmax; every other
+    algorithm runs on seq. The GPA weight for each (instance, seed) cell is
+    computed regardless of whether GPA was requested, so ratio_vs_gpa is
+    always defined.
     """
     records: list[BenchRecord] = []
-    for spec in config.instances:
-        for seed in config.seeds:
+    for spec in instances:
+        for seed in seeds:
             g = spec.build(seed)
             label = spec.label(seed)
             gpa_matching, gpa_trace = run_matcher(g, "gpa", seed)
             gpa_weight = gpa_matching.weight(g)
-            for alg in config.algorithms:
-                engine = config.engine if alg == "localmax" else "seq"
+            for alg in algorithms:
+                alg_engine = engine if alg == "localmax" else "seq"
                 if alg == "gpa":
                     matching, trace = gpa_matching, gpa_trace
                 else:
-                    matching, trace = run_matcher(
-                        g, alg, seed, engine, config.p, config.rerandomize
-                    )
+                    matching, trace = run_matcher(g, alg, seed, alg_engine, p, rerandomize)
                 check = validate_matching(g, matching)
                 if not (check.valid and check.maximal):
                     raise AssertionError(
@@ -188,7 +177,7 @@ def run_suite(config: SuiteConfig) -> list[BenchRecord]:
                 weight = matching.weight(g)
                 ratio = weight / gpa_weight if gpa_weight > 0 else 1.0
                 records.append(
-                    BenchRecord.from_run(label, alg, engine, seed, weight, ratio, trace)
+                    BenchRecord.from_run(label, alg, alg_engine, seed, weight, ratio, trace)
                 )
     return records
 
@@ -276,26 +265,10 @@ class CrossCheckRow:
     m: int
 
 
-@dataclass
-class CrossCheckReport:
-    rows: list[CrossCheckRow] = field(default_factory=list)
-
-    @property
-    def mismatches(self) -> list[CrossCheckRow]:
-        return [r for r in self.rows if not r.matched]
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-
-def engine_cross_check(
-    instances: tuple[InstanceSpec, ...],
-    seeds: tuple[int, ...],
-    workers: tuple[int, ...] = (1, 2, 4, 8),
-    rerandomize: bool = True,
-) -> CrossCheckReport:
-    """Assert that all engines return the identical run per instance/seed.
+def engine_cross_check(instances: tuple[InstanceSpec, ...], seeds: tuple[int, ...],
+                       workers: tuple[int, ...] = (1, 2, 4, 8),
+                       rerandomize: bool = True) -> list[CrossCheckRow]:
+    """Check that all engines return the identical run per instance/seed.
 
     Runs the sequential engine, the simulated-parallel engine (in checked
     mode, recording write conflicts and the work meter) and the
@@ -308,7 +281,7 @@ def engine_cross_check(
     ``:rounds``, one not locally dominant by its engine and ``:dominance``,
     and one that raises ``RuntimeError`` by its engine and ``:error``.
     """
-    report = CrossCheckReport()
+    rows = []
     for spec in instances:
         for seed in seeds:
             g = spec.build(seed)
@@ -331,18 +304,86 @@ def engine_cross_check(
                     mismatch.append(f"{name}:rounds")
                 if undominated_edges(g, matching):
                     mismatch.append(f"{name}:dominance")
-            report.rows.append(
-                CrossCheckRow(
-                    instance=label,
-                    seed=seed,
-                    matched=not mismatch,
-                    detail=",".join(mismatch),
-                    rounds=done["seq"][1].total_rounds if "seq" in done else 0,
-                    crew_conflicts=done["pram"][1].write_log.conflicts if "pram" in done else 0,
-                    slot_ops=done["pram"][1].slot_ops if "pram" in done else 0,
-                    work_budget=8 * (g.num_vertices + 2 * g.num_edges),
-                    n=g.num_vertices,
-                    m=g.num_edges,
-                )
-            )
-    return report
+            pram = done["pram"][1] if "pram" in done else None
+            rows.append(CrossCheckRow(
+                instance=label, seed=seed, matched=not mismatch, detail=",".join(mismatch),
+                rounds=done["seq"][1].total_rounds if "seq" in done else 0,
+                crew_conflicts=pram.write_log.conflicts if pram else 0,
+                slot_ops=pram.slot_ops if pram else 0,
+                work_budget=8 * (g.num_vertices + 2 * g.num_edges),
+                n=g.num_vertices, m=g.num_edges))
+    return rows
+
+
+@dataclass(frozen=True)
+class AuditReport:
+    """Outcome of running one matcher against the oracle on random instances."""
+
+    matcher: str
+    trials: int
+    min_ratio: float
+    mean_ratio: float
+    guarantee_violations: int  # ratio < 1/2 where the matcher promises it
+    invalid: int
+    non_maximal: int
+
+    @property
+    def passed(self) -> bool:
+        return self.guarantee_violations == 0 and self.invalid == 0 and self.non_maximal == 0
+
+    def as_row(self) -> dict[str, object]:
+        return {
+            "schema": CSV_SCHEMA_VERSION,
+            "matcher": self.matcher,
+            "trials": self.trials,
+            "min_ratio": repr(self.min_ratio),
+            "mean_ratio": repr(self.mean_ratio),
+            "violations": self.guarantee_violations,
+            "invalid": self.invalid,
+            "non_maximal": self.non_maximal,
+        }
+
+
+# Matchers carrying the 1/2-approximation guarantee; others are report-only.
+HALF_APPROX_MATCHERS = frozenset({"localmax", "greedy"})
+
+# Slack for accumulated floating-point error in weight sums.
+RATIO_EPS = 1e-9
+
+
+def approximation_audit(matcher_id: str, trials: int, seed: int) -> AuditReport:
+    """Compare a matcher against the exact oracle on random small instances.
+
+    Ratios are matcher weight over optimum (1.0 when the optimum is zero).
+    For matchers in HALF_APPROX_MATCHERS a ratio below 1/2, or a matching
+    that is not locally dominant (the certificate of the 1/2 bound), counts
+    as a guarantee violation; validity and maximality are enforced for all.
+    Zero trials give an empty audit; a negative count is a ValueError.
+    """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    matcher = MATCHERS[matcher_id]
+    enforce_half = matcher_id in HALF_APPROX_MATCHERS
+    ratios: list[float] = []
+    violations = invalid = non_maximal = 0
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        g = random_audit_instance(rng)
+        opt = max_weight_matching_bruteforce(g)
+        matching, _ = matcher(g, t)
+        check = validate_matching(g, matching)
+        if not check.valid:
+            invalid += 1
+        elif not check.maximal:
+            non_maximal += 1
+        got = matching.weight(g)
+        ratio = 1.0 if opt.opt_weight == 0.0 else got / opt.opt_weight
+        ratios.append(ratio)
+        if enforce_half and (ratio < 0.5 - RATIO_EPS or undominated_edges(g, matching)):
+            violations += 1
+    if ratios:
+        min_ratio = min(ratios)
+        mean_ratio = math.fsum(ratios) / len(ratios)
+    else:
+        min_ratio = mean_ratio = float("nan")
+    return AuditReport(matcher_id, trials, min_ratio, mean_ratio, violations, invalid, non_maximal)

@@ -2,7 +2,8 @@
 
 Exit status is nonzero whenever a requested check fails (shrink bounds,
 oracle audit, engine cross-check), so the harness can gate CI runs. Bad
-flags and rejected input (a ValueError) exit 2 with a one-line message.
+flags, rejected input (a ValueError) and files that cannot be read or
+written (an OSError) exit 2 with a one-line message.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from pathlib import Path
 
 from .bench import (
     SHRINK_COLUMNS,
-    CSV_SCHEMA_VERSION,
     BenchRecord,
     InstanceSpec,
-    SuiteConfig,
+    approximation_audit,
     engine_cross_check,
     round_bound,
     run_matcher,
@@ -27,7 +27,6 @@ from .bench import (
 from .graph import validate_matching
 from .graphio import read_graph, write_csv, write_edge_list
 from .matchers import MATCHERS
-from .oracle import approximation_audit
 
 ALGORITHMS = tuple(MATCHERS)
 ENGINES = ("seq", "pram", "bsp")
@@ -35,7 +34,7 @@ ENGINES = ("seq", "pram", "bsp")
 
 def _instance_specs(args) -> tuple[InstanceSpec, ...]:
     if getattr(args, "input", None):
-        return tuple(InstanceSpec("file", path=p) for p in args.input)
+        return tuple(InstanceSpec("file", weights=args.weights, path=p) for p in args.input)
     specs = []
     for x in args.x:
         if args.family == "random":
@@ -46,7 +45,7 @@ def _instance_specs(args) -> tuple[InstanceSpec, ...]:
     return tuple(specs)
 
 
-def _add_family_flags(sp, multi_x: bool = True) -> None:
+def _add_family_flags(sp, multi_x: bool = True, weights: bool = True) -> None:
     sp.add_argument("--family", choices=("random", "rgg"), default="rgg")
     if multi_x:
         sp.add_argument("--x", type=int, nargs="+", default=[10], help="log2 vertex counts")
@@ -54,12 +53,14 @@ def _add_family_flags(sp, multi_x: bool = True) -> None:
     else:
         sp.add_argument("--x", type=int, default=10, help="log2 vertex count")
         sp.add_argument("--alpha", type=int, default=4)
-    sp.add_argument(
-        "--weights",
-        choices=("unit", "random", "euclidean", "default"),
-        default="default",
-        help="edge-weight mode (default: euclidean for rgg, uniform for random)",
-    )
+    if weights:
+        sp.add_argument(
+            "--weights",
+            choices=("unit", "random", "euclidean", "default"),
+            default="default",
+            help="edge-weight mode (default: euclidean for rgg, uniform for random, "
+                 "the file's own for --input)",
+        )
 
 
 def _cmd_gen(args) -> int:
@@ -96,15 +97,8 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = SuiteConfig(
-        instances=_instance_specs(args),
-        algorithms=tuple(args.alg),
-        seeds=tuple(args.seeds),
-        engine=args.engine,
-        p=args.p,
-        rerandomize=args.rerandomize,
-    )
-    records = run_suite(config)
+    records = run_suite(_instance_specs(args), tuple(args.alg), tuple(args.seeds),
+                        args.engine, args.p, args.rerandomize)
     if args.out:
         write_bench_csv(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
@@ -151,39 +145,26 @@ def _cmd_audit(args) -> int:
         f"invalid={report.invalid} non_maximal={report.non_maximal}"
     )
     if args.out:
-        row = {
-            "schema": CSV_SCHEMA_VERSION,
-            "matcher": report.matcher,
-            "trials": report.trials,
-            "min_ratio": repr(report.min_ratio),
-            "mean_ratio": repr(report.mean_ratio),
-            "violations": report.guarantee_violations,
-            "invalid": report.invalid,
-            "non_maximal": report.non_maximal,
-        }
+        row = report.as_row()
         write_csv([row], args.out, tuple(row), append=True)
     return 0 if report.passed else 1
 
 
 def _cmd_crosscheck(args) -> int:
-    report = engine_cross_check(
-        _instance_specs(args),
-        tuple(args.seeds),
-        workers=tuple(args.p),
-        rerandomize=args.rerandomize,
-    )
-    for row in report.rows:
+    rows = engine_cross_check(_instance_specs(args), tuple(args.seeds), workers=tuple(args.p),
+                              rerandomize=args.rerandomize)
+    for row in rows:
         status = "ok" if row.matched else f"MISMATCH ({row.detail})"
         print(
             f"{row.instance} seed={row.seed}: {status} rounds={row.rounds} "
             f"crew_conflicts={row.crew_conflicts} slot_ops={row.slot_ops} "
             f"budget={row.work_budget}"
         )
-    bad = report.mismatches
+    bad = [r for r in rows if not r.matched]
     if bad:
         print(f"FAIL {len(bad)} mismatching runs", file=sys.stderr)
         return 1
-    conflicts = sum(r.crew_conflicts for r in report.rows)
+    conflicts = sum(r.crew_conflicts for r in rows)
     if conflicts:
         print(f"FAIL {conflicts} exclusive-write conflicts", file=sys.stderr)
         return 1
@@ -205,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("match", help="run one matcher on one instance")
     _add_family_flags(sp, multi_x=False)
-    sp.add_argument("--input", help="edge-list or .mtx file (overrides --family)")
+    sp.add_argument("--input", help="edge-list or .mtx file (overrides the family flags "
+                                    "and --weights)")
     sp.add_argument("--alg", choices=ALGORITHMS, default="localmax")
     sp.add_argument("--engine", choices=ENGINES, default="seq")
     sp.add_argument("--p", type=int, default=4, help="bsp worker count")
@@ -227,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("shrink", help="per-round shrink statistics (unit weights)")
-    _add_family_flags(sp)
+    _add_family_flags(sp, weights=False)
     sp.add_argument("--input", nargs="+")
     sp.add_argument("--seeds", type=int, nargs="+", default=list(range(20)))
     sp.add_argument("--rerandomize", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--check", action=argparse.BooleanOptionalAction, default=True,
                     help="fail (exit 1) when shrink bounds are violated")
     sp.add_argument("--out", help="CSV output path")
-    sp.set_defaults(func=_cmd_shrink)
+    sp.set_defaults(func=_cmd_shrink, weights="unit")
 
     sp = sub.add_parser("audit", help="compare a matcher against the exact oracle")
     sp.add_argument("--alg", choices=ALGORITHMS, default="localmax")
@@ -255,11 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a bad argument or a malformed input exits 2."""
+    """Run one subcommand; a bad argument, a malformed input or an unreadable
+    or unwritable file exits 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"locmax: error: {exc}", file=sys.stderr)
         return 2
 

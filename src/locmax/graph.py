@@ -58,6 +58,11 @@ def build_graph(
     return build_graph_arrays(u, v, w, num_vertices)
 
 
+# The largest pair key is n*n - 1 and the largest slot key n*m - 1, so both
+# fit in int64 while n*n and n*m are at most 2**63.
+_KEY_LIMIT = 2**63
+
+
 def build_graph_arrays(u, v, w, num_vertices: int | None = None) -> Graph:
     """Build an adjacency-array graph from parallel endpoint and weight arrays.
 
@@ -68,7 +73,9 @@ def build_graph_arrays(u, v, w, num_vertices: int | None = None) -> Graph:
     omitted it is inferred as max id + 1 over the non-loop edges.
 
     Raises ValueError for negative or out-of-range ids and NaN, infinite or
-    negative weights, naming the first offending input position.
+    negative weights, naming the first offending input position, and for a
+    vertex or edge count whose int64 sort keys (n*n for vertex pairs, n*m
+    for slots) would overflow; that check precedes every n-length array.
     """
     u = np.array(u, dtype=np.int64)
     v = np.array(v, dtype=np.int64)
@@ -84,9 +91,11 @@ def build_graph_arrays(u, v, w, num_vertices: int | None = None) -> Graph:
     if loop.any():  # self-loops can never be matched
         u, v, w = u[~loop], v[~loop], w[~loop]
     if num_vertices is not None:
-        n = num_vertices
+        n = int(num_vertices)  # a Python int, so the key checks below cannot wrap
     else:
         n = int(max(u.max(), v.max())) + 1 if u.size else 0
+    if n * n > _KEY_LIMIT:
+        raise ValueError(f"n={n} vertices is too many: vertex-pair keys need n*n <= 2**63")
 
     # Group the entries by vertex pair; the stable sort keeps each group in
     # input order, so its first entry is the pair's first occurrence.
@@ -106,6 +115,9 @@ def build_graph_arrays(u, v, w, num_vertices: int | None = None) -> Graph:
         by_first[order[head]] = order[firsts]
         keep = by_first[by_first >= 0]
         u, v, w = u[keep], v[keep], w[keep]
+    if n * u.size > _KEY_LIMIT:
+        raise ValueError(f"n={n} vertices and m={u.size} edges are too many: "
+                         "slot keys need n*m <= 2**63")
     return _assemble(u, v, w, n)
 
 
@@ -174,10 +186,9 @@ def assert_graph_invariants(g: Graph) -> None:
         if not (np.array_equal(np.minimum(owners[:, 0], owners[:, 1]), lo)
                 and np.array_equal(np.maximum(owners[:, 0], owners[:, 1]), hi)):
             raise ValueError("slot owners disagree with edge endpoints")
+        # the owners lie in [0, n), so now the endpoints do too
         if np.any(g.edge_u == g.edge_v):
             raise ValueError("self-loop present")
-        if np.any(g.edge_u < 0) or np.any(g.edge_v < 0) or max(g.edge_u.max(), g.edge_v.max()) >= n:
-            raise ValueError("edge endpoint out of range")
         packed = lo.astype(np.int64) * n + hi
         if np.unique(packed).size != m:
             raise ValueError("duplicate edge pair present")

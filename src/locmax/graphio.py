@@ -62,11 +62,8 @@ def read_matrix_market(path: str | Path) -> Graph:
             break
     if size_line is None:
         raise ValueError(f"{path}: missing size line")
-    parts = size_line.split()
-    if len(parts) != 3:
-        raise ValueError(f"{path}:{lineno}: malformed size line {size_line!r}")
-    try:
-        rows, cols, nnz = (int(p) for p in parts)
+    try:  # a count of tokens other than 3 fails the unpacking
+        rows, cols, nnz = (int(p) for p in size_line.split())
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: malformed size line {size_line!r}") from exc
     if min(rows, cols, nnz) < 0:

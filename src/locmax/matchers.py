@@ -484,8 +484,9 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
     blue proposer to its red receiver. With fair coins, 64 rounds in a row
     without one (chance 2^-64) mean broken coins, and the run raises."""
     n = g.num_vertices
-    prop = _new_candidates(n)   # heaviest outgoing proposal per blue vertex
-    acc = _new_candidates(n)    # heaviest incoming proposal per red vertex
+    # a blue vertex's heaviest outgoing proposal and a red one's heaviest
+    # incoming one share a table: a round's blue and red vertices are disjoint
+    cand = _new_candidates(n)
     vertex_matched = np.zeros(n, dtype=bool)
     live = np.arange(g.num_edges, dtype=np.int64)
     us, vs, wbits = g.edge_u, g.edge_v, weight_bits(g.edge_weight)
@@ -505,13 +506,12 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
         red = np.where(u_blue, vs[bi], us[bi])
         ids, wb = live[bi], wbits[bi]
         salts = edge_salts(rs, ids)
-        sent = np.flatnonzero(_raise_candidates(prop, ((blue, wb, salts),))[0])
+        sent = np.flatnonzero(_raise_candidates(cand, ((blue, wb, salts),))[0])
         to, sent_ids = red[sent], ids[sent]
-        (took,) = _raise_candidates(acc, ((to, wb[sent], salts[sent]),))
+        (took,) = _raise_candidates(cand, ((to, wb[sent], salts[sent]),))
         vertex_matched[blue[sent[took]]] = True
         vertex_matched[to[took]] = True
-        _reset_candidates(prop, blue)
-        _reset_candidates(acc, to)
+        _reset_candidates(cand, blue, to)
         alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
         yield live.size, sent_ids[took], alive.size
         live, us, vs, wbits = live[alive], us[alive], vs[alive], wbits[alive]

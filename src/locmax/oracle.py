@@ -1,17 +1,18 @@
-"""Exact maximum-weight matching oracle for small instances, plus audits.
+"""Exact maximum-weight matching oracle for small instances, and the random
+small instances on which ``bench.approximation_audit`` judges the matchers.
 
 The oracle is deliberately brute force (branch over edges with pruning) so
-it shares no code path with any matcher it is used to judge.
+it shares no code path with any matcher it is used to judge; it imports
+nothing from the package but ``graph``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _assemble, undominated_edges, validate_matching
+from .graph import Graph, _assemble
 
 ORACLE_EDGE_CAP = 24
 
@@ -65,29 +66,6 @@ def max_weight_matching_bruteforce(g: Graph) -> OracleResult:
     return OracleResult(max(best_weight, 0.0), tuple(sorted(best_chosen)), nodes)
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Outcome of running one matcher against the oracle on random instances."""
-
-    matcher: str
-    trials: int
-    min_ratio: float
-    mean_ratio: float
-    guarantee_violations: int  # ratio < 1/2 where the matcher promises it
-    invalid: int
-    non_maximal: int
-
-    @property
-    def passed(self) -> bool:
-        return self.guarantee_violations == 0 and self.invalid == 0 and self.non_maximal == 0
-
-
-# Matchers carrying the 1/2-approximation guarantee; others are report-only.
-HALF_APPROX_MATCHERS = frozenset({"localmax", "greedy"})
-
-# Slack for accumulated floating-point error in weight sums.
-RATIO_EPS = 1e-9
-
 _WEIGHT_REGIMES = ("uniform", "few_values", "all_equal", "powers")
 
 _AUDIT_MAX_VERTICES = 12
@@ -116,41 +94,3 @@ def random_audit_instance(rng: np.random.Generator) -> Graph:
         w = 2.0 ** rng.integers(0, 5, size=m)
     return _assemble(lo[idx], hi[idx], w, n)
 
-
-def approximation_audit(matcher_id: str, trials: int, seed: int) -> AuditReport:
-    """Compare a matcher against the exact oracle on random small instances.
-
-    Ratios are matcher weight over optimum (1.0 when the optimum is zero).
-    For matchers in HALF_APPROX_MATCHERS a ratio below 1/2, or a matching
-    that is not locally dominant (the certificate of the 1/2 bound), counts
-    as a guarantee violation; validity and maximality are enforced for all.
-    Zero trials give an empty audit; a negative count is a ValueError.
-    """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    from .matchers import MATCHERS  # here, so the oracle's module imports no matcher
-    matcher = MATCHERS[matcher_id]
-    enforce_half = matcher_id in HALF_APPROX_MATCHERS
-    ratios: list[float] = []
-    violations = invalid = non_maximal = 0
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        g = random_audit_instance(rng)
-        opt = max_weight_matching_bruteforce(g)
-        matching, _ = matcher(g, t)
-        check = validate_matching(g, matching)
-        if not check.valid:
-            invalid += 1
-        elif not check.maximal:
-            non_maximal += 1
-        got = matching.weight(g)
-        ratio = 1.0 if opt.opt_weight == 0.0 else got / opt.opt_weight
-        ratios.append(ratio)
-        if enforce_half and (ratio < 0.5 - RATIO_EPS or undominated_edges(g, matching)):
-            violations += 1
-    if ratios:
-        min_ratio = min(ratios)
-        mean_ratio = math.fsum(ratios) / len(ratios)
-    else:
-        min_ratio = mean_ratio = float("nan")
-    return AuditReport(matcher_id, trials, min_ratio, mean_ratio, violations, invalid, non_maximal)

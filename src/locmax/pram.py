@@ -120,9 +120,6 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     which hold exactly a vertex's slots. The log records before step 6.
     """
     m = state.num_edges
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-
     # steps 1-4: seq's round, on fresh candidates and marks
     matched_vertex = np.zeros(state.num_vertices, dtype=bool)
     matched_edges, dead_edge = _local_max_round(

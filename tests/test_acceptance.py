@@ -17,14 +17,13 @@ from locmax import (
 )
 from locmax.bench import (
     InstanceSpec,
-    SuiteConfig,
+    approximation_audit,
     engine_cross_check,
     round_bound,
     run_suite,
     shrink_report,
 )
 from locmax.matchers import MATCHERS
-from locmax.oracle import approximation_audit
 from locmax.pram import PramState, pram_phase
 from locmax.tiebreak import round_seed
 
@@ -184,12 +183,11 @@ def test_c04_round_counts(shrink100):
 
 
 def test_c05_quality_vs_gpa():
-    config = SuiteConfig(
+    records = run_suite(
         instances=tuple(InstanceSpec("rgg", x, weights="euclidean") for x in range(10, 15)),
         algorithms=("localmax", "hem", "hem-random", "gpa"),
         seeds=tuple(range(5)),
     )
-    records = run_suite(config)
 
     def mean_ratio(alg: str) -> float:
         vals = [r.ratio_vs_gpa for r in records if r.algorithm == alg]
@@ -212,8 +210,8 @@ def test_c05_quality_vs_gpa():
 
 
 def test_c06_engine_equivalence(crosscheck):
-    bad = crosscheck.mismatches
-    runs = len(crosscheck.rows)
+    bad = [r for r in crosscheck if not r.matched]
+    runs = len(crosscheck)
     _report(
         6,
         not bad and runs == 100,
@@ -223,17 +221,17 @@ def test_c06_engine_equivalence(crosscheck):
 
 
 def test_c07_exclusive_write_compliance(crosscheck):
-    conflicts = sum(r.crew_conflicts for r in crosscheck.rows)
+    conflicts = sum(r.crew_conflicts for r in crosscheck)
     _report(7, conflicts == 0, f"checked-mode write conflicts across all runs: {conflicts}")
 
 
 def test_c08_linear_work_evidence(crosscheck):
     over = [
         (r.instance, r.seed, r.slot_ops, r.work_budget)
-        for r in crosscheck.rows
+        for r in crosscheck
         if r.slot_ops > r.work_budget
     ]
-    worst = max((r.slot_ops / r.work_budget) for r in crosscheck.rows if r.work_budget)
+    worst = max((r.slot_ops / r.work_budget) for r in crosscheck if r.work_budget)
     _report(
         8,
         not over,

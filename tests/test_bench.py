@@ -11,9 +11,7 @@ import locmax.bench
 from locmax import local_max_seq
 from locmax.bench import (
     BENCH_COLUMNS,
-    CrossCheckReport,
     InstanceSpec,
-    SuiteConfig,
     engine_cross_check,
     round_bound,
     run_matcher,
@@ -22,16 +20,16 @@ from locmax.bench import (
     write_bench_csv,
 )
 from locmax.generate import with_unit_weights
+from locmax.graph import Matching, matching_from_edge_ids
 from locmax.graphio import read_graph, write_edge_list
 
 
 def test_suite_cardinality_and_ratio_baseline(tmp_path):
-    config = SuiteConfig(
+    records = run_suite(
         instances=(InstanceSpec("rgg", 8), InstanceSpec("random", 8, alpha=4)),
         algorithms=("localmax", "greedy", "gpa"),
         seeds=(0, 1, 2),
     )
-    records = run_suite(config)
     assert len(records) == 2 * 3 * 3
     for r in records:
         assert r.ratio_vs_gpa > 0
@@ -45,13 +43,13 @@ def test_suite_cardinality_and_ratio_baseline(tmp_path):
 
 
 def test_suite_rows_reproducible_except_timing():
-    config = SuiteConfig(
+    config = dict(
         instances=(InstanceSpec("random", 7, alpha=4),),
         algorithms=("localmax", "hem"),
         seeds=(3,),
     )
-    a = run_suite(config)
-    b = run_suite(config)
+    a = run_suite(**config)
+    b = run_suite(**config)
     strip = lambda rec: {k: v for k, v in rec.as_row().items() if k != "millis"}
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
@@ -67,6 +65,20 @@ def test_run_matcher_engine_dispatch():
         run_matcher(g, "greedy", 5, engine="pram")
     with pytest.raises(ValueError, match="unknown algorithm"):
         run_matcher(g, "blossom", 5)
+    with pytest.raises(ValueError, match="^unknown engine 'gpu'$"):
+        run_matcher(g, "localmax", 5, engine="gpu")
+
+
+def test_suite_rejects_an_invalid_matching(monkeypatch):
+    def listed_but_unmated(g, seed):
+        _, trace = local_max_seq(g, seed)
+        return Matching(np.array([0]), np.full(g.num_vertices, -1)), trace
+
+    monkeypatch.setitem(locmax.bench.MATCHERS, "greedy", listed_but_unmated)
+    with pytest.raises(AssertionError, match="^greedy produced an invalid or non-maximal "
+                                             "matching on random-x6-a4-wdefault-s0: mate "
+                                             "table disagrees with matched edge 0$"):
+        run_suite((InstanceSpec("random", 6),), ("localmax", "greedy"), (0,))
 
 
 def test_instance_spec_weight_modes():
@@ -74,6 +86,9 @@ def test_instance_spec_weight_modes():
     assert np.all(unit.edge_weight == 1.0)
     with pytest.raises(ValueError, match="euclidean"):
         InstanceSpec("random", 7, alpha=4, weights="euclidean").build(0)
+    for weights in ("random", "euclidean"):
+        with pytest.raises(ValueError, match=f"^{weights} weights are undefined for a file"):
+            InstanceSpec("file", weights=weights, path="unread.txt").build(0)
     rgg_rand = InstanceSpec("rgg", 7, weights="random").build(0)
     rgg_eucl = InstanceSpec("rgg", 7, weights="euclidean").build(0)
     assert rgg_rand.num_edges == rgg_eucl.num_edges
@@ -122,15 +137,14 @@ def test_round_bound_matches_formula():
 
 
 def test_cross_check_detects_no_mismatch():
-    report = engine_cross_check(
+    rows = engine_cross_check(
         (InstanceSpec("rgg", 8), InstanceSpec("random", 8, alpha=4)),
         seeds=(0, 1),
         workers=(1, 2, 4),
     )
-    assert isinstance(report, CrossCheckReport)
-    assert report.passed
-    assert len(report.rows) == 4
-    for row in report.rows:
+    assert len(rows) == 4
+    for row in rows:
+        assert row.matched
         assert row.crew_conflicts == 0
         assert row.slot_ops <= row.work_budget
 
@@ -146,16 +160,33 @@ def test_cross_check_flags_runs_whose_rounds_differ(monkeypatch):
         return matching, trace
 
     monkeypatch.setattr(locmax.bench, "bsp_local_max", extra_round)
-    report = engine_cross_check((InstanceSpec("rgg", 8),), seeds=(0,), workers=(2, 4))
-    assert not report.passed
-    assert [row.detail for row in report.rows] == ["bsp-p4:rounds"]
+    rows = engine_cross_check((InstanceSpec("rgg", 8),), seeds=(0,), workers=(2, 4))
+    assert [(row.matched, row.detail) for row in rows] == [(False, "bsp-p4:rounds")]
 
 
 def test_cross_check_flags_matchings_that_are_not_locally_dominant(salt_only):
-    report = engine_cross_check((InstanceSpec("rgg", 8),), seeds=(0,), workers=(2, 4))
-    assert not report.passed
-    assert [row.detail for row in report.rows] == [
-        "seq:dominance,pram:dominance,bsp-p2:dominance,bsp-p4:dominance"]
+    rows = engine_cross_check((InstanceSpec("rgg", 8),), seeds=(0,), workers=(2, 4))
+    assert [(row.matched, row.detail) for row in rows] == [
+        (False, "seq:dominance,pram:dominance,bsp-p2:dominance,bsp-p4:dominance")]
+
+
+def test_cross_check_flags_a_matching_that_differs_from_seqs(monkeypatch, tmp_path):
+    # on a unit-weight path of 3 edges both maximal matchings are locally
+    # dominant; the p=4 run returns the one seq did not
+    path = tmp_path / "path.txt"
+    path.write_text("0 1 1.0\n1 2 1.0\n2 3 1.0\n")
+    bsp_local_max = locmax.bench.bsp_local_max
+
+    def other_matching(g, p, seed, rerandomize=True):
+        matching, trace = bsp_local_max(g, p, seed, rerandomize)
+        if p == 4:
+            matching = matching_from_edge_ids(g, [1] if matching.size == 2 else [0, 2])
+        return matching, trace
+
+    monkeypatch.setattr(locmax.bench, "bsp_local_max", other_matching)
+    rows = engine_cross_check((InstanceSpec("file", path=str(path)),), seeds=(0, 1),
+                              workers=(2, 4))
+    assert [(row.matched, row.detail) for row in rows] == [(False, "bsp-p4")] * 2
 
 
 def test_triangulation_fixture_shows_quality_separation():
@@ -163,12 +194,11 @@ def test_triangulation_fixture_shows_quality_separation():
     # this family the per-vertex greedy heuristics trail the path-based
     # ones by a wide margin, unlike on threshold geometric graphs
     fixture = Path(__file__).parent / "fixtures" / "delaunay_x10.txt"
-    config = SuiteConfig(
+    records = run_suite(
         instances=(InstanceSpec("file", path=str(fixture)),),
         algorithms=("localmax", "hem", "rbm"),
         seeds=(0, 1, 2),
     )
-    records = run_suite(config)
 
     def mean_ratio(alg):
         vals = [r.ratio_vs_gpa for r in records if r.algorithm == alg]
@@ -183,9 +213,9 @@ def test_triangulation_fixture_shows_quality_separation():
 def test_cross_check_row_reports_file_instances(tmp_path):
     p = tmp_path / "tiny.txt"
     p.write_text("# n=8\n0 1 1.0\n2 3 1.0\n")
-    report = engine_cross_check(
+    (row,) = engine_cross_check(
         (InstanceSpec("file", path=str(p)),), seeds=(0,), workers=(1, 2, 4, 8)
     )
-    assert report.passed
-    assert report.rows[0].instance == "tiny.txt"
-    assert report.rows[0].m == 2
+    assert row.matched
+    assert row.instance == "tiny.txt"
+    assert row.m == 2

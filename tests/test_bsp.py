@@ -39,6 +39,12 @@ def test_partition_rejects_too_many_workers(path4):
         partition_graph(path4, 5)
 
 
+@pytest.mark.parametrize("p", [0, -2])
+def test_partition_rejects_fewer_than_one_worker(path4, p):
+    with pytest.raises(ValueError, match="^p must be >= 1$"):
+        partition_graph(path4, p)
+
+
 def test_partition_balances_degree_sums():
     g = gen_rgg(12, 3)
     part = partition_graph(g, 8)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import locmax.bench
+import locmax.cli
 import locmax.matchers
 from locmax.cli import main
 from locmax.graphio import read_edge_list
@@ -255,3 +256,103 @@ def test_crosscheck_names_the_engines_that_raise(monkeypatch, capsys):
 def test_unknown_algorithm_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["match", "--alg", "nosuch"])
+
+
+def test_bench_without_out_prints_one_line_per_record(capsys):
+    assert main(["bench", "--family", "random", "--x", "5", "--seeds", "0",
+                 "--alg", "localmax", "gpa"]) == 0
+    assert capsys.readouterr().out == (
+        "random-x5-a4-wdefault-s0 localmax seed=0 weight=13.627663 ratio_vs_gpa=1.0731 "
+        "rounds=4\n"
+        "random-x5-a4-wdefault-s0 gpa seed=0 weight=12.699437 ratio_vs_gpa=1.0000 rounds=1\n"
+    )
+
+
+def test_shrink_fails_outside_its_survivor_band(capsys):
+    # every edge of the 8-vertex rgg instance goes in one round
+    assert main(["shrink", "--x", "3", "--seeds", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("rgg-x3-wunit-s0: seeds=1 mean_removed=1.0000 mean_survivor=0.0000 ")
+    assert err == "FAIL rgg-x3-wunit-s0: survivor fraction outside [0.10, 0.45]\n"
+
+
+def test_shrink_names_every_failed_bound(monkeypatch, capsys):
+    def slow_shrink(spec, seeds, rerandomize=True):
+        return locmax.bench.ShrinkReport("demo", tuple(seeds), mean_removed_fraction=0.4,
+                                         mean_survivor_fraction=0.6, max_rounds=8, max_edges=1)
+
+    monkeypatch.setattr(locmax.cli, "shrink_report", slow_shrink)
+    assert main(["shrink", "--seeds", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "FAIL demo: mean removed fraction below 1/2\n"
+        "FAIL demo: survivor fraction outside [0.10, 0.45]\n"
+        "FAIL demo: exceeded round bound 7\n"
+    )
+
+
+def test_shrink_has_no_weights_flag(capsys):
+    # shrink always runs unit weights
+    with pytest.raises(SystemExit) as exc:
+        main(["shrink", "--family", "random", "--weights", "euclidean"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weights euclidean" in capsys.readouterr().err
+
+
+def test_bench_on_a_file_applies_unit_weights(tmp_path):
+    weighted, unit = tmp_path / "weighted", tmp_path / "unit"
+    weighted.mkdir()
+    unit.mkdir()
+    (weighted / "in.txt").write_text("0 1 2.5\n1 2 1.0\n2 3 0.5\n")
+    (unit / "in.txt").write_text("0 1 1.0\n1 2 1.0\n2 3 1.0\n")
+
+    def rows(path, *weights):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--input", str(path), "--seeds", "0", "1", *weights,
+                     "--out", str(out)]) == 0
+        return re.sub(r",[0-9]+\.[0-9]{3},", ",MILLIS,", out.read_text())
+
+    assert rows(weighted / "in.txt", "--weights", "unit") == rows(unit / "in.txt")
+    assert rows(weighted / "in.txt") != rows(unit / "in.txt")
+
+
+@pytest.mark.parametrize("weights", ["random", "euclidean"])
+def test_bench_on_a_file_rejects_generated_weights(tmp_path, capsys, weights):
+    graph_file = tmp_path / "in.txt"
+    graph_file.write_text("0 1 2.5\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--input", str(graph_file), "--weights", weights,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"locmax: error: {weights} weights are undefined for a file, which keeps its "
+            "own weights\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ext, text", [
+    (".mtx", "%%MatrixMarket matrix coordinate real symmetric\n"
+             "1000000000000000000 1000000000000000000 0\n"),
+    (".txt", "# n=1000000000000000000\n0 1 1.0\n"),
+])
+def test_match_rejects_a_vertex_count_past_int64_keys(tmp_path, capsys, ext, text):
+    graph_file = tmp_path / f"huge{ext}"
+    graph_file.write_text(text)
+    out = tmp_path / "rows.csv"
+    assert main(["match", "--input", str(graph_file), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "locmax: error: n=1000000000000000000 vertices is too many: "
+            "vertex-pair keys need n*n <= 2**63\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["match", "--input", "missing.txt"], "[Errno 2] No such file or directory: 'missing.txt'"),
+    (["match", "--input", "."], "[Errno 21] Is a directory: '.'"),
+    (["gen", "--out", "no/such/dir/g.txt"],
+     "[Errno 2] No such file or directory: 'no/such/dir/g.txt'"),
+])
+def test_unreadable_or_unwritable_files_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                          argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "rows.csv"] if argv[0] == "match" else argv) == 2
+    assert capsys.readouterr() == ("", f"locmax: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []

@@ -27,6 +27,12 @@ def test_random_exact_edge_count_and_weight_range():
     assert_graph_invariants(g)
 
 
+@pytest.mark.parametrize("n", [1, 0, -4])
+def test_random_rejects_fewer_than_two_vertices(n):
+    with pytest.raises(ValueError, match="^n must be >= 2$"):
+        gen_random(n, 1, seed=0)
+
+
 def test_random_infeasible_density_rejected():
     with pytest.raises(ValueError, match="infeasible"):
         gen_random(4, 2, seed=0)  # 8 edges requested, only 6 pairs exist

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locmax.graph
 from locmax import (
+    Graph,
     Matching,
     assert_graph_invariants,
     build_graph,
+    build_graph_arrays,
     matching_from_edge_ids,
     validate_matching,
 )
@@ -75,6 +80,35 @@ def test_rejects_out_of_range_id():
         build_graph([(0, 7, 1.0)], num_vertices=4)
 
 
+def test_rejects_arrays_of_unequal_length():
+    with pytest.raises(ValueError, match="^u, v and w must be 1-d arrays of equal length$"):
+        build_graph_arrays([0, 1], [1, 2], [1.0])
+
+
+@pytest.mark.parametrize("n", [10**18, 3_037_000_500])
+def test_rejects_vertex_counts_past_int64_pair_keys(n):
+    # 3,037,000,500^2 > 2^63: the pair key of the largest vertex would wrap
+    message = f"^n={n} vertices is too many: vertex-pair keys need n\\*n <= 2\\*\\*63$"
+    for count in (n, np.int64(n)):  # an int64 n*n would wrap
+        with pytest.raises(ValueError, match=message):
+            build_graph_arrays([0], [1], [1.0], num_vertices=count)
+    with pytest.raises(ValueError, match=message):
+        build_graph_arrays([0], [n - 1], [1.0])  # n inferred from the largest id
+
+
+def test_rejects_edge_counts_past_int64_slot_keys(monkeypatch):
+    # at the real limit this needs billions of edges; a limit of 16 keys
+    # lets K4 (n*n = 16) show the check, after parallel edges merge
+    monkeypatch.setattr(locmax.graph, "_KEY_LIMIT", 16)
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    u, v = zip(*pairs)
+    with pytest.raises(ValueError, match=r"^n=4 vertices and m=5 edges are too many: "
+                                         r"slot keys need n\*m <= 2\*\*63$"):
+        build_graph_arrays(u, v, [1.0] * 5)
+    g = build_graph_arrays((*u[:4], 1), (*v[:4], 0), [1.0] * 5)  # (1, 0) merges into (0, 1)
+    assert (g.num_vertices, g.num_edges) == (4, 4)
+
+
 def test_empty_graph():
     g = build_graph([])
     assert g.num_vertices == 0
@@ -127,6 +161,17 @@ def test_validate_rejects_shared_endpoint(path4):
     assert not check.valid and not check.maximal
 
 
+def test_validate_names_the_vertex_two_matched_edges_share(path4):
+    mate = np.array([1, 0, 1, -1])  # right for ab; bc shares b
+    check = validate_matching(path4, Matching(np.array([0, 1]), mate))
+    assert check == (False, False, "vertex shared by two matched edges (edge 1)")
+
+
+def test_validate_rejects_a_mate_table_of_the_wrong_length(path4):
+    check = validate_matching(path4, Matching(np.array([0]), np.array([1, 0, -1])))
+    assert check == (False, False, "mate table has wrong length")
+
+
 def test_validate_rejects_inconsistent_mate(path4):
     mate = np.full(4, -1, dtype=np.int64)
     m = Matching(np.array([0]), mate)  # edge listed but mate table empty
@@ -152,3 +197,41 @@ def test_matching_edges_sorted_read_only_whatever_the_input_order():
                 got.edges[0] = 1
     assert matching_from_edge_ids(g, [0, 2, 4]) != base
     assert Matching(ids, np.full(12, -1, dtype=np.int64)) != base
+
+
+def _pair_graph(us, vs) -> Graph:
+    # edges between vertices 0 and 1, or loops at 0, laid out by hand:
+    # build_graph would drop the loops and merge the pairs
+    slots = sorted((x, k) for k in range(len(us)) for x in (us[k], vs[k]))
+    slot_vertex = np.array([x for x, _ in slots])
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(slot_vertex, minlength=2))))
+    return Graph(2, offsets, slot_vertex, np.array([k for _, k in slots]),
+                 np.array(us), np.array(vs), np.ones(len(us)))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"offsets": [0, 1, 2, 4]}, "offsets must have length n\\+1"),
+    ({"offsets": [0, 1, 2, 3, 3]}, "offsets must start at 0 and end at 2m"),
+    ({"offsets": [0, 2, 1, 3, 4]}, "offsets must be nondecreasing"),
+    ({"slot_vertex": [0, 1, 2]}, "slot arrays must have length 2m"),
+    ({"slot_edge": [0, 0, 0, 1]}, "every edge id must appear in exactly two slots"),
+    ({"edge_v": [2, 3]}, "slot owners disagree with edge endpoints"),
+    ({"edge_weight": [1.0, np.nan]}, "weights must be finite and >= 0"),
+    ({"edge_weight": [-1.0, 2.0]}, "weights must be finite and >= 0"),
+], ids=["offsets-length", "offsets-ends", "offsets-order", "slot-length", "edge-slot-count",
+        "slot-owners", "nan-weight", "negative-weight"])
+def test_invariants_reject_each_inconsistent_layout(fields, message):
+    # edges (0, 1) and (2, 3): offsets [0, 1, 2, 3, 4], slot_edge [0, 0, 1, 1]
+    g = build_graph([(0, 1, 1.0), (2, 3, 2.0)])
+    assert_graph_invariants(g)
+    bad = replace(g, **{name: np.array(value) for name, value in fields.items()})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        assert_graph_invariants(bad)
+
+
+def test_invariants_reject_self_loops_and_parallel_edges():
+    assert_graph_invariants(_pair_graph([0], [1]))
+    with pytest.raises(ValueError, match="^self-loop present$"):
+        assert_graph_invariants(_pair_graph([0], [0]))
+    with pytest.raises(ValueError, match="^duplicate edge pair present$"):
+        assert_graph_invariants(_pair_graph([0, 1], [1, 0]))

@@ -210,3 +210,39 @@ def test_write_csv_and_append(tmp_path):
     write_csv([{"a": 3, "b": 4}], p, cols, append=True)
     lines = p.read_text().strip().splitlines()
     assert lines == ["a,b", "1,2", "3,4"]
+
+
+_BANNER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("%%MatrixMarket matrix array real symmetric\n2 2\n",
+     "{p}: expected 'matrix coordinate', got 'matrix array'"),
+    ("%%MatrixMarket vector coordinate real symmetric\n2 2 0\n",
+     "{p}: expected 'matrix coordinate', got 'vector coordinate'"),
+    ("%%MatrixMarket matrix coordinate complex symmetric\n2 2 0\n",
+     "{p}: unsupported field 'complex' (want real/integer/pattern)"),
+    (_BANNER + "% only comments\n\n", "{p}: missing size line"),
+    (_BANNER + "%\n2 2\n", "{p}:3: malformed size line '2 2'"),
+    (_BANNER + "2 2 x\n", "{p}:2: malformed size line '2 2 x'"),
+    (_BANNER + "2 3 0\n", "{p}: symmetric matrix must be square, got 2x3"),
+], ids=["array-format", "vector-object", "complex-field", "no-size-line", "two-size-tokens",
+        "non-integer-size", "non-square"])
+def test_mm_rejects_each_bad_header(tmp_path, text, message):
+    p = _write(tmp_path, "h.mtx", text)
+    with pytest.raises(ValueError) as exc:
+        read_matrix_market(p)
+    assert str(exc.value) == message.format(p=p)
+
+
+@pytest.mark.parametrize("n", [10**18, 3_037_000_500])
+@pytest.mark.parametrize("name, text", [
+    ("huge.mtx", _BANNER + "{n} {n} 1\n2 1 1.0\n"),
+    ("huge.txt", "# n={n}\n0 1 1.0\n"),
+])
+def test_readers_reject_vertex_counts_past_int64_keys(tmp_path, n, name, text):
+    # rejected before any n-length array is allocated
+    p = _write(tmp_path, name, text.format(n=n))
+    with pytest.raises(ValueError) as exc:
+        read_graph(p)
+    assert str(exc.value) == f"n={n} vertices is too many: vertex-pair keys need n*n <= 2**63"

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locmax import build_graph, gen_random, local_max_seq, max_weight_matching_bruteforce
-from locmax.graph import undominated_edges
+from locmax.graph import Matching, matching_from_edge_ids, undominated_edges
+from locmax.bench import approximation_audit
 from locmax.matchers import MATCHERS
-from locmax.oracle import approximation_audit, random_audit_instance
+from locmax.oracle import random_audit_instance
 
 import reference as ref
 from conftest import random_graph_edges
@@ -108,6 +109,27 @@ def test_audit_hem_reports_without_half_bound():
     assert report.invalid == 0 and report.non_maximal == 0
     assert report.guarantee_violations == 0  # never counted for hem
     assert 0.0 < report.min_ratio <= 1.0
+
+
+def test_audit_counts_invalid_and_non_maximal_matchings(monkeypatch):
+    trials = 60
+    with_edges = sum(random_audit_instance(np.random.default_rng((0, t))).num_edges > 0
+                     for t in range(trials))
+    assert 0 < with_edges < trials
+
+    def nothing(g, seed):
+        return matching_from_edge_ids(g, []), None
+
+    def unmated(g, seed):  # lists edge 0 but leaves the mate table empty
+        ids = np.arange(min(g.num_edges, 1))
+        return Matching(ids, np.full(g.num_vertices, -1)), None
+
+    monkeypatch.setitem(MATCHERS, "greedy", nothing)
+    report = approximation_audit("greedy", trials, 0)
+    assert (report.invalid, report.non_maximal, report.guarantee_violations) == (
+        0, with_edges, with_edges)
+    monkeypatch.setitem(MATCHERS, "greedy", unmated)
+    assert approximation_audit("greedy", trials, 0).invalid == with_edges
 
 
 def test_audit_zero_trials_is_empty():

@@ -92,6 +92,16 @@ def test_write_log_counts_conflicts_when_present():
 
 # ------------------------------------------------------------------ phases
 
+def test_phase_on_an_edgeless_state_matches_nothing():
+    s = PramState.from_graph(build_graph([], num_vertices=3))
+    log = WriteLog()
+    matched = pram_phase(s, round_seed(0, 0), log)
+    assert matched.dtype == np.int64 and matched.size == 0
+    assert (log.steps, log.writes, log.conflicts) == (4, 0, 0)
+    assert (s.num_vertices, s.num_edges, s.offsets.tolist()) == (3, 0, [0, 0, 0, 0])
+    s.check_consistent()
+
+
 def test_compaction_addresses_frozen_example():
     flags = np.array([1, 0, 1, 1, 0, 0])
     assert np.cumsum(flags).tolist() == [1, 1, 2, 3, 3, 3]

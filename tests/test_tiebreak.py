@@ -43,6 +43,12 @@ def test_rerandomization_changes_salts_across_rounds():
     assert tie_key(3, 1.0, r1) != tie_key(3, 1.0, r2)
 
 
+@pytest.mark.parametrize("rerandomize", [True, False])
+def test_round_seed_rejects_a_negative_round(rerandomize):
+    with pytest.raises(ValueError, match="^round_index must be nonnegative, got -1$"):
+        round_seed(7, -1, rerandomize)
+
+
 def test_disabled_rerandomization_freezes_keys():
     r1 = round_seed(7, 1, rerandomize=False)
     r2 = round_seed(7, 2, rerandomize=False)
