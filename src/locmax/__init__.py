@@ -48,7 +48,7 @@ from .matchers import (
     rbm,
 )
 from .oracle import OracleResult, max_weight_matching_bruteforce
-from .pram import PramState, WriteLog, pram_local_max, pram_phase
+from .pram import WriteLog, pram_local_max, pram_phase
 from .tiebreak import edge_salts, key_ranks, round_seed
 
 __version__ = "0.1.0"
@@ -93,7 +93,6 @@ __all__ = [
     "rbm",
     "OracleResult",
     "max_weight_matching_bruteforce",
-    "PramState",
     "WriteLog",
     "pram_local_max",
     "pram_phase",

@@ -10,7 +10,7 @@ which is what the PRAM-style engine relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -20,8 +20,8 @@ import numpy as np
 class Graph:
     """Undirected simple graph with nonnegative real edge weights.
 
-    Instances are immutable after construction (the arrays are marked
-    read-only) and safe to share across concurrent workers.
+    Instances are immutable after construction (construction marks the
+    arrays read-only) and safe to share across concurrent workers.
     """
 
     num_vertices: int
@@ -31,6 +31,10 @@ class Graph:
     edge_u: np.ndarray       # (m,) int64
     edge_v: np.ndarray       # (m,) int64
     edge_weight: np.ndarray  # (m,) float64
+
+    def __post_init__(self) -> None:
+        for f in fields(self)[1:]:
+            getattr(self, f.name).setflags(write=False)
 
     @property
     def num_edges(self) -> int:
@@ -148,8 +152,6 @@ def _assemble(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> Graph:
     slot_vertex, slot_edge = np.divmod(slot_key, max(m, 1))
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(slot_vertex, minlength=n), out=offsets[1:])
-    for arr in (offsets, slot_vertex, slot_edge, u, v, w):
-        arr.setflags(write=False)
     return Graph(n, offsets, slot_vertex, slot_edge, u, v, w)
 
 

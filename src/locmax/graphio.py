@@ -260,12 +260,18 @@ def write_csv(
     """Write mappings as CSV rows under a fixed column schema.
 
     In append mode the header is only written when the file is new or
-    empty, so repeated runs can accumulate rows safely.
+    empty, so repeated runs can accumulate rows safely; appending under a
+    header other than ``columns`` raises ValueError and leaves the file as
+    it was.
     """
     path = Path(path)
-    write_header = True
-    if append and path.exists() and path.stat().st_size > 0:
-        write_header = False
+    write_header = not (append and path.exists() and path.stat().st_size > 0)
+    if not write_header:
+        with path.open(encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), [])
+        if header != list(columns):
+            raise ValueError(f"{path}: cannot append rows with columns {','.join(columns)} "
+                             f"under the header {','.join(header)}")
     mode = "a" if append else "w"
     count = 0
     with path.open(mode, encoding="utf-8", newline="") as fh:

@@ -511,7 +511,8 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
         (took,) = _raise_candidates(cand, ((to, wb[sent], salts[sent]),))
         vertex_matched[blue[sent[took]]] = True
         vertex_matched[to[took]] = True
-        _reset_candidates(cand, blue, to)
+        # every red receiver took an offer and is matched, so its entry is never read again
+        _reset_candidates(cand, blue)
         alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
         yield live.size, sent_ids[took], alive.size
         live, us, vs, wbits = live[alive], us[alive], vs[alive], wbits[alive]

@@ -1,10 +1,11 @@
 """Array-level simulation of the CREW-style parallel local max phase.
 
-The engine keeps the graph in the adjacency-array layout (edge records plus
-per-vertex incidence slots) and runs each phase as a fixed sequence of
-whole-array passes: draw per-edge keys, take each vertex's maximum key with
-segmented reductions whose totals land at the vertex, match the edges whose
-key equals the total read (concurrently) at both endpoints, mark their
+A phase maps a graph in the adjacency-array layout (edge records plus
+per-vertex incidence slots) to the smaller graph of its surviving edges, on
+which the next phase runs. It is a fixed sequence of whole-array passes:
+draw per-edge keys, take each vertex's maximum key with segmented
+reductions whose totals land at the vertex, match the edges whose key
+equals the total read (concurrently) at both endpoints, mark their
 endpoints matched (together, the sequential engine's round), then compact
 the edges through the list of survivors and the slots with a prefix sum
 that also shifts the offsets. One pass is one simulated parallel step.
@@ -52,56 +53,12 @@ class WriteLog:
                         self.samples.append((step, array, int(cell)))
 
 
-@dataclass
-class PramState:
-    """Working state of the graph, evolving across phases.
-
-    The graph arrays start as the input graph's own read-only arrays; a
-    phase replaces them and never writes to them. ``edge_orig`` keeps each
-    surviving edge's id in the input graph, so the per-round tie-breaking
-    keys and the reported matching are immune to the renumbering done by
-    compaction.
-    """
-
-    num_vertices: int
-    offsets: np.ndarray
-    slot_vertex: np.ndarray
-    slot_edge: np.ndarray
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    edge_weight: np.ndarray
-    edge_orig: np.ndarray
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "PramState":
-        return cls(
-            num_vertices=g.num_vertices,
-            offsets=g.offsets,
-            slot_vertex=g.slot_vertex,
-            slot_edge=g.slot_edge,
-            edge_u=g.edge_u,
-            edge_v=g.edge_v,
-            edge_weight=g.edge_weight,
-            edge_orig=np.arange(g.num_edges, dtype=np.int64),
-        )
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.edge_u.size)
-
-    @property
-    def num_slots(self) -> int:
-        return int(self.slot_edge.size)
-
-    def check_consistent(self) -> None:
-        """Full structural validation: the graph invariants of the layout."""
-        assert_graph_invariants(Graph(self.num_vertices, self.offsets, self.slot_vertex,
-                                      self.slot_edge, self.edge_u, self.edge_v,
-                                      self.edge_weight))
-
-
-def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:
-    """One parallel local max phase; returns the matched original edge ids.
+def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
+               log: WriteLog | None = None) -> tuple[np.ndarray, Graph, np.ndarray]:
+    """One parallel local max phase on ``g``, whose edge k is input edge
+    ``edge_orig[k]`` (the ids the round's keys use): returns the matched
+    input edge ids, the compacted graph of the surviving edges and their
+    input ids, and leaves ``g`` unchanged.
 
     Steps: (1) per-edge keys, read by the slots, (2) each vertex's heaviest
     key, by two segmented max reductions over its contiguous slots (weight
@@ -119,21 +76,20 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
     on fresh candidates and marks; its kernel reads the endpoint columns,
     which hold exactly a vertex's slots. The log records before step 6.
     """
-    m = state.num_edges
+    n, m = g.num_vertices, g.num_edges
     # steps 1-4: seq's round, on fresh candidates and marks
-    matched_vertex = np.zeros(state.num_vertices, dtype=bool)
+    matched_vertex = np.zeros(n, dtype=bool)
     matched_edges, dead_edge = _local_max_round(
-        _new_candidates(state.num_vertices), matched_vertex, state.edge_u, state.edge_v,
-        weight_bits(state.edge_weight), edge_salts(round_seed_value, state.edge_orig))
-    matched_orig = state.edge_orig[matched_edges]
+        _new_candidates(n), matched_vertex, g.edge_u, g.edge_v,
+        weight_bits(g.edge_weight), edge_salts(round_seed_value, edge_orig))
 
     # step 5: each surviving edge writes its own new address, its index in keep_e (exclusive
     # writes); the slots' exclusive prefix sum, written in place, moves slots and offsets
     keep_e = np.flatnonzero(~dead_edge)
     new_edge_index = np.empty(m, dtype=np.int64)
     new_edge_index[keep_e] = np.arange(keep_e.size)
-    dead_slot = dead_edge[state.slot_edge]
-    dead_before = np.zeros(state.num_slots + 1, dtype=np.int64)
+    dead_slot = dead_edge[g.slot_edge]
+    dead_before = np.zeros(2 * m + 1, dtype=np.int64)
     np.cumsum(dead_slot, out=dead_before[1:])
 
     if log is not None:
@@ -143,21 +99,15 @@ def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = N
             raise RuntimeError("pram: the matched edges do not mark 2 distinct vertices each")
         log.record("spread/edge-writes", "edge.flag", np.arange(m))
         log.record("compact/edge-copies", "edge.records", new_edge_index[keep_e])
-        new_slot_index = np.arange(state.num_slots) - dead_before[:-1]
+        new_slot_index = np.arange(2 * m) - dead_before[:-1]
         log.record("compact/slot-copies", "slot.records", new_slot_index[~dead_slot])
 
-    # step 6: compact edges and slots, rewrite the slots' edge ids
-    state.edge_u = state.edge_u[keep_e]
-    state.edge_v = state.edge_v[keep_e]
-    state.edge_weight = state.edge_weight[keep_e]
-    state.edge_orig = state.edge_orig[keep_e]
-
+    # step 6: compact edges and slots, rewrite the slots' edge ids, shift the offsets
     keep_s = np.flatnonzero(~dead_slot)
-    state.slot_vertex = state.slot_vertex[keep_s]
-    state.slot_edge = new_edge_index[state.slot_edge[keep_s]]
-
-    state.offsets = state.offsets - dead_before[state.offsets]
-    return matched_orig
+    rest = Graph(n, g.offsets - dead_before[g.offsets], g.slot_vertex[keep_s],
+                 new_edge_index[g.slot_edge[keep_s]],
+                 g.edge_u[keep_e], g.edge_v[keep_e], g.edge_weight[keep_e])
+    return edge_orig[matched_edges], rest, edge_orig[keep_e]
 
 
 def pram_local_max(
@@ -186,16 +136,16 @@ def pram_local_max(
 
 def _pram_rounds(g: Graph, seed: int, rerandomize: bool, log: WriteLog | None) -> Rounds:
     """The phases of :func:`pram_local_max`; a write log means checked mode."""
-    state = PramState.from_graph(g)
+    orig = np.arange(g.num_edges, dtype=np.int64)
     if log is not None:
-        state.check_consistent()
+        assert_graph_invariants(g)
     round_index = 0
-    while state.num_edges:
-        before = state.num_edges
-        matched = pram_phase(state, round_seed(seed, round_index, rerandomize), log)
+    while g.num_edges:
+        before = g.num_edges
+        matched, g, orig = pram_phase(g, orig, round_seed(seed, round_index, rerandomize), log)
         if not matched.size:
             raise RuntimeError(f"pram: round {round_index} matched none of {before} live edges")
         if log is not None:
-            state.check_consistent()
-        yield before, matched, state.num_edges
+            assert_graph_invariants(g)
+        yield before, matched, g.num_edges
         round_index += 1

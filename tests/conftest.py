@@ -1,6 +1,9 @@
-"""Shared fixtures and a random edge-list helper."""
+"""Shared fixtures, a per-test hang backstop and a random edge-list helper."""
 
 from __future__ import annotations
+
+import faulthandler
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +11,31 @@ import pytest
 import locmax.matchers
 import locmax.pram
 from locmax import Graph, build_graph
+
+
+#: A test still running after this many seconds is taken for a hang: the
+#: process dumps every thread's traceback and exits, so the run fails
+#: instead of stalling. The slowest test takes a few seconds.
+HANG_SECONDS = 300
+_HANG_REPORT = pytest.StashKey[int]()
+
+
+def pytest_configure(config) -> None:
+    # a copy of stderr taken before any test's output capture, so the
+    # traceback of a hang is not lost in the captured output of the test
+    config.stash[_HANG_REPORT] = os.dup(2)
+
+
+def pytest_unconfigure(config) -> None:
+    os.close(config.stash[_HANG_REPORT])
+
+
+@pytest.fixture(autouse=True)
+def hang_backstop(request):
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True,
+                                      file=request.config.stash[_HANG_REPORT])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

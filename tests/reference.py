@@ -32,12 +32,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from locmax import Graph, Matching, MatchingCheck, matching_from_edge_ids
+from locmax import Graph, Matching, MatchingCheck, assert_graph_invariants, matching_from_edge_ids
 from locmax.bsp import CANDIDATE_RECORD_BYTES, RoundMessages, partition_graph
 from locmax.generate import _morton_order, rgg_threshold
 from locmax.matchers import PhaseTrace, RbmDidNotConverge, RoundStats
 from locmax.oracle import OracleResult
-from locmax.pram import PramState, WriteLog
+from locmax.pram import WriteLog
 from locmax.tiebreak import edge_salts, key_ranks, round_seed, vertex_coins
 
 _MM_FIELDS = ("real", "integer", "pattern")
@@ -491,69 +491,65 @@ def compaction_addresses(delete_flags: np.ndarray) -> np.ndarray:
     return np.arange(len(delete_flags), dtype=np.int64) - np.cumsum(delete_flags, dtype=np.int64)
 
 
-def vertex_totals(state: PramState):
+def vertex_totals(g: Graph):
     """The segment layout (the vertices with live slots, where their segments
     start) as a function taking the maximum of a per-slot value over each
     vertex's segment by one ``np.maximum.reduceat``, which lands at the
     vertex; other vertices hold 0. The reference's own segmented reduction,
     sharing no code with the package's kernel."""
-    busy = np.flatnonzero(state.offsets[1:] != state.offsets[:-1])
-    starts = state.offsets[busy]
+    busy = np.flatnonzero(g.offsets[1:] != g.offsets[:-1])
+    starts = g.offsets[busy]
 
     def totals(slot_value: np.ndarray) -> np.ndarray:
-        total = np.zeros(state.num_vertices, dtype=slot_value.dtype)
+        total = np.zeros(g.num_vertices, dtype=slot_value.dtype)
         total[busy] = np.maximum.reduceat(slot_value, starts)
         return total
     return totals
 
 
-def pram_phase(state: PramState, round_seed_value: int, log: WriteLog | None = None) -> np.ndarray:
-    """One parallel local max phase with the keys encoded as dense ranks.
+def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
+               log: WriteLog | None = None):
+    """One parallel local max phase with the keys encoded as dense ranks:
+    the matched input edge ids, the compacted graph and its input edge ids.
 
     Wins and the matched flags reach the edges through per-vertex totals
     read at both endpoints."""
-    m = state.num_edges
+    m = g.num_edges
     if m == 0:
-        return np.empty(0, dtype=np.int64)
-    totals = vertex_totals(state)
+        return np.empty(0, dtype=np.int64), g, edge_orig
+    totals = vertex_totals(g)
 
-    salts = edge_salts(round_seed_value, state.edge_orig)
-    ranks = key_ranks(state.edge_weight, salts, state.edge_orig)
-    best = totals(ranks[state.slot_edge])
-    wins = (best[state.edge_u] == ranks) & (best[state.edge_v] == ranks)
+    salts = edge_salts(round_seed_value, edge_orig)
+    ranks = key_ranks(g.edge_weight, salts, edge_orig)
+    best = totals(ranks[g.slot_edge])
+    wins = (best[g.edge_u] == ranks) & (best[g.edge_v] == ranks)
     flags = np.zeros(m, dtype=np.int64)
     matched_edges = np.flatnonzero(wins)
     flags[matched_edges] = 1
     if log is not None:
         log.record("match/flag-writes", "edge.flag", matched_edges)
-    matched_orig = state.edge_orig[matched_edges]
 
-    spread = totals(flags[state.slot_edge])
-    dead_edge = (spread[state.edge_u] | spread[state.edge_v]).astype(bool)
+    spread = totals(flags[g.slot_edge])
+    dead_edge = (spread[g.edge_u] | spread[g.edge_v]).astype(bool)
     if log is not None:
         log.record("spread/edge-writes", "edge.flag", np.arange(m))
 
-    dead_slot = dead_edge[state.slot_edge]
+    dead_slot = dead_edge[g.slot_edge]
     new_edge_index = compaction_addresses(dead_edge)
     new_slot_index = compaction_addresses(dead_slot)
 
     keep_e = ~dead_edge
     if log is not None:
         log.record("compact/edge-copies", "edge.records", new_edge_index[keep_e])
-    state.edge_u = state.edge_u[keep_e]
-    state.edge_v = state.edge_v[keep_e]
-    state.edge_weight = state.edge_weight[keep_e]
-    state.edge_orig = state.edge_orig[keep_e]
-
     keep_s = ~dead_slot
     if log is not None:
         log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
-    state.slot_vertex = state.slot_vertex[keep_s]
-    state.slot_edge = new_edge_index[state.slot_edge[keep_s]]
-
-    surviving_deg = np.bincount(state.slot_vertex, minlength=state.num_vertices)
-    state.offsets = np.concatenate([[0], np.cumsum(surviving_deg)]).astype(np.int64)
-    return matched_orig
+    slot_vertex = g.slot_vertex[keep_s]
+    surviving_deg = np.bincount(slot_vertex, minlength=g.num_vertices)
+    rest = Graph(g.num_vertices, np.concatenate([[0], np.cumsum(surviving_deg)]).astype(np.int64),
+                 slot_vertex, new_edge_index[g.slot_edge[keep_s]],
+                 g.edge_u[keep_e], g.edge_v[keep_e], g.edge_weight[keep_e])
+    return edge_orig[matched_edges], rest, edge_orig[keep_e]
 
 
 def check_progress(round_index: int, before: int, matched: np.ndarray, m: int) -> None:
@@ -569,23 +565,26 @@ def check_progress(round_index: int, before: int, matched: np.ndarray, m: int) -
 def pram_local_max(g: Graph, seed: int, checked: bool = False, rerandomize: bool = True):
     """The PRAM engine driving the rank-based :func:`pram_phase`."""
     t0 = time.perf_counter()
-    state = PramState.from_graph(g)
+    m = g.num_edges
+    orig = np.arange(m, dtype=np.int64)
     log = WriteLog() if checked else None
     trace = PhaseTrace(write_log=log)
-    slot_ops = g.num_vertices + 3 * g.num_edges
+    slot_ops = g.num_vertices + 3 * m
     if checked:
-        state.check_consistent()
+        assert_graph_invariants(g)
     matched_parts: list[np.ndarray] = []
     round_index = 0
-    while state.num_edges:
-        before = state.num_edges
-        slot_ops += state.num_edges + state.num_slots
-        matched = pram_phase(state, round_seed(seed, round_index, rerandomize), log)
-        check_progress(round_index, before, matched, g.num_edges)
+    live = g
+    while live.num_edges:
+        before = live.num_edges
+        slot_ops += live.num_edges + live.slot_edge.size
+        rs = round_seed(seed, round_index, rerandomize)
+        matched, live, orig = pram_phase(live, orig, rs, log)
+        check_progress(round_index, before, matched, m)
         if checked:
-            state.check_consistent()
+            assert_graph_invariants(live)
         matched_parts.append(matched)
-        trace.rounds.append(RoundStats(before, matched.size, before - state.num_edges))
+        trace.rounds.append(RoundStats(before, matched.size, before - live.num_edges))
         round_index += 1
     all_matched = (
         np.concatenate(matched_parts) if matched_parts else np.empty(0, dtype=np.int64)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from locmax import (
+    assert_graph_invariants,
     gen_rgg,
     local_max_seq,
     read_matrix_market,
@@ -24,7 +25,7 @@ from locmax.bench import (
     shrink_report,
 )
 from locmax.matchers import MATCHERS
-from locmax.pram import PramState, pram_phase
+from locmax.pram import pram_phase
 from locmax.tiebreak import round_seed
 
 from reference import check_progress
@@ -248,13 +249,14 @@ def test_c09_compaction_correctness():
         (InstanceSpec("random", 7, alpha=4, weights="unit"), 1),
     ):
         g = spec.build(seed)
-        state = PramState.from_graph(g)
-        state.check_consistent()
+        live, orig = g, np.arange(g.num_edges)
+        assert_graph_invariants(live)
         rnd = 0
-        while state.num_edges:
-            before = state.num_edges
-            check_progress(rnd, before, pram_phase(state, round_seed(seed, rnd)), g.num_edges)
-            state.check_consistent()  # graph invariants
+        while live.num_edges:
+            before = live.num_edges
+            matched, live, orig = pram_phase(live, orig, round_seed(seed, rnd))
+            check_progress(rnd, before, matched, g.num_edges)
+            assert_graph_invariants(live)
             checked += 1
             rnd += 1
     _report(9, checked > 0, f"graph invariants hold after all {checked} phases")

@@ -192,6 +192,20 @@ def test_audit_negative_trials_is_a_usage_error(capsys):
     assert (out, err) == ("", "locmax: error: trials must be >= 0, got -3\n")
 
 
+def test_appending_other_columns_to_a_csv_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main(["audit", "--alg", "localmax", "--trials", "20", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert main(["match", "--x", "6", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"locmax: error: {out}: cannot append rows with columns schema,"
+                          "instance,") and err.count("\n") == 1
+    assert err.endswith(" under the header schema,matcher,trials,min_ratio,mean_ratio,"
+                        "violations,invalid,non_maximal\n")
+    assert out.read_bytes() == before
+
+
 def test_crosscheck_ok(capsys):
     rc = main(["crosscheck", "--family", "random", "--x", "7", "--alpha", "4",
                "--seeds", "0", "1", "--p", "1", "2", "4"])

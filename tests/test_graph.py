@@ -218,8 +218,15 @@ def _pair_graph(us, vs) -> Graph:
     ({"edge_v": [2, 3]}, "slot owners disagree with edge endpoints"),
     ({"edge_weight": [1.0, np.nan]}, "weights must be finite and >= 0"),
     ({"edge_weight": [-1.0, 2.0]}, "weights must be finite and >= 0"),
+    # edge 0 keeps both its slots at vertex 0 and edge 1 both at vertex 3
+    ({"slot_vertex": [0, 0, 3, 3]}, "slot_vertex disagrees with the offsets segmentation"),
+    # slot 1 sits at vertex 2, neither end of edge 0
+    ({"slot_vertex": [0, 2, 2, 3]}, "slot_vertex disagrees with the offsets segmentation"),
+    *(({"slot_edge": [e, 0, 1, 1]}, "slot_edge references an edge id out of range")
+      for e in (-1, -6, 2, 7)),
 ], ids=["offsets-length", "offsets-ends", "offsets-order", "slot-length", "edge-slot-count",
-        "slot-owners", "nan-weight", "negative-weight"])
+        "slot-owners", "nan-weight", "negative-weight", "both-slots-at-one-end",
+        "slot-at-neither-end", *(f"slot-edge-{e}" for e in (-1, -6, 2, 7))])
 def test_invariants_reject_each_inconsistent_layout(fields, message):
     # edges (0, 1) and (2, 3): offsets [0, 1, 2, 3, 4], slot_edge [0, 0, 1, 1]
     g = build_graph([(0, 1, 1.0), (2, 3, 2.0)])

@@ -1,4 +1,4 @@
-"""Parallel-phase engine: layout checks, write log, compaction, equivalence."""
+"""Parallel-phase engine: write log, compaction, equivalence."""
 
 from __future__ import annotations
 
@@ -8,50 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locmax import (
+    assert_graph_invariants,
     build_graph,
     gen_random,
     gen_rgg,
     local_max_seq,
     pram_local_max,
 )
-from locmax.pram import PramState, WriteLog, pram_phase
+from locmax.graph import _assemble
+from locmax.pram import WriteLog, pram_phase
 from locmax.tiebreak import edge_salts, key_ranks, round_seed
 
-from reference import compaction_addresses
+from reference import check_progress, compaction_addresses
 from test_equivalence import tie_graphs
 
-
-# ------------------------------------------------------ layouts and write log
-
-def _slot_vertex(slot_vertex):
-    def corrupt(s):
-        s.slot_vertex = np.array(slot_vertex)
-    return corrupt
+GRAPH_ARRAYS = ("offsets", "slot_vertex", "slot_edge", "edge_u", "edge_v", "edge_weight")
 
 
-def _slot_edge_id(bad_edge):
-    def corrupt(s):
-        s.slot_edge = s.slot_edge.copy()
-        s.slot_edge[0] = bad_edge
-    return corrupt
-
-
-@pytest.mark.parametrize("corrupt, message", [
-    # edge 0 keeps both its slots at vertex 0 and edge 1 both at vertex 3
-    pytest.param(_slot_vertex([0, 0, 3, 3]), "slot_vertex disagrees", id="both-slots-at-one-end"),
-    # slot 1 sits at vertex 2, neither end of edge 0
-    pytest.param(_slot_vertex([0, 2, 2, 3]), "slot_vertex disagrees", id="slot-at-neither-end"),
-    *(pytest.param(_slot_edge_id(e), "edge id out of range", id=f"slot-edge-{e}")
-      for e in (-1, -6, 2, 7)),
-])
-def test_check_consistent_rejects_bad_layouts(corrupt, message):
-    s = PramState.from_graph(build_graph([(0, 1, 1.0), (2, 3, 2.0)]))
-    assert s.slot_edge.tolist() == [0, 0, 1, 1]
-    s.check_consistent()
-    corrupt(s)
-    with pytest.raises(ValueError, match=message):
-        s.check_consistent()
-
+# ---------------------------------------------------------------- write log
 
 def _write_log_figures(g):
     log = pram_local_max(g, 0, checked=True)[1].write_log
@@ -93,13 +67,13 @@ def test_write_log_counts_conflicts_when_present():
 # ------------------------------------------------------------------ phases
 
 def test_phase_on_an_edgeless_state_matches_nothing():
-    s = PramState.from_graph(build_graph([], num_vertices=3))
+    g = build_graph([], num_vertices=3)
     log = WriteLog()
-    matched = pram_phase(s, round_seed(0, 0), log)
-    assert matched.dtype == np.int64 and matched.size == 0
+    matched, rest, rest_orig = pram_phase(g, np.arange(0), round_seed(0, 0), log)
+    assert matched.dtype == np.int64 and matched.size == 0 and rest_orig.size == 0
     assert (log.steps, log.writes, log.conflicts) == (4, 0, 0)
-    assert (s.num_vertices, s.num_edges, s.offsets.tolist()) == (3, 0, [0, 0, 0, 0])
-    s.check_consistent()
+    assert (rest.num_vertices, rest.num_edges, rest.offsets.tolist()) == (3, 0, [0, 0, 0, 0])
+    assert_graph_invariants(rest)
 
 
 def test_compaction_addresses_frozen_example():
@@ -111,12 +85,35 @@ def test_compaction_addresses_frozen_example():
 
 
 def test_phase_on_triangle_clears_graph(triangle):
-    s = PramState.from_graph(triangle)
-    matched = pram_phase(s, round_seed(0, 0))
+    matched, rest, rest_orig = pram_phase(triangle, np.arange(3), round_seed(0, 0))
     assert matched.tolist() == [2]  # the weight-3 edge
-    assert s.num_edges == 0
-    assert s.num_slots == 0
-    s.check_consistent()
+    assert rest.num_edges == 0 and rest.slot_edge.size == 0 and rest_orig.size == 0
+    assert_graph_invariants(rest)
+
+
+@given(tie_graphs(), st.integers(0, 10_000), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_each_phase_returns_the_graph_of_its_surviving_edges(g0, seed, rerandomize):
+    """A phase's compacted graph equals the one its surviving input edges lay
+    out afresh, array by array, so a compaction that reorders a vertex's
+    slots fails; the phase leaves its input graph as it was."""
+    g, orig = g0, np.arange(g0.num_edges)
+    rnd = 0
+    while g.num_edges:
+        before = [getattr(g, name).copy() for name in GRAPH_ARRAYS]
+        matched, rest, rest_orig = pram_phase(g, orig, round_seed(seed, rnd, rerandomize))
+        check_progress(rnd, g.num_edges, matched, g0.num_edges)
+        for name, want in zip(GRAPH_ARRAYS, before):
+            assert np.array_equal(getattr(g, name), want), name
+        fresh = _assemble(g0.edge_u[rest_orig], g0.edge_v[rest_orig],
+                          g0.edge_weight[rest_orig], g0.num_vertices)
+        assert rest.num_vertices == fresh.num_vertices
+        for name in GRAPH_ARRAYS:
+            got, want = getattr(rest, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert not got.flags.writeable, name
+        g, orig = rest, rest_orig
+        rnd += 1
 
 
 @pytest.mark.parametrize("w0, matched", [(1.0, [1]), (2.0, [1]), (3.0, [0])],
@@ -126,15 +123,15 @@ def test_edge_with_salt_zero(monkeypatch, w0, matched):
     # take) and edge 1 salt 5; edge 1 weighs 2
     monkeypatch.setattr("locmax.pram.edge_salts",
                         lambda seed, ids: np.array([0, 5], dtype=np.uint64)[ids])
-    s = PramState.from_graph(build_graph([(0, 1, w0), (1, 2, 2.0)]))
-    assert pram_phase(s, round_seed(0, 0)).tolist() == matched
+    g = build_graph([(0, 1, w0), (1, 2, 2.0)])
+    assert pram_phase(g, np.arange(2), round_seed(0, 0))[0].tolist() == matched
 
 
 def test_phase_matches_sequential_first_round():
     for seed in range(5):
         g = gen_random(256, 4, seed=seed)
-        s = PramState.from_graph(g)
-        matched = set(pram_phase(s, round_seed(seed, 0)).tolist())
+        matched, rest, _ = pram_phase(g, np.arange(g.num_edges), round_seed(seed, 0))
+        matched = set(matched.tolist())
         # independent reconstruction of the round-1 matched set: an edge is
         # matched iff it is the key-max at both endpoints
         ids = np.arange(g.num_edges, dtype=np.int64)
@@ -146,7 +143,7 @@ def test_phase_matches_sequential_first_round():
             ids[(best[g.edge_u] == ranks) & (best[g.edge_v] == ranks)].tolist()
         )
         assert matched == expect
-        s.check_consistent()
+        assert_graph_invariants(rest)
 
 
 def test_full_run_equals_sequential_engine():
@@ -174,11 +171,10 @@ def test_full_run_respects_rerandomize_flag():
 
 def test_runs_leave_the_input_graph_unchanged_and_read_only():
     g = gen_random(512, 4, seed=6)
-    names = ("offsets", "slot_vertex", "slot_edge", "edge_u", "edge_v", "edge_weight")
-    before = [getattr(g, name).copy() for name in names]
+    before = [getattr(g, name).copy() for name in GRAPH_ARRAYS]
     for checked in (False, True):
         pram_local_max(g, 6, checked=checked)
-        for name, want in zip(names, before):
+        for name, want in zip(GRAPH_ARRAYS, before):
             got = getattr(g, name)
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), name
             assert not got.flags.writeable, name
