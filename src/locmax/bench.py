@@ -344,6 +344,10 @@ class AuditReport:
         }
 
 
+AUDIT_COLUMNS = ("schema", "matcher", "trials", "min_ratio", "mean_ratio", "violations",
+                 "invalid", "non_maximal")
+
+
 # Matchers carrying the 1/2-approximation guarantee; others are report-only.
 HALF_APPROX_MATCHERS = frozenset({"localmax", "greedy"})
 

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    AUDIT_COLUMNS,
+    BENCH_COLUMNS,
     SHRINK_COLUMNS,
     BenchRecord,
     InstanceSpec,
@@ -25,7 +27,7 @@ from .bench import (
     write_bench_csv,
 )
 from .graph import validate_matching
-from .graphio import read_graph, write_csv, write_edge_list
+from .graphio import check_csv_append, read_graph, write_csv, write_edge_list
 from .matchers import MATCHERS
 
 ALGORITHMS = tuple(MATCHERS)
@@ -71,6 +73,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    if args.out:
+        check_csv_append(args.out, BENCH_COLUMNS)
     if args.input:
         g = read_graph(args.input)
         label = Path(args.input).name
@@ -112,6 +116,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_shrink(args) -> int:
+    if args.out:
+        check_csv_append(args.out, SHRINK_COLUMNS)
     spec_args = _instance_specs(args)
     failures = []
     for spec in spec_args:
@@ -138,6 +144,8 @@ def _cmd_shrink(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.out:
+        check_csv_append(args.out, AUDIT_COLUMNS)
     report = approximation_audit(args.alg, args.trials, args.seed)
     print(
         f"audit {report.matcher}: trials={report.trials} min_ratio={report.min_ratio:.4f} "
@@ -145,8 +153,7 @@ def _cmd_audit(args) -> int:
         f"invalid={report.invalid} non_maximal={report.non_maximal}"
     )
     if args.out:
-        row = report.as_row()
-        write_csv([row], args.out, tuple(row), append=True)
+        write_csv([report.as_row()], args.out, AUDIT_COLUMNS, append=True)
     return 0 if report.passed else 1
 
 

@@ -50,8 +50,9 @@ def gen_random(n: int, alpha: int, seed: int) -> Graph:
         packed = packed[np.sort(first)]
         packed = packed[~np.isin(packed, chosen)]
         chosen = np.concatenate([chosen, packed[:need]])
-    lo, hi = np.divmod(chosen, n)
-    return _assemble(lo, hi, rng.random(m), n)
+    lo = chosen // n
+    chosen -= lo * n
+    return _assemble(lo, chosen, rng.random(m), n)
 
 
 def rgg_threshold(n: int) -> float:
@@ -142,7 +143,8 @@ def radius_edges_grid(points: np.ndarray, radius: float) -> tuple[np.ndarray, np
     # column through the cell above, and the three touching cells of the
     # next column (past the last column those queries exceed every cell id).
     cells, sizes = np.unique(cell, return_counts=True)
-    col, row = np.divmod(cells, side)
+    col = cells // side
+    row = cells - col * side
     up = np.minimum(row + 1, side - 1)
     own_hi = np.searchsorted(cell, col * side + up, "right")
     next_lo = np.searchsorted(cell, (col + 1) * side + np.maximum(row - 1, 0))
@@ -164,7 +166,9 @@ def radius_edges_grid(points: np.ndarray, radius: float) -> tuple[np.ndarray, np
             # key the pair by u's position: u is the point with the smaller index
             first = np.where(order[own] < order[other], own, other)
             keys.append(first * n + (own + other - first))
-    first, second = np.divmod(np.sort(np.concatenate(keys)), n)
+    second = np.sort(np.concatenate(keys))
+    first = second // n
+    second -= first * n
     dx, dy = xs[first] - xs[second], ys[first] - ys[second]
     return order[first], order[second], np.sqrt(dx * dx + dy * dy)
 

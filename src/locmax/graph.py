@@ -146,10 +146,13 @@ def _assemble(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> Graph:
     """
     m = u.size
     eid = np.arange(m, dtype=np.int64)
-    # one sort of (vertex, edge id) packed into a single key
-    slot_key = np.concatenate([u, v]) * max(m, 1) + np.concatenate([eid, eid])
-    slot_key.sort()
-    slot_vertex, slot_edge = np.divmod(slot_key, max(m, 1))
+    # one sort of (vertex, edge id) packed into a single key, then the
+    # key's quotient and, in place, its remainder (faster than np.divmod)
+    d = max(m, 1)
+    slot_edge = np.concatenate([u, v]) * d + np.concatenate([eid, eid])
+    slot_edge.sort()
+    slot_vertex = slot_edge // d
+    slot_edge -= slot_vertex * d
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(slot_vertex, minlength=n), out=offsets[1:])
     return Graph(n, offsets, slot_vertex, slot_edge, u, v, w)

@@ -251,6 +251,25 @@ def read_graph(path: str | Path) -> Graph:
     return read_edge_list(p)
 
 
+def check_csv_append(path: str | Path, columns: Sequence[str]) -> bool:
+    """Check that rows under ``columns`` may be appended to ``path``.
+
+    Returns whether the file still needs its header (it is missing or
+    empty). A file whose header is not ``columns`` raises ValueError naming
+    the file and both headers, so a command can check its output file
+    before it runs its job.
+    """
+    path = Path(path)
+    if not (path.exists() and path.stat().st_size > 0):
+        return True
+    with path.open(encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), [])
+    if header != list(columns):
+        raise ValueError(f"{path}: cannot append rows with columns {','.join(columns)} "
+                         f"under the header {','.join(header)}")
+    return False
+
+
 def write_csv(
     records: Iterable[Mapping[str, object]],
     path: str | Path,
@@ -262,16 +281,10 @@ def write_csv(
     In append mode the header is only written when the file is new or
     empty, so repeated runs can accumulate rows safely; appending under a
     header other than ``columns`` raises ValueError and leaves the file as
-    it was.
+    it was (:func:`check_csv_append`).
     """
     path = Path(path)
-    write_header = not (append and path.exists() and path.stat().st_size > 0)
-    if not write_header:
-        with path.open(encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), [])
-        if header != list(columns):
-            raise ValueError(f"{path}: cannot append rows with columns {','.join(columns)} "
-                             f"under the header {','.join(header)}")
+    write_header = not append or check_csv_append(path, columns)
     mode = "a" if append else "w"
     count = 0
     with path.open(mode, encoding="utf-8", newline="") as fh:

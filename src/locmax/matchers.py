@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .graph import Graph, Matching, matching_from_edge_ids
-from .tiebreak import _new_candidates, _raise_candidates, _reset_candidates
+from .tiebreak import _deciding_bits, _new_candidates, _raise_candidates, _reset_candidates
 from .tiebreak import edge_salts, round_seed, vertex_coins, weight_bits
 
 #: One round of an engine: live edges before it, the edge ids it matched,
@@ -109,13 +109,14 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
 
     Endpoints and weight bits are gathered once and filtered with the live
     set, and so are the salts unless ``rerandomize`` draws new ones every
-    round. Each round is :func:`_local_max_round` on the survivors.
+    round. Each round is :func:`_local_max_round` on the survivors; when
+    all weights are equal, no round runs the kernel's weight stage.
     """
     live = np.arange(g.num_edges, dtype=np.int64)
     us, vs = g.edge_u, g.edge_v
     cand = _new_candidates(g.num_vertices)
     vertex_matched = np.zeros(g.num_vertices, dtype=bool)
-    wbits = weight_bits(g.edge_weight)
+    wbits = _deciding_bits(weight_bits(g.edge_weight))
     salts = edge_salts(round_seed(seed, 0), live)
     round_index = 0
     while live.size:
@@ -125,10 +126,15 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
         # pass 3: drop edges with a matched endpoint, reset survivors' candidates
         alive = np.flatnonzero(~dead)
         yield live.size, live[won], alive.size
-        live, us, vs, wbits = live[alive], us[alive], vs[alive], wbits[alive]
+        live, us, vs, wbits = live[alive], us[alive], vs[alive], _take(wbits, alive)
         _reset_candidates(cand, us, vs)
         round_index += 1
         salts = edge_salts(round_seed(seed, round_index), live) if rerandomize else salts[alive]
+
+
+def _take(wbits: np.ndarray | None, at: np.ndarray) -> np.ndarray | None:
+    """``wbits[at]``, where None (a single weight) stays None."""
+    return None if wbits is None else wbits[at]
 
 
 #: The greedy kernel's rounds give way to its scan once a round matches
@@ -489,7 +495,7 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
     cand = _new_candidates(n)
     vertex_matched = np.zeros(n, dtype=bool)
     live = np.arange(g.num_edges, dtype=np.int64)
-    us, vs, wbits = g.edge_u, g.edge_v, weight_bits(g.edge_weight)
+    us, vs, wbits = g.edge_u, g.edge_v, _deciding_bits(weight_bits(g.edge_weight))
     round_index = idle = 0
     max_rounds = 10_000
     while live.size:
@@ -504,18 +510,18 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
         u_blue = blue_u[bi]
         blue = np.where(u_blue, us[bi], vs[bi])
         red = np.where(u_blue, vs[bi], us[bi])
-        ids, wb = live[bi], wbits[bi]
+        ids, wb = live[bi], _take(wbits, bi)
         salts = edge_salts(rs, ids)
         sent = np.flatnonzero(_raise_candidates(cand, ((blue, wb, salts),))[0])
         to, sent_ids = red[sent], ids[sent]
-        (took,) = _raise_candidates(cand, ((to, wb[sent], salts[sent]),))
+        (took,) = _raise_candidates(cand, ((to, _take(wb, sent), salts[sent]),))
         vertex_matched[blue[sent[took]]] = True
         vertex_matched[to[took]] = True
         # every red receiver took an offer and is matched, so its entry is never read again
         _reset_candidates(cand, blue)
         alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
         yield live.size, sent_ids[took], alive.size
-        live, us, vs, wbits = live[alive], us[alive], vs[alive], wbits[alive]
+        live, us, vs, wbits = live[alive], us[alive], vs[alive], _take(wbits, alive)
         round_index += 1
 
 

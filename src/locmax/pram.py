@@ -4,11 +4,13 @@ A phase maps a graph in the adjacency-array layout (edge records plus
 per-vertex incidence slots) to the smaller graph of its surviving edges, on
 which the next phase runs. It is a fixed sequence of whole-array passes:
 draw per-edge keys, take each vertex's maximum key with segmented
-reductions whose totals land at the vertex, match the edges whose key
-equals the total read (concurrently) at both endpoints, mark their
-endpoints matched (together, the sequential engine's round), then compact
-the edges through the list of survivors and the slots with a prefix sum
-that also shifts the offsets. One pass is one simulated parallel step.
+reductions whose totals land at the vertex (the weight reduction is
+skipped when the phase's live weights are all equal, as it cannot decide
+a key then), match the edges whose key equals the total read
+(concurrently) at both endpoints, mark their endpoints matched (together,
+the sequential engine's round), then compact the edges through the list
+of survivors and the slots with a prefix sum that also shifts the
+offsets. One pass is one simulated parallel step.
 
 In checked mode every shared-array write of a step is recorded, and two
 writes landing on the same cell within one step count as an exclusive-write
@@ -24,7 +26,7 @@ import numpy as np
 
 from .graph import Graph, Matching, assert_graph_invariants
 from .matchers import PhaseTrace, Rounds, _drive, _local_max_round
-from .tiebreak import _new_candidates, edge_salts, round_seed, weight_bits
+from .tiebreak import _deciding_bits, _new_candidates, edge_salts, round_seed, weight_bits
 
 
 @dataclass
@@ -63,10 +65,13 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
     Steps: (1) per-edge keys, read by the slots, (2) each vertex's heaviest
     key, by two segmented max reductions over its contiguous slots (weight
     bits, then salts among the weight-maximal slots; salts are distinct, so
-    the id never decides) whose totals land at the vertex, (3) every edge
-    reads the best key at both its endpoints, and an edge whose key equals
-    both is matched and flags itself (the log records the write; no step
-    reads the flag, so no array keeps it), (4) each matched edge marks both
+    the id never decides) whose totals land at the vertex; the weight
+    reduction is skipped when the phase's live weights are all equal (a
+    phase is a pure function of ``g``, so it decides this itself), and the
+    salt reduction then reads every slot, (3) every edge reads the best
+    key at both its endpoints, and an edge whose key equals both is
+    matched and flags itself (the log records the write; no step reads
+    the flag, so no array keeps it), (4) each matched edge marks both
     its endpoints matched, and every edge reads the marks at its endpoints,
     (5) each surviving edge writes its compacted address, its index in the
     list of survivors, and an exclusive prefix sum over the slot deletion
@@ -81,7 +86,7 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
     matched_vertex = np.zeros(n, dtype=bool)
     matched_edges, dead_edge = _local_max_round(
         _new_candidates(n), matched_vertex, g.edge_u, g.edge_v,
-        weight_bits(g.edge_weight), edge_salts(round_seed_value, edge_orig))
+        _deciding_bits(weight_bits(g.edge_weight)), edge_salts(round_seed_value, edge_orig))
 
     # step 5: each surviving edge writes its own new address, its index in keep_e (exclusive
     # writes); the slots' exclusive prefix sum, written in place, moves slots and offsets

@@ -7,8 +7,12 @@ same salt in the sequential, PRAM and bulk-synchronous engines regardless of
 scheduling. Salts cannot collide within a round, because the finalizer is
 a bijection of 64-bit words, so the id stays in the key but never decides.
 Every engine takes per-vertex maxima of this order through one kernel,
-:func:`_raise_candidates`, in two scatter-max stages (pram's model counts them
-as segmented max reductions over each vertex's slots); none sorts keys.
+:func:`_raise_candidates`, with scatter-max stages (pram's model counts them
+as segmented max reductions over each vertex's slots); none sorts keys. A
+stage runs only where it can still decide a key: the weight stage only when
+the offered weights differ (:func:`_deciding_bits`, decided by the caller),
+and the salt stage only over the offers that are weight-maximal at their
+vertex.
 """
 
 from __future__ import annotations
@@ -118,27 +122,47 @@ def _new_candidates(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(n, np.uint64), np.zeros(n, np.uint64)
 
 
+def _deciding_bits(wbits: np.ndarray) -> np.ndarray | None:
+    """``wbits``, or None when they hold at most one weight.
+
+    Equal weights decide no key, so the kernel given None skips its weight
+    stage. The survivors of one weight hold one weight too, so a caller
+    decides once for all the rounds it runs on the same edges.
+    """
+    return None if not wbits.size or np.all(wbits == wbits[0]) else wbits
+
+
 def _raise_candidates(cand, offers) -> list[np.ndarray]:
     """Raise vertex candidates to the heaviest (weight, salt) key offered.
 
     Each ``(ends, wbits, salts)`` group in ``offers`` offers one edge's key
-    to vertex ``ends[i]``. Two scatter-max stages take max weight, then max
-    salt among weight ties, each over all groups before the next reads it;
-    stage 2 masks offers out of the running to the dummy's salt 0. Returns,
-    per group, flags marking the offers that hold their vertex's candidate
-    key. Salts must be distinct per edge, as one round's are, so at most
-    one edge per vertex is flagged.
+    to vertex ``ends[i]``. Stage 1 scatter-maxes the weights, then stage 2
+    the salts of the offers whose weight equals their vertex's, each over
+    all groups before the next reads it. When every group's ``wbits`` is
+    None (one weight, see :func:`_deciding_bits`), stage 1 is skipped,
+    ``cand``'s weights are left as they are, and stage 2 reads all offers.
+    Returns, per group, flags marking the offers that hold their vertex's
+    candidate key. Salts must be distinct per edge, as one round's are, so
+    at most one edge per vertex is flagged.
     """
     cand_w, cand_s = cand
+    if offers[0][1] is None:
+        for ends, _, salts in offers:
+            np.maximum.at(cand_s, ends, salts)
+        return [cand_s[ends] == salts for ends, _, salts in offers]
     for ends, wbits, _ in offers:
         np.maximum.at(cand_w, ends, wbits)
-    tops = []
+    heavy = []  # per group: the offers at their vertex's weight, and their ends and salts
     for ends, wbits, salts in offers:
-        top = cand_w[ends] == wbits
-        np.maximum.at(cand_s, ends, np.where(top, salts, 0))
+        at = np.flatnonzero(cand_w[ends] == wbits)
+        top_ends, top_salts = ends[at], salts[at]
+        np.maximum.at(cand_s, top_ends, top_salts)
+        heavy.append((at, top_ends, top_salts))
+    tops = []
+    for (ends, _, _), (at, top_ends, top_salts) in zip(offers, heavy):
+        top = np.zeros(ends.size, dtype=bool)
+        top[at] = cand_s[top_ends] == top_salts
         tops.append(top)
-    for (ends, _, salts), top in zip(offers, tops):
-        top &= cand_s[ends] == salts
     return tops
 
 

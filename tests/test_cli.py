@@ -206,6 +206,32 @@ def test_appending_other_columns_to_a_csv_is_a_usage_error(tmp_path, capsys):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("argv", [["match", "--x", "6"],
+                                  ["shrink", "--x", "6", "--seeds", "0"],
+                                  ["audit", "--trials", "5"]], ids=lambda argv: argv[0])
+def test_out_file_with_other_columns_is_rejected_before_the_job_runs(tmp_path, capsys, argv):
+    out = tmp_path / "f.csv"
+    out.write_bytes(b"a,b\r\n1,2\r\n")
+    assert main([*argv, "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""  # no result line: the job did not run
+    assert err.startswith(f"locmax: error: {out}: cannot append rows with columns schema,")
+    assert err.endswith(" under the header a,b\n") and err.count("\n") == 1
+    assert out.read_bytes() == b"a,b\r\n1,2\r\n"
+
+
+def test_audit_rows_append_under_one_header(tmp_path):
+    out = tmp_path / "audit.csv"
+    want = []
+    for seed in (0, 1):
+        assert main(["audit", "--trials", "5", "--seed", str(seed), "--out", str(out)]) == 0
+        row = locmax.bench.approximation_audit("localmax", 5, seed).as_row()
+        assert tuple(row) == locmax.bench.AUDIT_COLUMNS
+        want.append(",".join(str(v) for v in row.values()))
+    header, *rows = out.read_text().splitlines()
+    assert header == ",".join(locmax.bench.AUDIT_COLUMNS) and rows == want
+
+
 def test_crosscheck_ok(capsys):
     rc = main(["crosscheck", "--family", "random", "--x", "7", "--alpha", "4",
                "--seeds", "0", "1", "--p", "1", "2", "4"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locmax.matchers
+import locmax.pram
 import reference as ref
 from locmax import (
     bsp_local_max,
@@ -37,6 +38,8 @@ from locmax.matchers import (
 )
 from locmax.oracle import random_audit_instance
 from locmax.tiebreak import round_seed, vertex_coins
+
+from test_equivalence import assert_engines_match_reference, assert_same_run
 
 from conftest import random_graph_edges
 from reference import ParityUnionFind, descending_key_order, gpa_accepted, incident_edges, tie_key
@@ -485,6 +488,65 @@ def test_engines_match_reference_on_unit_weights_at_scale(seed):
             ref_m, ref_t = ref.bsp_local_max(g, p, seed, rerandomize)
             assert bsp_m == ref_m == want_m
             assert bsp_t.rounds == ref_t.rounds and bsp_t.messages == ref_t.messages
+
+
+def _reweighted(g, weights):
+    return dataclasses.replace(g, edge_weight=np.asarray(weights, dtype=np.float64))
+
+
+def _small_graphs():
+    yield gen_random(2**8, 4, 5)
+    yield gen_rgg(8, 5)
+
+
+# every weight the same: the kernel skips its weight stage in every round
+@pytest.mark.parametrize("w", [0.0, 5e-324, 1.0, 2.5])
+def test_engines_match_reference_when_every_weight_is_equal(w):
+    for g in _small_graphs():
+        g = _reweighted(g, np.full(g.num_edges, w))
+        for seed, rerandomize in ((0, True), (1, False)):
+            assert_engines_match_reference(g, seed, rerandomize)
+            assert_same_run(rbm(g, seed), ref.rbm(g, seed))
+
+
+# exactly one edge heavier than the rest: the weight stage runs and decides
+# at that edge's endpoints only
+@pytest.mark.parametrize("light,heavy", [(0.0, 5e-324), (1.0, 2.5), (5e-324, 1.0)])
+def test_engines_match_reference_when_one_edge_is_heavier(light, heavy):
+    for g in _small_graphs():
+        weights = np.full(g.num_edges, light)
+        weights[g.num_edges // 3] = heavy
+        g = _reweighted(g, weights)
+        for seed, rerandomize in ((0, True), (1, False)):
+            assert_engines_match_reference(g, seed, rerandomize)
+            assert_same_run(rbm(g, seed), ref.rbm(g, seed))
+
+
+def test_pram_skips_the_weight_stage_once_its_phase_has_one_weight(monkeypatch):
+    """The one heavier edge is the heaviest of the graph, so it wins phase
+    1, which leaves a graph of one weight: phase 1 runs the weight stage and
+    every later phase skips it, and the run still equals the reference."""
+    g = gen_random(2**8, 4, 6)
+    weights = np.ones(g.num_edges)
+    weights[7] = 2.0
+    g = _reweighted(g, weights)
+    deciding_bits = locmax.pram._deciding_bits
+    skipped = []  # per phase: whether the kernel skipped its weight stage
+
+    def spy(wbits):
+        got = deciding_bits(wbits)
+        skipped.append(got is None)
+        return got
+
+    monkeypatch.setattr(locmax.pram, "_deciding_bits", spy)
+    for seed, rerandomize in ((0, True), (1, False)):
+        skipped.clear()
+        want_m, want_t = ref.pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
+        got_m, got_t = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
+        assert 7 in got_m.edges.tolist()
+        assert skipped == [False] + [True] * (len(skipped) - 1) and len(skipped) >= 3
+        assert got_m == want_m and got_t.rounds == want_t.rounds
+        assert got_t.slot_ops == want_t.slot_ops and got_t.write_log == want_t.write_log
 
 
 def _no_flags(cand, offers):

@@ -16,6 +16,7 @@ from locmax.tiebreak import (
     _MIX_B,
     _MIX_BLOCK,
     _UINT64_MASK,
+    _deciding_bits,
     _mix64_int,
     _new_candidates,
     _raise_candidates,
@@ -168,10 +169,15 @@ KEY_SALTS = (0, 1, 2**63, 2**64 - 1)
 def offer_groups(draw):
     """Edges with (weight, salt) keys, and 1, 2 or 4 groups of offers, each
     offering some edge's key to some vertex. Salts are distinct per edge, as
-    one round's salts are, and often include the extremes."""
+    one round's salts are, and often include the extremes. When the last
+    value is True, every edge has the same weight."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(0, 16))
-    weights = np.array(draw(st.lists(st.sampled_from(KEY_WEIGHTS), min_size=m, max_size=m)))
+    one_weight = draw(st.booleans())
+    if one_weight:
+        weights = np.full(m, draw(st.sampled_from(KEY_WEIGHTS)))
+    else:
+        weights = np.array(draw(st.lists(st.sampled_from(KEY_WEIGHTS), min_size=m, max_size=m)))
     salt = st.one_of(st.sampled_from(KEY_SALTS), st.integers(0, 2**64 - 1))
     salts = np.array(draw(st.lists(salt, min_size=m, max_size=m, unique=True)), dtype=np.uint64)
     groups = []
@@ -181,13 +187,16 @@ def offer_groups(draw):
         edge = np.array([e for e, _ in pairs], dtype=np.int64)
         ends = np.array([v for _, v in pairs], dtype=np.int64)
         groups.append((edge, ends))
-    return n, weights, salts, groups
+    return n, weights, salts, groups, one_weight
 
 
 @given(offer_groups())
 @settings(max_examples=300, deadline=None)
 def test_staged_candidates_are_the_heaviest_ranked_offer(case):
-    n, weights, salts, groups = case
+    """With one weight the offers carry None for their weight bits, so the
+    kernel skips its weight stage and the candidates' weights stay at the
+    dummy; the salts and flags are the same either way."""
+    n, weights, salts, groups, one_weight = case
     ranks = key_ranks(weights, salts, np.arange(weights.size))
     best = np.full(n, -1)  # per vertex: the index of its best offered edge
     for edge, ends in groups:
@@ -195,9 +204,10 @@ def test_staged_candidates_are_the_heaviest_ranked_offer(case):
             if best[v] < 0 or ranks[e] > ranks[best[v]]:
                 best[v] = e
     cand = _new_candidates(n)
-    offers = [(ends, weight_bits(weights[edge]), salts[edge]) for edge, ends in groups]
+    offers = [(ends, None if one_weight else weight_bits(weights[edge]), salts[edge])
+              for edge, ends in groups]
     tops = _raise_candidates(cand, offers)
-    wbits = weight_bits(weights)
+    wbits = np.zeros(weights.size, np.uint64) if one_weight else weight_bits(weights)
     want = [(int(wbits[e]), int(salts[e])) if e >= 0 else (0, 0) for e in best.tolist()]
     assert list(zip(*(c.tolist() for c in cand))) == want
     assert len(tops) == len(groups)
@@ -209,6 +219,15 @@ def test_staged_candidates_are_the_heaviest_ranked_offer(case):
             if t:
                 flagged[v].add(e)
     assert all(len(edges) <= 1 for edges in flagged)
+
+
+@pytest.mark.parametrize("weights,one", [([], True), ([2.5], True), ([1.0] * 5, True),
+                                         ([0.0, -0.0, 0.0], True), ([5e-324] * 3, True),
+                                         ([0.0, 5e-324], False), ([1.0, 1.0, 2.5, 1.0], False),
+                                         ([3.0, 1.0], False)])
+def test_only_differing_weights_keep_their_bits(weights, one):
+    wbits = weight_bits(np.array(weights))
+    assert _deciding_bits(wbits) is (None if one else wbits)
 
 
 def _unshift(x: int, k: int) -> int:
