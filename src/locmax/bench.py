@@ -247,7 +247,7 @@ def shrink_report(spec: InstanceSpec, seeds: tuple[int, ...], rerandomize: bool 
 
 
 def round_bound(m: int) -> int:
-    """Empirical hard cap on local max rounds: 4*log2(m+2)."""
+    """Empirical cap on local max rounds, 4*log2(m+2), for random ranks (not rising weights)."""
     return max(1, math.ceil(4 * math.log2(m + 2)))
 
 
@@ -260,7 +260,7 @@ class CrossCheckRow:
     rounds: int
     crew_conflicts: int
     slot_ops: int
-    work_budget: int             # 8 * (n + 2m)
+    work_budget: int             # 8 * (n + 2m); for random ranks, not a rising path
     n: int
     m: int
 

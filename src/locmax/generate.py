@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .graph import Graph, _assemble
+from .graph import Graph
 
 RGG_THRESHOLD_FACTOR = 0.55
 
@@ -34,7 +34,7 @@ def gen_random(n: int, alpha: int, seed: int) -> Graph:
         # dense request: rejection would thrash, sample pair indices directly
         lo, hi = np.triu_indices(n, k=1)
         pick = rng.choice(capacity, size=m, replace=False)
-        return _assemble(lo[pick], hi[pick], rng.random(m), n)
+        return Graph(n, lo[pick], hi[pick], rng.random(m))
     chosen = np.empty(0, dtype=np.int64)
     while chosen.size < m:
         need = m - chosen.size
@@ -52,7 +52,7 @@ def gen_random(n: int, alpha: int, seed: int) -> Graph:
         chosen = np.concatenate([chosen, packed[:need]])
     lo = chosen // n
     chosen -= lo * n
-    return _assemble(lo, chosen, rng.random(m), n)
+    return Graph(n, lo, chosen, rng.random(m))
 
 
 def rgg_threshold(n: int) -> float:
@@ -104,7 +104,7 @@ def gen_rgg(x: int, seed: int, weight_mode: str = "euclidean") -> Graph:
     radius = rgg_threshold(n)
     eu, ev, dist = radius_edges_grid(points, radius)
     weights = dist if weight_mode == "euclidean" else rng.random(eu.size)
-    return _assemble(eu, ev, weights, n)
+    return Graph(n, eu, ev, weights)
 
 
 # Owners per pass of radius_edges_grid: keeps its candidate arrays within a
@@ -174,8 +174,8 @@ def radius_edges_grid(points: np.ndarray, radius: float) -> tuple[np.ndarray, np
 
 
 def with_unit_weights(g: Graph) -> Graph:
-    """The graph with every weight forced to 1.0 (cardinality runs); the
-    adjacency arrays are shared, since they do not depend on the weights."""
-    ones = np.ones(g.num_edges, dtype=np.float64)
-    ones.setflags(write=False)
-    return dataclasses.replace(g, edge_weight=ones)
+    """The graph with every weight forced to 1.0 (cardinality runs), sharing
+    the endpoint columns and any adjacency arrays ``g`` has cached."""
+    unit = dataclasses.replace(g, edge_weight=np.ones(g.num_edges))
+    vars(unit).update({k: a for k, a in vars(g).items() if k not in vars(unit)})  # the cache
+    return unit

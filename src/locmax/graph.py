@@ -1,16 +1,15 @@
 """Immutable adjacency-array graph representation and matching containers.
 
-The graph is stored in three coupled arrays: ``offsets`` gives each vertex a
-contiguous range of incidence slots, each slot records (owning vertex, edge
-id), and the edge arrays hold endpoints and weights. Every edge owns exactly
-two slots, one in each endpoint's range. The layout supports segmented
-(per-vertex) array operations without any per-query adjacency construction,
-which is what the PRAM-style engine relies on.
+A graph is its edge columns (endpoints and weights). Its adjacency arrays,
+computed on first read, give each vertex a contiguous range of incidence
+slots, each slot recording (owning vertex, edge id) and each edge owning one
+slot per endpoint: the layout the PRAM model's segmented operations use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -20,14 +19,12 @@ import numpy as np
 class Graph:
     """Undirected simple graph with nonnegative real edge weights.
 
-    Instances are immutable after construction (construction marks the
-    arrays read-only) and safe to share across concurrent workers.
+    Owns the int64 endpoint and float64 weight columns of valid, deduplicated
+    edges, made read-only; the adjacency arrays are computed on first read,
+    cached and read-only. Safe to share: racing first reads compute equal arrays.
     """
 
     num_vertices: int
-    offsets: np.ndarray      # (n+1,) int64; offsets[v]..offsets[v+1] = v's slots
-    slot_vertex: np.ndarray  # (2m,) int64; owning vertex of each incidence slot
-    slot_edge: np.ndarray    # (2m,) int64; edge id referenced by each slot
     edge_u: np.ndarray       # (m,) int64
     edge_v: np.ndarray       # (m,) int64
     edge_weight: np.ndarray  # (m,) float64
@@ -35,6 +32,34 @@ class Graph:
     def __post_init__(self) -> None:
         for f in fields(self)[1:]:
             getattr(self, f.name).setflags(write=False)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(n+1,) int64; offsets[v]..offsets[v+1] are v's slots (degree prefix sums)."""
+        n = self.num_vertices
+        degree = np.bincount(self.edge_u, minlength=n) + np.bincount(self.edge_v, minlength=n)
+        return _frozen(np.concatenate(([0], np.cumsum(degree))))
+
+    @property
+    def slot_vertex(self) -> np.ndarray:
+        """(2m,) int64; the owning vertex of each slot, ascending."""
+        return self._slots[0]
+
+    @property
+    def slot_edge(self) -> np.ndarray:
+        """(2m,) int64; the edge id of each slot, ascending within a vertex's slots."""
+        return self._slots[1]
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        # one sort of (vertex, edge id) packed into a single key, then the key's
+        # quotient and, in place, its remainder (faster than np.divmod)
+        d, eid = max(self.num_edges, 1), np.arange(self.num_edges, dtype=np.int64)
+        slot_edge = np.concatenate([self.edge_u, self.edge_v]) * d + np.concatenate([eid, eid])
+        slot_edge.sort()
+        slot_vertex = slot_edge // d
+        slot_edge -= slot_vertex * d
+        return _frozen(slot_vertex), _frozen(slot_edge)
 
     @property
     def num_edges(self) -> int:
@@ -122,7 +147,12 @@ def build_graph_arrays(u, v, w, num_vertices: int | None = None) -> Graph:
     if n * u.size > _KEY_LIMIT:
         raise ValueError(f"n={n} vertices and m={u.size} edges are too many: "
                          "slot keys need n*m <= 2**63")
-    return _assemble(u, v, w, n)
+    return Graph(n, u, v, w)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _raise_bad_edge(pos: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
@@ -137,34 +167,13 @@ def _raise_bad_edge(pos: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
     raise ValueError(f"edge {pos}: weight must be finite and >= 0, got {wf!r}")
 
 
-def _assemble(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> Graph:
-    """Lay out a simple graph whose edges are already valid and deduplicated.
-
-    Takes ownership of the int64 endpoint and float64 weight arrays (they
-    are made read-only). Each vertex's slots list its edges in ascending id
-    order.
-    """
-    m = u.size
-    eid = np.arange(m, dtype=np.int64)
-    # one sort of (vertex, edge id) packed into a single key, then the
-    # key's quotient and, in place, its remainder (faster than np.divmod)
-    d = max(m, 1)
-    slot_edge = np.concatenate([u, v]) * d + np.concatenate([eid, eid])
-    slot_edge.sort()
-    slot_vertex = slot_edge // d
-    slot_edge -= slot_vertex * d
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(slot_vertex, minlength=n), out=offsets[1:])
-    return Graph(n, offsets, slot_vertex, slot_edge, u, v, w)
-
-
 def assert_graph_invariants(g: Graph) -> None:
     """Raise ValueError unless the adjacency-array layout is fully consistent.
 
     Checks the offset monotonicity, the slot/edge cross-referencing (each
     edge id appearing exactly twice, once per endpoint), simplicity and the
-    weight domain. Used by tests and by the PRAM engine's checked mode after
-    every compaction.
+    weight domain, reading (so computing) the layout. Used by tests and by
+    the PRAM engine's checked mode on every phase's graph.
     """
     n, m = g.num_vertices, g.num_edges
     if g.offsets.shape != (n + 1,):
@@ -215,8 +224,7 @@ class Matching:
 
     def __post_init__(self) -> None:
         edges = np.sort(np.asarray(self.edges, dtype=np.int64))
-        edges.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", _frozen(edges))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -238,9 +246,7 @@ def matching_from_edge_ids(g: Graph, edge_ids) -> Matching:
     """Assemble a Matching from an array of edge ids assumed pairwise
     vertex-disjoint."""
     ids = np.asarray(edge_ids, dtype=np.int64)
-    mate = _induced_mate(g, ids)
-    mate.setflags(write=False)
-    return Matching(ids, mate)
+    return Matching(ids, _frozen(_induced_mate(g, ids)))
 
 
 def _induced_mate(g: Graph, ids: np.ndarray) -> np.ndarray:

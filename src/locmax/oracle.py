@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _assemble
+from .graph import Graph
 
 ORACLE_EDGE_CAP = 24
 
@@ -92,5 +92,5 @@ def random_audit_instance(rng: np.random.Generator) -> Graph:
         w = np.ones(m)
     else:
         w = 2.0 ** rng.integers(0, 5, size=m)
-    return _assemble(lo[idx], hi[idx], w, n)
+    return Graph(n, lo[idx], hi[idx], w)
 

@@ -2,20 +2,16 @@
 
 A phase maps a graph in the adjacency-array layout (edge records plus
 per-vertex incidence slots) to the smaller graph of its surviving edges, on
-which the next phase runs. It is a fixed sequence of whole-array passes:
-draw per-edge keys, take each vertex's maximum key with segmented
-reductions whose totals land at the vertex (the weight reduction is
-skipped when the phase's live weights are all equal, as it cannot decide
-a key then), match the edges whose key equals the total read
-(concurrently) at both endpoints, mark their endpoints matched (together,
-the sequential engine's round), then compact the edges through the list
-of survivors and the slots with a prefix sum that also shifts the
-offsets. One pass is one simulated parallel step.
+which the next phase runs. It is a fixed sequence of whole-array passes,
+one simulated parallel step each (listed in :func:`pram_phase`): seq's
+round, then the compaction of the edges and the slots. Survivors keep
+their order, so their compacted slots are the smaller graph's own layout,
+and the simulation copies only the edge records.
 
 In checked mode every shared-array write of a step is recorded, and two
 writes landing on the same cell within one step count as an exclusive-write
-violation (there should be none). Checked mode also validates the whole
-layout after every phase.
+violation (there should be none). Checked mode also compacts the slots,
+checks them against that layout and validates it after every phase.
 """
 
 from __future__ import annotations
@@ -79,7 +75,10 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
     over, slot edge ids are rewritten through the new addresses, and each
     offset drops by the slots deleted before it. Steps 1-4 are seq's round
     on fresh candidates and marks; its kernel reads the endpoint columns,
-    which hold exactly a vertex's slots. The log records before step 6.
+    which hold exactly a vertex's slots. Without a ``log`` only the edges
+    are compacted. With one, steps 3-5 are recorded, the compacted slots
+    must equal the returned graph's (or RuntimeError), and its layout is
+    validated (:func:`assert_graph_invariants`).
     """
     n, m = g.num_vertices, g.num_edges
     # steps 1-4: seq's round, on fresh candidates and marks
@@ -87,31 +86,28 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
     matched_edges, dead_edge = _local_max_round(
         _new_candidates(n), matched_vertex, g.edge_u, g.edge_v,
         _deciding_bits(weight_bits(g.edge_weight)), edge_salts(round_seed_value, edge_orig))
-
-    # step 5: each surviving edge writes its own new address, its index in keep_e (exclusive
-    # writes); the slots' exclusive prefix sum, written in place, moves slots and offsets
     keep_e = np.flatnonzero(~dead_edge)
-    new_edge_index = np.empty(m, dtype=np.int64)
-    new_edge_index[keep_e] = np.arange(keep_e.size)
-    dead_slot = dead_edge[g.slot_edge]
-    dead_before = np.zeros(2 * m + 1, dtype=np.int64)
-    np.cumsum(dead_slot, out=dead_before[1:])
-
+    rest = Graph(n, g.edge_u[keep_e], g.edge_v[keep_e], g.edge_weight[keep_e])
     if log is not None:
         log.record("match/flag-writes", "edge.flag", matched_edges)
         # a vertex has at most one matched edge, so the step 4 writes are exclusive
         if np.count_nonzero(matched_vertex) != 2 * matched_edges.size:
             raise RuntimeError("pram: the matched edges do not mark 2 distinct vertices each")
         log.record("spread/edge-writes", "edge.flag", np.arange(m))
+        # step 5: each surviving edge writes its own new address, its index in keep_e
+        # (exclusive writes); the slots' exclusive prefix sum moves slots and offsets
+        new_edge_index = np.cumsum(~dead_edge) - 1
         log.record("compact/edge-copies", "edge.records", new_edge_index[keep_e])
-        new_slot_index = np.arange(2 * m) - dead_before[:-1]
-        log.record("compact/slot-copies", "slot.records", new_slot_index[~dead_slot])
-
-    # step 6: compact edges and slots, rewrite the slots' edge ids, shift the offsets
-    keep_s = np.flatnonzero(~dead_slot)
-    rest = Graph(n, g.offsets - dead_before[g.offsets], g.slot_vertex[keep_s],
-                 new_edge_index[g.slot_edge[keep_s]],
-                 g.edge_u[keep_e], g.edge_v[keep_e], g.edge_weight[keep_e])
+        dead_slot = dead_edge[g.slot_edge]
+        dead_before = np.concatenate(([0], np.cumsum(dead_slot)))
+        keep_s = np.flatnonzero(~dead_slot)
+        log.record("compact/slot-copies", "slot.records", keep_s - dead_before[keep_s])
+        # step 6: copy the slots, rewrite their edge ids, shift the offsets
+        if not (np.array_equal(g.offsets - dead_before[g.offsets], rest.offsets)
+                and np.array_equal(g.slot_vertex[keep_s], rest.slot_vertex)
+                and np.array_equal(new_edge_index[g.slot_edge[keep_s]], rest.slot_edge)):
+            raise RuntimeError("pram: the compacted slots differ from the survivors' layout")
+        assert_graph_invariants(rest)
     return edge_orig[matched_edges], rest, edge_orig[keep_e]
 
 
@@ -150,7 +146,5 @@ def _pram_rounds(g: Graph, seed: int, rerandomize: bool, log: WriteLog | None) -
         matched, g, orig = pram_phase(g, orig, round_seed(seed, round_index, rerandomize), log)
         if not matched.size:
             raise RuntimeError(f"pram: round {round_index} matched none of {before} live edges")
-        if log is not None:
-            assert_graph_invariants(g)
         yield before, matched, g.num_edges
         round_index += 1

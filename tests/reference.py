@@ -12,8 +12,10 @@ replaced, and the brute-force oracle as it was before its bookkeeping was
 trimmed. The tests check the package against them
 array for array; nothing under ``src/`` imports this module.
 The scalar tie key (``TieKey``, ``tie_key``) lives here too, as the
-independent statement of the key order, and so does ``incident_edges``,
-which only tests read.
+independent statement of the key order, and so do ``incident_edges``,
+which only tests read, the eager layout ``assemble`` that the lazy
+adjacency arrays replaced, and ``laid_out``, which gives a graph a
+hand-made layout.
 
 Deliberate differences from the original loops, which the package shares:
 ``read_matrix_market`` rejects NaN and infinite entries at their line, and
@@ -103,9 +105,37 @@ def build_graph(
     degrees = np.bincount(slot_vertex, minlength=n).astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
 
-    for arr in (offsets, slot_vertex, slot_eid, edge_u, edge_v, edge_weight):
-        arr.setflags(write=False)
-    return Graph(n, offsets, slot_vertex, slot_eid, edge_u, edge_v, edge_weight)
+    return laid_out(n, offsets, slot_vertex, slot_eid, edge_u, edge_v, edge_weight)
+
+
+def laid_out(n: int, offsets, slot_vertex, slot_edge, edge_u, edge_v, edge_weight) -> Graph:
+    """A graph whose adjacency arrays are the given ones, cached read-only
+    in place of the layout it would compute from its edges on first read
+    (so they may be inconsistent with the edges, or with each other)."""
+    g = Graph(n, np.asarray(edge_u), np.asarray(edge_v), np.asarray(edge_weight))
+    offsets, slot_vertex, slot_edge = (np.array(a) for a in (offsets, slot_vertex, slot_edge))
+    for a in (offsets, slot_vertex, slot_edge):
+        a.setflags(write=False)
+    vars(g).update(offsets=offsets, _slots=(slot_vertex, slot_edge))  # Graph's cache
+    return g
+
+
+def assemble(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> Graph:
+    """The layout reference: a graph of valid, deduplicated edges with its
+    adjacency arrays laid out eagerly, as the package did before they were
+    computed on first read. Each vertex's slots list its edges in ascending
+    id order."""
+    m = u.size
+    eid = np.arange(m, dtype=np.int64)
+    # one sort of (vertex, edge id) packed into a single key
+    d = max(m, 1)
+    slot_edge = np.concatenate([u, v]) * d + np.concatenate([eid, eid])
+    slot_edge.sort()
+    slot_vertex = slot_edge // d
+    slot_edge -= slot_vertex * d
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot_vertex, minlength=n), out=offsets[1:])
+    return laid_out(n, offsets, slot_vertex, slot_edge, u, v, w)
 
 
 def read_matrix_market(path: str | Path) -> Graph:
@@ -546,9 +576,9 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
         log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
     slot_vertex = g.slot_vertex[keep_s]
     surviving_deg = np.bincount(slot_vertex, minlength=g.num_vertices)
-    rest = Graph(g.num_vertices, np.concatenate([[0], np.cumsum(surviving_deg)]).astype(np.int64),
-                 slot_vertex, new_edge_index[g.slot_edge[keep_s]],
-                 g.edge_u[keep_e], g.edge_v[keep_e], g.edge_weight[keep_e])
+    rest = laid_out(g.num_vertices, np.concatenate([[0], np.cumsum(surviving_deg)]).astype(np.int64),
+                    slot_vertex, new_edge_index[g.slot_edge[keep_s]],
+                    g.edge_u[keep_e], g.edge_v[keep_e], g.edge_weight[keep_e])
     return edge_orig[matched_edges], rest, edge_orig[keep_e]
 
 

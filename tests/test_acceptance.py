@@ -25,7 +25,7 @@ from locmax.bench import (
     shrink_report,
 )
 from locmax.matchers import MATCHERS
-from locmax.pram import pram_phase
+from locmax.pram import WriteLog, pram_phase
 from locmax.tiebreak import round_seed
 
 from reference import check_progress
@@ -254,7 +254,9 @@ def test_c09_compaction_correctness():
         rnd = 0
         while live.num_edges:
             before = live.num_edges
-            matched, live, orig = pram_phase(live, orig, round_seed(seed, rnd))
+            # the log makes the phase compact its slots and check them against
+            # the fresh layout of its survivors
+            matched, live, orig = pram_phase(live, orig, round_seed(seed, rnd), WriteLog())
             check_progress(rnd, before, matched, g.num_edges)
             assert_graph_invariants(live)
             checked += 1

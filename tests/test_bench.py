@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import locmax.bench
-from locmax import local_max_seq
+from locmax import bsp_local_max, build_graph, local_max_seq, pram_local_max
 from locmax.bench import (
     BENCH_COLUMNS,
     InstanceSpec,
@@ -134,6 +134,24 @@ def test_round_bound_matches_formula():
     assert round_bound(0) == 4  # 4 * log2(2)
     assert round_bound(14) == 16
     assert round_bound(2**10) >= 40
+
+
+def test_rising_path_takes_a_round_per_matched_edge():
+    """On a path whose weights rise along it only the heaviest live edge is
+    locally maximal, so each round matches one edge and removes two: the
+    1023 edges take 512 rounds, past the bound of 41 for random ranks,
+    in every engine. pram's work meter is reported, not gated."""
+    n = 2**10
+    g = build_graph([(i, i + 1, float(i + 1)) for i in range(n - 1)])
+    seq, seq_t = local_max_seq(g, 1)
+    pram, pram_t = pram_local_max(g, 1, checked=True)
+    bsp, bsp_t = bsp_local_max(g, 4, 1)
+    assert seq == pram == bsp
+    assert seq_t.total_rounds == pram_t.total_rounds == bsp_t.total_rounds == 512
+    assert seq_t.rounds == pram_t.rounds == bsp_t.rounds
+    assert seq_t.total_rounds > round_bound(g.num_edges)
+    budget = 8 * (g.num_vertices + 2 * g.num_edges)
+    print(f"rising path, n={n}: pram slot_ops/work_budget = {pram_t.slot_ops / budget:.1f}")
 
 
 def test_cross_check_detects_no_mismatch():

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +15,30 @@ from locmax import (
     Graph,
     Matching,
     assert_graph_invariants,
+    bsp_local_max,
     build_graph,
     build_graph_arrays,
+    gen_random,
+    gen_rgg,
+    gpa,
+    greedy,
+    hem,
+    local_max_seq,
     matching_from_edge_ids,
+    pram_local_max,
+    pram_phase,
+    rbm,
+    read_graph,
+    round_seed,
     validate_matching,
+    write_edge_list,
 )
+from locmax.generate import with_unit_weights
+from locmax.oracle import random_audit_instance
 
 from conftest import random_graph_edges
-from reference import incident_edges
+from reference import assemble, incident_edges, laid_out
+from test_equivalence import GRAPH_ARRAYS, tie_graphs
 
 
 def test_single_edge_layout():
@@ -205,8 +222,8 @@ def _pair_graph(us, vs) -> Graph:
     slots = sorted((x, k) for k in range(len(us)) for x in (us[k], vs[k]))
     slot_vertex = np.array([x for x, _ in slots])
     offsets = np.concatenate(([0], np.cumsum(np.bincount(slot_vertex, minlength=2))))
-    return Graph(2, offsets, slot_vertex, np.array([k for _, k in slots]),
-                 np.array(us), np.array(vs), np.ones(len(us)))
+    return laid_out(2, offsets, slot_vertex, np.array([k for _, k in slots]),
+                    np.array(us), np.array(vs), np.ones(len(us)))
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -231,7 +248,9 @@ def test_invariants_reject_each_inconsistent_layout(fields, message):
     # edges (0, 1) and (2, 3): offsets [0, 1, 2, 3, 4], slot_edge [0, 0, 1, 1]
     g = build_graph([(0, 1, 1.0), (2, 3, 2.0)])
     assert_graph_invariants(g)
-    bad = replace(g, **{name: np.array(value) for name, value in fields.items()})
+    arrays = {name: getattr(g, name) for name in GRAPH_ARRAYS}
+    arrays.update((name, np.array(value)) for name, value in fields.items())
+    bad = laid_out(g.num_vertices, **arrays)
     with pytest.raises(ValueError, match=f"^{message}$"):
         assert_graph_invariants(bad)
 
@@ -242,3 +261,100 @@ def test_invariants_reject_self_loops_and_parallel_edges():
         assert_graph_invariants(_pair_graph([0], [0]))
     with pytest.raises(ValueError, match="^duplicate edge pair present$"):
         assert_graph_invariants(_pair_graph([0, 1], [1, 0]))
+
+
+# ----------------------------------------------------------- lazy layout
+
+LAYOUT = ("offsets", "slot_vertex", "slot_edge")
+#: the names under which a Graph caches its layout: the slot arrays share one sort
+CACHED = {"offsets", "_slots"}
+
+
+def assert_lazy_layout(g, first: str) -> None:
+    """``g`` has computed none of its layout; reading it, ``first`` array
+    first, gives the eager reference's arrays bit for bit, int64, read-only
+    and cached."""
+    assert not vars(g).keys() & CACHED
+    got = {name: getattr(g, name) for name in (first, *LAYOUT)}
+    want = assemble(g.edge_u, g.edge_v, g.edge_weight, g.num_vertices)
+    for name in LAYOUT:
+        a = got[name]
+        assert a.dtype == np.int64 and not a.flags.writeable, name
+        assert np.array_equal(a, getattr(want, name)), name
+        assert getattr(g, name) is a, name
+    assert vars(g).keys() >= CACHED
+
+
+@given(tie_graphs(), st.sampled_from(LAYOUT))
+@settings(max_examples=200, deadline=None)
+def test_lazy_layout_of_built_and_read_graphs_equals_the_reference(g, first):
+    assert_lazy_layout(g, first)
+    for name in LAYOUT:
+        assert_lazy_layout(build_graph_arrays(g.edge_u, g.edge_v, g.edge_weight, g.num_vertices),
+                           name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        write_edge_list(g, path)
+        mtx = Path(tmp) / "g.mtx"
+        n, keep = g.num_vertices, g.edge_weight > 0  # the .mtx reader drops zero entries
+        mtx.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {keep.sum()}\n"
+                       + "".join(f"{v + 1} {u + 1} {w!r}\n" for u, v, w in zip(
+                           g.edge_u[keep].tolist(), g.edge_v[keep].tolist(),
+                           g.edge_weight[keep].tolist())))
+        for name in LAYOUT:
+            assert_lazy_layout(read_graph(path), name)
+            assert_lazy_layout(read_graph(mtx), name)
+
+
+@pytest.mark.parametrize("first", LAYOUT)
+def test_lazy_layout_of_generated_graphs_equals_the_reference(first):
+    for seed in range(3):
+        for mode in ("euclidean", "random"):
+            assert_lazy_layout(gen_rgg(7, seed, mode), first)
+        assert_lazy_layout(gen_random(128, 4, seed), first)  # sparse rejection sampling
+        assert_lazy_layout(gen_random(16, 4, seed), first)   # dense pair sampling
+        assert_lazy_layout(with_unit_weights(gen_random(64, 2, seed)), first)
+    for t in range(200):
+        assert_lazy_layout(random_audit_instance(np.random.default_rng((3, t))), first)
+
+
+@given(tie_graphs(), st.integers(0, 2**32), st.booleans(), st.sampled_from(LAYOUT))
+@settings(max_examples=100, deadline=None)
+def test_lazy_layout_of_every_pram_rest_equals_the_reference(g, seed, rerandomize, first):
+    orig, rnd = np.arange(g.num_edges), 0
+    while g.num_edges:
+        _, g, orig = pram_phase(g, orig, round_seed(seed, rnd, rerandomize))
+        assert_lazy_layout(g, first)
+        rnd += 1
+
+
+# (matcher, whether it may read the offsets); every other array is unread
+HOT_PATHS = {
+    "seq": (lambda g: local_max_seq(g, 1), False),
+    "pram": (lambda g: pram_local_max(g, 1), False),
+    "bsp": (lambda g: bsp_local_max(g, 4, 1), True),
+    "rbm": (lambda g: rbm(g, 1), False),
+    "greedy": (lambda g: greedy(g, 1), False),
+    "gpa": (lambda g: gpa(g, 1), False),
+    "hem": (lambda g: hem(g, 1), False),
+}
+
+
+@pytest.mark.parametrize("name", HOT_PATHS)
+def test_no_hot_path_lays_out_the_slots(name):
+    run, reads_offsets = HOT_PATHS[name]
+    for g in (gen_random(512, 4, seed=2), with_unit_weights(gen_rgg(9, 2))):
+        run(g)
+        assert vars(g).keys() & CACHED == ({"offsets"} if reads_offsets else set())
+
+
+def test_unit_weights_keep_a_computed_layout():
+    g = gen_random(64, 2, seed=5)
+    assert not vars(with_unit_weights(g)).keys() & CACHED
+    assert g.offsets.size == g.num_vertices + 1
+    unit = with_unit_weights(g)
+    assert unit.offsets is g.offsets and vars(unit).keys() & CACHED == {"offsets"}
+    layout = [getattr(g, name) for name in LAYOUT]
+    unit = with_unit_weights(g)
+    assert all(getattr(unit, name) is a for name, a in zip(LAYOUT, layout))
+    assert unit.edge_u is g.edge_u and unit.edge_weight.tolist() == [1.0] * g.num_edges

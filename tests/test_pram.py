@@ -15,11 +15,10 @@ from locmax import (
     local_max_seq,
     pram_local_max,
 )
-from locmax.graph import _assemble
 from locmax.pram import WriteLog, pram_phase
 from locmax.tiebreak import edge_salts, key_ranks, round_seed
 
-from reference import check_progress, compaction_addresses
+from reference import assemble, check_progress, compaction_addresses, laid_out
 from test_equivalence import tie_graphs
 
 GRAPH_ARRAYS = ("offsets", "slot_vertex", "slot_edge", "edge_u", "edge_v", "edge_weight")
@@ -55,6 +54,25 @@ def test_checked_mode_rejects_matched_edges_that_share_a_vertex(monkeypatch, sta
     with pytest.raises(RuntimeError, match="^pram: the matched edges do not mark 2 distinct "
                                            "vertices each$"):
         pram_local_max(star9, 0, checked=True)
+
+
+def test_checked_phase_rejects_slots_that_do_not_compact_to_the_survivors_layout():
+    # on the path 0-1-2-3-4-5 the weight-9 edge 2 wins and edges 0 and 4,
+    # each a vertex's only slot, survive as edges 0 and 1 of the rest
+    g = build_graph([(0, 1, 1.0), (1, 2, 2.0), (2, 3, 9.0), (3, 4, 2.0), (4, 5, 1.0)])
+    seed = round_seed(0, 0)
+    rest = pram_phase(g, np.arange(5), seed, WriteLog())[1]
+    assert rest.slot_edge.tolist() == [0, 0, 1, 1]
+    # the same graph with the edge ids of slots 0 and 9 swapped: its slots
+    # would compact to [1, 0, 1, 0]
+    slot_edge = g.slot_edge.copy()
+    slot_edge[[0, 9]] = slot_edge[[9, 0]]
+    bad = laid_out(g.num_vertices, g.offsets, g.slot_vertex, slot_edge,
+                   g.edge_u, g.edge_v, g.edge_weight)
+    assert pram_phase(bad, np.arange(5), seed)[1].slot_edge.tolist() == [0, 0, 1, 1]
+    with pytest.raises(RuntimeError, match="^pram: the compacted slots differ from the "
+                                           "survivors' layout$"):
+        pram_phase(bad, np.arange(5), seed, WriteLog())
 
 
 def test_write_log_counts_conflicts_when_present():
@@ -105,8 +123,8 @@ def test_each_phase_returns_the_graph_of_its_surviving_edges(g0, seed, rerandomi
         check_progress(rnd, g.num_edges, matched, g0.num_edges)
         for name, want in zip(GRAPH_ARRAYS, before):
             assert np.array_equal(getattr(g, name), want), name
-        fresh = _assemble(g0.edge_u[rest_orig], g0.edge_v[rest_orig],
-                          g0.edge_weight[rest_orig], g0.num_vertices)
+        fresh = assemble(g0.edge_u[rest_orig], g0.edge_v[rest_orig],
+                         g0.edge_weight[rest_orig], g0.num_vertices)
         assert rest.num_vertices == fresh.num_vertices
         for name in GRAPH_ARRAYS:
             got, want = getattr(rest, name), getattr(fresh, name)
