@@ -46,7 +46,7 @@ class RoundMessages:
 class Partition:
     num_workers: int
     bounds: np.ndarray          # (p+1,) range starts; worker i owns [bounds[i], bounds[i+1])
-    owner: np.ndarray           # (n,) worker of each vertex
+    owner: np.ndarray           # (n,) worker of each vertex, the smallest signed int that holds p
     cut_edges: np.ndarray       # edge ids whose endpoints have different owners
     cut_fraction: float         # cut edges over all edges
     degree_imbalance: float     # max worker degree-sum over the ideal 2m/p
@@ -76,7 +76,7 @@ def partition_graph(g: Graph, p: int) -> Partition:
         bounds = np.concatenate([[0], cuts, [n]]).astype(np.int64)
     else:
         bounds = np.array([0, n], dtype=np.int64)
-    owner = np.repeat(np.arange(p, dtype=np.int64), np.diff(bounds))
+    owner = np.repeat(np.arange(p, dtype=np.min_scalar_type(-p)), np.diff(bounds))
 
     cut = np.flatnonzero(owner[g.edge_u] != owner[g.edge_v])
 
@@ -141,7 +141,8 @@ def _round_messages(g: Graph, part: Partition, matched_round: np.ndarray,
     packed = np.concatenate((us * p + owner[vs], vs * p + owner[us]),
                             dtype=np.int32 if fits else np.int64)
     packed <<= shift
-    packed |= np.tile(life, 2)
+    packed[:cut.size] |= life
+    packed[cut.size:] |= life
     packed.sort()
     key = packed >> shift
     last = np.ones(packed.size, dtype=bool)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Graph, Matching, matching_from_edge_ids
 from .tiebreak import _deciding_bits, _new_candidates, _raise_candidates, _reset_candidates
-from .tiebreak import edge_salts, round_seed, vertex_coins, weight_bits
+from .tiebreak import edge_salts, round_seed, vertex_coins
 
 #: One round of an engine: live edges before it, the edge ids it matched,
 #: and live edges after it.
@@ -93,11 +93,10 @@ def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matchi
 
 def _local_max_round(cand, vertex_matched, us, vs, wbits, salts):
     """The round of seq, bsp and pram over the live edges ``(us, vs)``: the
-    indices of the edges :func:`_raise_candidates` flags at both endpoints,
+    edges that :func:`_raise_candidates` returns as winners at both ends,
     whose endpoints it marks in ``vertex_matched``, and the mask of the
     edges with a matched endpoint."""
-    top_u, top_v = _raise_candidates(cand, ((us, wbits, salts), (vs, wbits, salts)))
-    won = np.flatnonzero(top_u & top_v)
+    won = _raise_candidates(cand, (us, vs), wbits, salts)
     vertex_matched[us[won]] = True
     vertex_matched[vs[won]] = True
     return won, vertex_matched[us] | vertex_matched[vs]
@@ -116,7 +115,7 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
     us, vs = g.edge_u, g.edge_v
     cand = _new_candidates(g.num_vertices)
     vertex_matched = np.zeros(g.num_vertices, dtype=bool)
-    wbits = _deciding_bits(weight_bits(g.edge_weight))
+    wbits = _deciding_bits(g.edge_weight)
     salts = edge_salts(round_seed(seed, 0), live)
     round_index = 0
     while live.size:
@@ -495,7 +494,7 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
     cand = _new_candidates(n)
     vertex_matched = np.zeros(n, dtype=bool)
     live = np.arange(g.num_edges, dtype=np.int64)
-    us, vs, wbits = g.edge_u, g.edge_v, _deciding_bits(weight_bits(g.edge_weight))
+    us, vs, wbits = g.edge_u, g.edge_v, _deciding_bits(g.edge_weight)
     round_index = idle = 0
     max_rounds = 10_000
     while live.size:
@@ -512,9 +511,9 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
         red = np.where(u_blue, vs[bi], us[bi])
         ids, wb = live[bi], _take(wbits, bi)
         salts = edge_salts(rs, ids)
-        sent = np.flatnonzero(_raise_candidates(cand, ((blue, wb, salts),))[0])
+        sent = _raise_candidates(cand, (blue,), wb, salts)
         to, sent_ids = red[sent], ids[sent]
-        (took,) = _raise_candidates(cand, ((to, _take(wb, sent), salts[sent]),))
+        took = _raise_candidates(cand, (to,), _take(wb, sent), salts[sent])
         vertex_matched[blue[sent[took]]] = True
         vertex_matched[to[took]] = True
         # every red receiver took an offer and is matched, so its entry is never read again

@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import Graph, Matching, assert_graph_invariants
 from .matchers import PhaseTrace, Rounds, _drive, _local_max_round
-from .tiebreak import _deciding_bits, _new_candidates, edge_salts, round_seed, weight_bits
+from .tiebreak import _deciding_bits, _new_candidates, edge_salts, round_seed
 
 
 @dataclass
@@ -85,7 +85,7 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
     matched_vertex = np.zeros(n, dtype=bool)
     matched_edges, dead_edge = _local_max_round(
         _new_candidates(n), matched_vertex, g.edge_u, g.edge_v,
-        _deciding_bits(weight_bits(g.edge_weight)), edge_salts(round_seed_value, edge_orig))
+        _deciding_bits(g.edge_weight), edge_salts(round_seed_value, edge_orig))
     keep_e = np.flatnonzero(~dead_edge)
     rest = Graph(n, g.edge_u[keep_e], g.edge_v[keep_e], g.edge_weight[keep_e])
     if log is not None:

@@ -8,11 +8,11 @@ scheduling. Salts cannot collide within a round, because the finalizer is
 a bijection of 64-bit words, so the id stays in the key but never decides.
 Every engine takes per-vertex maxima of this order through one kernel,
 :func:`_raise_candidates`, with scatter-max stages (pram's model counts them
-as segmented max reductions over each vertex's slots); none sorts keys. A
-stage runs only where it can still decide a key: the weight stage only when
-the offered weights differ (:func:`_deciding_bits`, decided by the caller),
-and the salt stage only over the offers that are weight-maximal at their
-vertex.
+as segmented max reductions over each vertex's slots) and returns the
+offers that hold the key at all their ends; none sorts keys. A stage runs
+only where it can still decide a key: the weight stage only when the
+weights differ (:func:`_deciding_bits`, decided by the caller), and the
+salt stage only over the offers that are weight-maximal at their vertex.
 """
 
 from __future__ import annotations
@@ -122,48 +122,48 @@ def _new_candidates(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(n, np.uint64), np.zeros(n, np.uint64)
 
 
-def _deciding_bits(wbits: np.ndarray) -> np.ndarray | None:
-    """``wbits``, or None when they hold at most one weight.
+def _deciding_bits(weights: np.ndarray) -> np.ndarray | None:
+    """The weight bits of ``weights``, or None (building none) when they
+    hold at most one weight; -0.0 and 0.0 are one.
 
     Equal weights decide no key, so the kernel given None skips its weight
     stage. The survivors of one weight hold one weight too, so a caller
     decides once for all the rounds it runs on the same edges.
     """
-    return None if not wbits.size or np.all(wbits == wbits[0]) else wbits
+    return None if not weights.size or np.all(weights == weights[0]) else weight_bits(weights)
 
 
-def _raise_candidates(cand, offers) -> list[np.ndarray]:
-    """Raise vertex candidates to the heaviest (weight, salt) key offered.
+def _raise_candidates(cand, ends, wbits, salts) -> np.ndarray:
+    """Raise vertex candidates to the heaviest (weight, salt) key offered;
+    return the ascending indices of the offers that hold it at every end.
 
-    Each ``(ends, wbits, salts)`` group in ``offers`` offers one edge's key
-    to vertex ``ends[i]``. Stage 1 scatter-maxes the weights, then stage 2
-    the salts of the offers whose weight equals their vertex's, each over
-    all groups before the next reads it. When every group's ``wbits`` is
-    None (one weight, see :func:`_deciding_bits`), stage 1 is skipped,
-    ``cand``'s weights are left as they are, and stage 2 reads all offers.
-    Returns, per group, flags marking the offers that hold their vertex's
-    candidate key. Salts must be distinct per edge, as one round's are, so
-    at most one edge per vertex is flagged.
+    Offer ``i`` carries the key ``(wbits[i], salts[i])`` to vertex ``e[i]``
+    of every column ``e`` in ``ends``. Stage 1 scatter-maxes the weights,
+    then stage 2 the salts of the offers at their vertex's weight, each
+    over all columns before the next reads it. When ``wbits`` is None (one
+    weight, see :func:`_deciding_bits`), stage 1 is skipped and ``cand``'s
+    weights are left as they are. The offered vertices' candidates must
+    start at the dummy and salts be distinct per offer (one round's are per
+    edge), so an offer holds its vertex's key iff it holds its salt: the
+    first column is read only at the weight-maximal offers, and a later one
+    only at the offers that still win.
     """
     cand_w, cand_s = cand
-    if offers[0][1] is None:
-        for ends, _, salts in offers:
-            np.maximum.at(cand_s, ends, salts)
-        return [cand_s[ends] == salts for ends, _, salts in offers]
-    for ends, wbits, _ in offers:
-        np.maximum.at(cand_w, ends, wbits)
-    heavy = []  # per group: the offers at their vertex's weight, and their ends and salts
-    for ends, wbits, salts in offers:
-        at = np.flatnonzero(cand_w[ends] == wbits)
-        top_ends, top_salts = ends[at], salts[at]
-        np.maximum.at(cand_s, top_ends, top_salts)
-        heavy.append((at, top_ends, top_salts))
-    tops = []
-    for (ends, _, _), (at, top_ends, top_salts) in zip(offers, heavy):
-        top = np.zeros(ends.size, dtype=bool)
-        top[at] = cand_s[top_ends] == top_salts
-        tops.append(top)
-    return tops
+    won = None  # the offers still winning; None for all of them
+    if wbits is None:
+        for e in ends:
+            np.maximum.at(cand_s, e, salts)
+    else:
+        for e in ends:
+            np.maximum.at(cand_w, e, wbits)
+        heavy = [np.flatnonzero(cand_w[e] == wbits) for e in ends]
+        for e, at in zip(ends, heavy):
+            np.maximum.at(cand_s, e[at], salts[at])
+        won = heavy[0]
+    for e in ends:  # compress: a boolean index is ~5x slower here in numpy 2.4
+        won = (np.flatnonzero(cand_s[e] == salts) if won is None
+               else won.compress(cand_s[e[won]] == salts[won]))
+    return won
 
 
 def _reset_candidates(cand, *ends: np.ndarray) -> None:

@@ -58,12 +58,13 @@ def star9() -> Graph:
 
 @pytest.fixture
 def salt_only(monkeypatch) -> None:
-    """Every engine's weight bits read 0, so each picks by salt alone: the
-    engines still agree with each other, but they match lighter edges."""
-    def zero_bits(weights):
-        return np.zeros(len(weights), dtype=np.uint64)
-    monkeypatch.setattr(locmax.matchers, "weight_bits", zero_bits)
-    monkeypatch.setattr(locmax.pram, "weight_bits", zero_bits)
+    """Every engine decides that its weights are one weight, so each picks
+    by salt alone: the engines still agree with each other, but they match
+    lighter edges."""
+    def one_weight(weights):
+        return None
+    monkeypatch.setattr(locmax.matchers, "_deciding_bits", one_weight)
+    monkeypatch.setattr(locmax.pram, "_deciding_bits", one_weight)
 
 
 def random_graph_edges(rng: np.random.Generator, n: int, m: int) -> list[tuple[int, int, float]]:

@@ -54,6 +54,17 @@ def test_partition_balances_degree_sums():
     assert np.all(np.diff(part.owner) >= 0)
 
 
+@pytest.mark.parametrize("p", [1, 4, 128, 129, 256])
+def test_owner_is_the_smallest_signed_type_that_holds_p(p):
+    # signed, so that np.diff of a decreasing owner is negative and never
+    # wraps; p = 256 is n
+    g = gen_random(256, 4, seed=3)
+    assert g.num_vertices == 256
+    part = partition_graph(g, p)
+    assert part.owner.dtype == (np.int8 if p <= 128 else np.int16)
+    assert np.array_equal(part.owner, np.repeat(np.arange(p), np.diff(part.bounds)))
+
+
 def test_cut_edges_live_at_both_owners():
     g = gen_random(128, 4, seed=5)
     part = partition_graph(g, 4)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import locmax.matchers
 import locmax.pram
+import locmax.tiebreak
 import reference as ref
 from locmax import (
     bsp_local_max,
@@ -533,8 +534,8 @@ def test_pram_skips_the_weight_stage_once_its_phase_has_one_weight(monkeypatch):
     deciding_bits = locmax.pram._deciding_bits
     skipped = []  # per phase: whether the kernel skipped its weight stage
 
-    def spy(wbits):
-        got = deciding_bits(wbits)
+    def spy(weights):
+        got = deciding_bits(weights)
         skipped.append(got is None)
         return got
 
@@ -549,8 +550,41 @@ def test_pram_skips_the_weight_stage_once_its_phase_has_one_weight(monkeypatch):
         assert got_t.slot_ops == want_t.slot_ops and got_t.write_log == want_t.write_log
 
 
-def _no_flags(cand, offers):
-    return [np.zeros(len(ends), dtype=bool) for ends, *_ in offers]
+# the runs that decide from the float weights whether to build weight bits
+# (seq, bsp and rbm once per run, pram once per phase)
+BITS_RUNS = {
+    "seq": lambda g: local_max_seq(g, 3),
+    "pram": lambda g: pram_local_max(g, 3, checked=True),
+    "pram-unchecked": lambda g: pram_local_max(g, 3),
+    "bsp": lambda g: bsp_local_max(g, 4, 3),
+    "rbm": lambda g: rbm(g, 3),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(BITS_RUNS))
+def test_one_weight_builds_no_weight_bits(monkeypatch, engine):
+    """On unit weights no run builds weight bits. With one heavier edge
+    each run builds them once: the heavier edge wins pram's first phase,
+    which leaves later phases one weight."""
+    built = []
+    bits = locmax.tiebreak.weight_bits
+
+    def spy(weights):
+        built.append(len(weights))
+        return bits(weights)
+
+    monkeypatch.setattr(locmax.tiebreak, "weight_bits", spy)
+    g = with_unit_weights(gen_random(2**8, 4, 6))
+    BITS_RUNS[engine](g)
+    assert built == []
+    weights = np.ones(g.num_edges)
+    weights[7] = 2.0
+    BITS_RUNS[engine](_reweighted(g, weights))
+    assert built == [g.num_edges]
+
+
+def _no_flags(cand, ends, wbits, salts):
+    return np.empty(0, dtype=np.int64)
 
 
 # engine: (module, the kernel it calls, a broken kernel under which nothing

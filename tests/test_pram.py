@@ -46,9 +46,9 @@ def test_checked_write_log_of_a_path():
 
 
 def test_checked_mode_rejects_matched_edges_that_share_a_vertex(monkeypatch, star9):
-    # a kernel that flags every offer lets all 8 edges at the centre win
-    def every_flag(cand, offers):
-        return [np.ones(len(ends), dtype=bool) for ends, *_ in offers]
+    # a kernel that returns every offer lets all 8 edges at the centre win
+    def every_flag(cand, ends, wbits, salts):
+        return np.arange(len(salts))
 
     monkeypatch.setattr("locmax.matchers._raise_candidates", every_flag)
     with pytest.raises(RuntimeError, match="^pram: the matched edges do not mark 2 distinct "
