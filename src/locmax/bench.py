@@ -199,7 +199,6 @@ class ShrinkReport:
     instance: str
     seeds: tuple[int, ...]
     per_round_removed: list[float] = field(default_factory=list)
-    per_round_survivor: list[float] = field(default_factory=list)
     per_round_seeds: list[int] = field(default_factory=list)
     mean_removed_fraction: float = 0.0
     mean_survivor_fraction: float = 0.0
@@ -214,7 +213,7 @@ class ShrinkReport:
                 "round": i,
                 "seeds_alive": self.per_round_seeds[i],
                 "mean_removed_fraction": repr(self.per_round_removed[i]),
-                "mean_survivor_fraction": repr(self.per_round_survivor[i]),
+                "mean_survivor_fraction": repr(1.0 - self.per_round_removed[i]),
             }
             for i in range(len(self.per_round_removed))
         ]
@@ -238,7 +237,6 @@ def shrink_report(spec: InstanceSpec, seeds: tuple[int, ...], rerandomize: bool 
     for before, removed, alive in totals:  # every round has live edges in some seed
         report.per_round_seeds.append(alive)
         report.per_round_removed.append(removed / before)
-        report.per_round_survivor.append(1.0 - removed / before)
     total_before = sum(t[0] for t in totals)
     if total_before:
         report.mean_removed_fraction = sum(t[1] for t in totals) / total_before

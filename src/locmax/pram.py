@@ -8,15 +8,17 @@ round, then the compaction of the edges and the slots. Survivors keep
 their order, so their compacted slots are the smaller graph's own layout,
 and the simulation copies only the edge records.
 
-In checked mode every shared-array write of a step is recorded, and two
-writes landing on the same cell within one step count as an exclusive-write
-violation (there should be none). Checked mode also compacts the slots,
-checks them against that layout and validates it after every phase.
+In checked mode a write log records the one step whose writes can land on
+one cell: step 4's marks, where two matched edges at a vertex would mark it
+twice, an exclusive-write violation (there should be none). Every other
+step writes only the cells of its own edge or slot. Checked mode also
+compacts the slots, checks them against that layout and validates it after
+every phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,25 +32,18 @@ class WriteLog:
     """Exclusive-write checker for the simulated steps.
 
     Each call to :meth:`record` is one simulated step's writes to one
-    array; duplicate target indices within that call are conflicts.
+    array, given as the cells written; every write to a cell already
+    written in that call is a conflict.
     """
 
     steps: int = 0
     writes: int = 0
     conflicts: int = 0
-    samples: list[tuple[str, str, int]] = field(default_factory=list)
 
-    def record(self, step: str, array: str, indices: np.ndarray) -> None:
+    def record(self, cells: np.ndarray) -> None:
         self.steps += 1
-        self.writes += int(indices.size)
-        if indices.size:
-            uniq, counts = np.unique(indices, return_counts=True)
-            clashing = counts > 1
-            if np.any(clashing):
-                self.conflicts += int(counts[clashing].sum() - clashing.sum())
-                for cell in uniq[clashing][:3]:
-                    if len(self.samples) < 16:
-                        self.samples.append((step, array, int(cell)))
+        self.writes += int(cells.size)
+        self.conflicts += int(cells.size - np.unique(cells).size)
 
 
 def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
@@ -66,9 +61,9 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
     phase is a pure function of ``g``, so it decides this itself), and the
     salt reduction then reads every slot, (3) every edge reads the best
     key at both its endpoints, and an edge whose key equals both is
-    matched and flags itself (the log records the write; no step reads
-    the flag, so no array keeps it), (4) each matched edge marks both
-    its endpoints matched, and every edge reads the marks at its endpoints,
+    matched and flags itself (no step reads the flag, so no array keeps
+    it), (4) each matched edge marks both its endpoints matched, and every
+    edge reads the marks at its endpoints,
     (5) each surviving edge writes its compacted address, its index in the
     list of survivors, and an exclusive prefix sum over the slot deletion
     flags, written in place, gives the slots theirs, (6) survivors copy
@@ -76,11 +71,11 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
     offset drops by the slots deleted before it. Steps 1-4 are seq's round
     on fresh candidates and marks; its kernel reads the endpoint columns,
     which hold exactly a vertex's slots. Without a ``log`` only the edges
-    are compacted. With one, steps 3-5 are recorded, the compacted slots
+    are compacted. With one, step 4's marks are recorded, the compacted slots
     must equal the returned graph's (or RuntimeError), and its layout is
     validated (:func:`assert_graph_invariants`).
     """
-    n, m = g.num_vertices, g.num_edges
+    n = g.num_vertices
     # steps 1-4: seq's round, on fresh candidates and marks
     matched_vertex = np.zeros(n, dtype=bool)
     matched_edges, dead_edge = _local_max_round(
@@ -89,19 +84,14 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
     keep_e = np.flatnonzero(~dead_edge)
     rest = Graph(n, g.edge_u[keep_e], g.edge_v[keep_e], g.edge_weight[keep_e])
     if log is not None:
-        log.record("match/flag-writes", "edge.flag", matched_edges)
-        # a vertex has at most one matched edge, so the step 4 writes are exclusive
-        if np.count_nonzero(matched_vertex) != 2 * matched_edges.size:
-            raise RuntimeError("pram: the matched edges do not mark 2 distinct vertices each")
-        log.record("spread/edge-writes", "edge.flag", np.arange(m))
-        # step 5: each surviving edge writes its own new address, its index in keep_e
-        # (exclusive writes); the slots' exclusive prefix sum moves slots and offsets
+        # step 4: two matched edges at one vertex would both write its mark
+        log.record(np.concatenate((g.edge_u[matched_edges], g.edge_v[matched_edges])))
+        # step 5: each surviving edge writes its own new address, its index in keep_e;
+        # the slots' exclusive prefix sum moves slots and offsets
         new_edge_index = np.cumsum(~dead_edge) - 1
-        log.record("compact/edge-copies", "edge.records", new_edge_index[keep_e])
         dead_slot = dead_edge[g.slot_edge]
         dead_before = np.concatenate(([0], np.cumsum(dead_slot)))
         keep_s = np.flatnonzero(~dead_slot)
-        log.record("compact/slot-copies", "slot.records", keep_s - dead_before[keep_s])
         # step 6: copy the slots, rewrite their edge ids, shift the offsets
         if not (np.array_equal(g.offsets - dead_before[g.offsets], rest.offsets)
                 and np.array_equal(g.slot_vertex[keep_s], rest.slot_vertex)
@@ -119,12 +109,13 @@ def pram_local_max(
 ) -> tuple[Matching, PhaseTrace]:
     """Parallel-phase local max; the matching equals the sequential one.
 
-    In checked mode the run also records every simulated step's writes
-    (``trace.write_log``) and validates the full array layout after every
-    phase. ``trace.slot_ops`` charges one unit per live edge and per live
-    incidence slot per phase (each phase makes a constant number of passes
-    over them) plus the one-off setup, so it grows like the geometric sum
-    of surviving edges: the linear-work evidence.
+    In checked mode the run also records each phase's endpoint marks, the
+    writes that could clash (``trace.write_log``), and validates the full
+    array layout after every phase. ``trace.slot_ops`` charges one unit per
+    live edge and per live incidence slot per phase (each phase makes a
+    constant number of passes over them) plus the one-off setup, so it
+    grows like the geometric sum of surviving edges: the linear-work
+    evidence.
     """
     log = WriteLog() if checked else None
     trace = PhaseTrace(write_log=log)

@@ -557,23 +557,15 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
     matched_edges = np.flatnonzero(wins)
     flags[matched_edges] = 1
     if log is not None:
-        log.record("match/flag-writes", "edge.flag", matched_edges)
+        # the marks that the matched edges write at their endpoints
+        log.record(np.concatenate((g.edge_u[matched_edges], g.edge_v[matched_edges])))
 
     spread = totals(flags[g.slot_edge])
     dead_edge = (spread[g.edge_u] | spread[g.edge_v]).astype(bool)
-    if log is not None:
-        log.record("spread/edge-writes", "edge.flag", np.arange(m))
 
-    dead_slot = dead_edge[g.slot_edge]
     new_edge_index = compaction_addresses(dead_edge)
-    new_slot_index = compaction_addresses(dead_slot)
-
     keep_e = ~dead_edge
-    if log is not None:
-        log.record("compact/edge-copies", "edge.records", new_edge_index[keep_e])
-    keep_s = ~dead_slot
-    if log is not None:
-        log.record("compact/slot-copies", "slot.records", new_slot_index[keep_s])
+    keep_s = ~dead_edge[g.slot_edge]
     slot_vertex = g.slot_vertex[keep_s]
     surviving_deg = np.bincount(slot_vertex, minlength=g.num_vertices)
     rest = laid_out(g.num_vertices, np.concatenate([[0], np.cumsum(surviving_deg)]).astype(np.int64),

@@ -14,6 +14,7 @@ from locmax.cli import main
 from locmax.graphio import read_edge_list
 
 from test_matchers import _no_flags
+from test_pram import _every_offer
 
 
 def test_gen_writes_edge_list(tmp_path, capsys):
@@ -262,7 +263,7 @@ def test_crosscheck_fails_on_exclusive_write_conflicts(monkeypatch, capsys):
 
     def clashing_write(g, seed, checked=False, rerandomize=True):
         matching, trace = pram_local_max(g, seed, checked, rerandomize)
-        trace.write_log.record("demo", "cells", np.array([5, 5]))  # one writer too many
+        trace.write_log.record(np.array([5, 5]))  # one writer too many
         return matching, trace
 
     monkeypatch.setattr(locmax.bench, "pram_local_max", clashing_write)
@@ -271,6 +272,17 @@ def test_crosscheck_fails_on_exclusive_write_conflicts(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.count(": ok rounds=") == out.count("crew_conflicts=1 ") == 2
     assert err == "FAIL 2 exclusive-write conflicts\n"
+
+
+def test_crosscheck_counts_the_marks_of_matched_edges_that_share_a_vertex(monkeypatch, capsys):
+    # every offer wins, so every engine's matching shares vertices and pram
+    # runs to the end, its log counting each mark that lands on a marked vertex
+    monkeypatch.setattr(locmax.matchers, "_raise_candidates", _every_offer)
+    assert main(["crosscheck", "--family", "rgg", "--x", "5", "--seeds", "0", "--p", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ("rgg-x5-wdefault-s0 seed=0: MISMATCH (seq:dominance,pram:dominance,"
+                   "bsp-p2:dominance) rounds=1 crew_conflicts=51 slot_ops=266 budget=880\n")
+    assert err == "FAIL 1 mismatching runs\n"
 
 
 def test_crosscheck_fails_on_matchings_that_are_not_locally_dominant(salt_only, capsys):
