@@ -133,21 +133,26 @@ def _round_messages(g: Graph, part: Partition, matched_round: np.ndarray,
     """
     owner, cut, p = part.owner, part.cut_edges, part.num_workers
     us, vs = g.edge_u[cut], g.edge_v[cut]
+    # every life is below rounds, so clipping the unmatched vertices' n
+    # changes none, and a life fits the smallest type that holds rounds
+    matched_round = np.minimum(matched_round, rounds).astype(np.min_scalar_type(rounds))
     life = np.minimum(matched_round[us], matched_round[vs])
     # one sort of the keys, each packed above the life of its edge: the
-    # last entry of a key's run holds the key's life; int32 when they fit
+    # last entry of a key's run holds the key's life. Both halves are built
+    # in the one buffer, int32 when the keys fit
     shift = rounds.bit_length()
     fits = (g.num_vertices * p) << shift < 2**31
-    packed = np.concatenate((us * p + owner[vs], vs * p + owner[us]),
-                            dtype=np.int32 if fits else np.int64)
-    packed <<= shift
-    packed[:cut.size] |= life
-    packed[cut.size:] |= life
+    packed = np.empty(2 * cut.size, dtype=np.int32 if fits else np.int64)
+    for half, a, b in ((packed[:cut.size], us, vs), (packed[cut.size:], vs, us)):
+        np.multiply(a, p, out=half, casting="unsafe")
+        half += owner[b]
+        half <<= shift
+        half |= life
     packed.sort()
-    key = packed >> shift
+    # an entry ends its key's run iff the next one differs above the life bits
     last = np.ones(packed.size, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=last[:-1])
-    key_life = packed[np.flatnonzero(last)] & ((1 << shift) - 1)
+    np.greater_equal(packed[1:] ^ packed[:-1], 1 << shift, out=last[:-1])
+    key_life = packed.compress(last) & ((1 << shift) - 1)
     records, edges = (np.bincount(lives, minlength=rounds)[::-1].cumsum()[::-1].tolist()
                       for lives in (key_life, life))
     return [RoundMessages(r, rec, rec * CANDIDATE_RECORD_BYTES, e, 2 * e)

@@ -142,7 +142,7 @@ def build_graph_arrays(u, v, w, num_vertices: int | None = None) -> Graph:
         # number the winners by their group's first occurrence
         by_first = np.full(u.size, -1, dtype=np.int64)
         by_first[order[head]] = order[firsts]
-        keep = by_first[by_first >= 0]
+        keep = by_first.compress(by_first >= 0)
         u, v, w = u[keep], v[keep], w[keep]
     if n * u.size > _KEY_LIMIT:
         raise ValueError(f"n={n} vertices and m={u.size} edges are too many: "

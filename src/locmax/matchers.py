@@ -109,23 +109,27 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
     Endpoints and weight bits are gathered once and filtered with the live
     set, and so are the salts unless ``rerandomize`` draws new ones every
     round. Each round is :func:`_local_max_round` on the survivors; when
-    all weights are equal, no round runs the kernel's weight stage.
+    all weights are equal, no round runs the kernel's weight stage. Round 1
+    runs on all edges, whose positions are their input ids, so it needs no
+    id array; ``live``, the survivors' input ids, starts after it.
     """
-    live = np.arange(g.num_edges, dtype=np.int64)
+    live = None  # the input numbering
+    before = g.num_edges
     us, vs = g.edge_u, g.edge_v
     cand = _new_candidates(g.num_vertices)
     vertex_matched = np.zeros(g.num_vertices, dtype=bool)
     wbits = _deciding_bits(g.edge_weight)
-    salts = edge_salts(round_seed(seed, 0), live)
+    salts = edge_salts(round_seed(seed, 0), np.arange(before))
     round_index = 0
-    while live.size:
+    while before:
         won, dead = _local_max_round(cand, vertex_matched, us, vs, wbits, salts)
         if not won.size:
-            raise RuntimeError(f"seq: round {round_index} matched none of {live.size} live edges")
+            raise RuntimeError(f"seq: round {round_index} matched none of {before} live edges")
         # pass 3: drop edges with a matched endpoint, reset survivors' candidates
         alive = np.flatnonzero(~dead)
-        yield live.size, live[won], alive.size
-        live, us, vs, wbits = live[alive], us[alive], vs[alive], _take(wbits, alive)
+        yield before, won if live is None else live[won], alive.size
+        live = alive if live is None else live[alive]
+        us, vs, wbits, before = us[alive], vs[alive], _take(wbits, alive), alive.size
         _reset_candidates(cand, us, vs)
         round_index += 1
         salts = edge_salts(round_seed(seed, round_index), live) if rerandomize else salts[alive]
@@ -270,8 +274,8 @@ def _gpa_pass(g: Graph, seed: int) -> Rounds:
     for at in range(0, order.size, _CHUNK):
         cu, cv = ou[at:at + _CHUNK], ov[at:at + _CHUNK]
         keep = (degree[cu] < 2) & (degree[cv] < 2)  # the loop rejects the others too
-        for k, u, v in zip(order[at:at + _CHUNK][keep].tolist(), cu[keep].tolist(),
-                           cv[keep].tolist()):
+        for k, u, v in zip(order[at:at + _CHUNK].compress(keep).tolist(),
+                           cu.compress(keep).tolist(), cv.compress(keep).tolist()):
             du, dv = deg[u], deg[v]
             if du == 2 or dv == 2:
                 continue

@@ -46,12 +46,13 @@ class WriteLog:
         self.conflicts += int(cells.size - np.unique(cells).size)
 
 
-def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
+def pram_phase(g: Graph, edge_orig: np.ndarray | None, round_seed_value: int,
                log: WriteLog | None = None) -> tuple[np.ndarray, Graph, np.ndarray]:
     """One parallel local max phase on ``g``, whose edge k is input edge
-    ``edge_orig[k]`` (the ids the round's keys use): returns the matched
-    input edge ids, the compacted graph of the surviving edges and their
-    input ids, and leaves ``g`` unchanged.
+    ``edge_orig[k]`` (the ids the round's keys use), or input edge k when
+    ``edge_orig`` is None: returns the matched input edge ids, the
+    compacted graph of the surviving edges and their input ids, and leaves
+    ``g`` unchanged.
 
     Steps: (1) per-edge keys, read by the slots, (2) each vertex's heaviest
     key, by two segmented max reductions over its contiguous slots (weight
@@ -76,11 +77,12 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
     validated (:func:`assert_graph_invariants`).
     """
     n = g.num_vertices
+    ids = np.arange(g.num_edges) if edge_orig is None else edge_orig
     # steps 1-4: seq's round, on fresh candidates and marks
     matched_vertex = np.zeros(n, dtype=bool)
     matched_edges, dead_edge = _local_max_round(
         _new_candidates(n), matched_vertex, g.edge_u, g.edge_v,
-        _deciding_bits(g.edge_weight), edge_salts(round_seed_value, edge_orig))
+        _deciding_bits(g.edge_weight), edge_salts(round_seed_value, ids))
     keep_e = np.flatnonzero(~dead_edge)
     rest = Graph(n, g.edge_u[keep_e], g.edge_v[keep_e], g.edge_weight[keep_e])
     if log is not None:
@@ -98,6 +100,8 @@ def pram_phase(g: Graph, edge_orig: np.ndarray, round_seed_value: int,
                 and np.array_equal(new_edge_index[g.slot_edge[keep_s]], rest.slot_edge)):
             raise RuntimeError("pram: the compacted slots differ from the survivors' layout")
         assert_graph_invariants(rest)
+    if edge_orig is None:
+        return matched_edges, rest, keep_e
     return edge_orig[matched_edges], rest, edge_orig[keep_e]
 
 
@@ -128,7 +132,7 @@ def pram_local_max(
 
 def _pram_rounds(g: Graph, seed: int, rerandomize: bool, log: WriteLog | None) -> Rounds:
     """The phases of :func:`pram_local_max`; a write log means checked mode."""
-    orig = np.arange(g.num_edges, dtype=np.int64)
+    orig = None  # phase 1 runs on the input numbering
     if log is not None:
         assert_graph_invariants(g)
     round_index = 0

@@ -212,3 +212,26 @@ def test_ledger_keys_wider_than_32_bits():
     assert trace.rounds == ref_trace.rounds == [RoundStats(3, 1, 2), RoundStats(1, 1, 1)]
     assert trace.messages == ref_trace.messages
     assert [rm.candidate_records for rm in trace.messages] == [6, 2]
+
+
+def _rising_path(n):
+    return build_graph_arrays(np.arange(n - 1), np.arange(1, n), np.arange(1.0, n), n)
+
+
+@pytest.mark.parametrize("g, p, rounds, last_cut_round", [
+    # rising weights match one edge per round from the top, so 512 rounds.
+    # The cut edge (256, 257) dies in round 383: the ledger's lives need two
+    # bytes (all lives of a 2^9-vertex path fit one)
+    (_rising_path(1 << 10), 4, 512, 383),
+    (_rising_path(1 << 10), 1, 512, None),  # no cut edge: every record is 0
+    (build_graph_arrays(np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                        np.array([]), 8), 4, 0, None),  # edgeless: no round, no message
+])
+def test_ledger_equals_reference(g, p, rounds, last_cut_round):
+    matching, trace = bsp_local_max(g, p, 1)
+    ref_matching, ref_trace = ref.bsp_local_max(g, p, 1)
+    assert matching == ref_matching
+    assert trace.rounds == ref_trace.rounds and len(trace.rounds) == rounds
+    assert trace.messages == ref_trace.messages and len(trace.messages) == rounds
+    assert max((rm.round_index for rm in trace.messages if rm.cut_edges_surviving),
+               default=None) == last_cut_round

@@ -114,6 +114,21 @@ def test_phase_on_triangle_clears_graph(triangle):
     assert_graph_invariants(rest)
 
 
+@pytest.mark.parametrize("g", [gen_random(256, 4, seed=3), build_graph([], num_vertices=3)],
+                         ids=["random", "edgeless"])
+def test_phase_without_ids_runs_on_the_input_numbering(g):
+    # edge_orig=None, as phase 1 runs, equals the identity ids
+    log, want_log = WriteLog(), WriteLog()
+    matched, rest, rest_orig = pram_phase(g, None, round_seed(4, 0), log)
+    want_matched, want_rest, want_orig = pram_phase(g, np.arange(g.num_edges),
+                                                    round_seed(4, 0), want_log)
+    for got, want in ((matched, want_matched), (rest_orig, want_orig)):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    for name in GRAPH_ARRAYS:
+        assert np.array_equal(getattr(rest, name), getattr(want_rest, name)), name
+    assert log == want_log
+
+
 @given(tie_graphs(), st.integers(0, 10_000), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_each_phase_returns_the_graph_of_its_surviving_edges(g0, seed, rerandomize):
