@@ -175,7 +175,5 @@ def radius_edges_grid(points: np.ndarray, radius: float) -> tuple[np.ndarray, np
 
 def with_unit_weights(g: Graph) -> Graph:
     """The graph with every weight forced to 1.0 (cardinality runs), sharing
-    the endpoint columns and any adjacency arrays ``g`` has cached."""
-    unit = dataclasses.replace(g, edge_weight=np.ones(g.num_edges))
-    vars(unit).update({k: a for k, a in vars(g).items() if k not in vars(unit)})  # the cache
-    return unit
+    the endpoint columns."""
+    return dataclasses.replace(g, edge_weight=np.ones(g.num_edges))

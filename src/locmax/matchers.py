@@ -491,7 +491,9 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
     """The rounds of :func:`rbm`. Only a bichromatic edge can carry a
     proposal, so each round keeps just those, each oriented once from its
     blue proposer to its red receiver. With fair coins, 64 rounds in a row
-    without one (chance 2^-64) mean broken coins, and the run raises."""
+    without one (chance 2^-64) mean broken coins, and the run raises. A
+    round with one matches an edge, as each blue proposer sends one offer
+    and each red receiver of an offer takes one, so it raises if none is."""
     n = g.num_vertices
     # a blue vertex's heaviest outgoing proposal and a red one's heaviest
     # incoming one share a table: a round's blue and red vertices are disjoint
@@ -500,10 +502,7 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
     live = np.arange(g.num_edges, dtype=np.int64)
     us, vs, wbits = g.edge_u, g.edge_v, _deciding_bits(g.edge_weight)
     round_index = idle = 0
-    max_rounds = 10_000
     while live.size:
-        if round_index >= max_rounds:
-            raise RbmDidNotConverge(f"no progress after {max_rounds} rounds")
         rs = round_seed(seed, round_index, rerandomize=True)
         blue_u = vertex_coins(rs, us)
         bi = np.flatnonzero(blue_u != vertex_coins(rs, vs))
@@ -518,6 +517,8 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
         sent = _raise_candidates(cand, (blue,), wb, salts)
         to, sent_ids = red[sent], ids[sent]
         took = _raise_candidates(cand, (to,), _take(wb, sent), salts[sent])
+        if bi.size and not took.size:
+            raise RuntimeError(f"rbm: round {round_index} matched none of {live.size} live edges")
         vertex_matched[blue[sent[took]]] = True
         vertex_matched[to[took]] = True
         # every red receiver took an offer and is matched, so its entry is never read again

@@ -154,40 +154,6 @@ def test_rising_path_takes_a_round_per_matched_edge():
     print(f"rising path, n={n}: pram slot_ops/work_budget = {pram_t.slot_ops / budget:.1f}")
 
 
-def test_cross_check_detects_no_mismatch():
-    rows = engine_cross_check(
-        (InstanceSpec("rgg", 8), InstanceSpec("random", 8, alpha=4)),
-        seeds=(0, 1),
-        workers=(1, 2, 4),
-    )
-    assert len(rows) == 4
-    for row in rows:
-        assert row.matched
-        assert row.crew_conflicts == 0
-        assert row.slot_ops <= row.work_budget
-
-
-def test_cross_check_flags_runs_whose_rounds_differ(monkeypatch):
-    # same matching, but the p=4 run reports one round more than seq's
-    bsp_local_max = locmax.bench.bsp_local_max
-
-    def extra_round(g, p, seed, rerandomize=True):
-        matching, trace = bsp_local_max(g, p, seed, rerandomize)
-        if p == 4:
-            trace.rounds.append(trace.rounds[-1])
-        return matching, trace
-
-    monkeypatch.setattr(locmax.bench, "bsp_local_max", extra_round)
-    rows = engine_cross_check((InstanceSpec("rgg", 8),), seeds=(0,), workers=(2, 4))
-    assert [(row.matched, row.detail) for row in rows] == [(False, "bsp-p4:rounds")]
-
-
-def test_cross_check_flags_matchings_that_are_not_locally_dominant(salt_only):
-    rows = engine_cross_check((InstanceSpec("rgg", 8),), seeds=(0,), workers=(2, 4))
-    assert [(row.matched, row.detail) for row in rows] == [
-        (False, "seq:dominance,pram:dominance,bsp-p2:dominance,bsp-p4:dominance")]
-
-
 def test_cross_check_flags_a_matching_that_differs_from_seqs(monkeypatch, tmp_path):
     # on a unit-weight path of 3 edges both maximal matchings are locally
     # dominant; the p=4 run returns the one seq did not

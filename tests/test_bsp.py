@@ -7,13 +7,11 @@ import pytest
 
 from locmax import (
     bsp_local_max,
-    build_graph,
     build_graph_arrays,
     gen_random,
     gen_rgg,
     local_max_seq,
     partition_graph,
-    validate_matching,
 )
 from locmax.matchers import RoundStats
 import reference as ref
@@ -81,37 +79,6 @@ def test_cut_edges_live_at_both_owners():
         assert holders == owners and len(owners) == 2
 
 
-def test_p1_equals_sequential_with_zero_messages():
-    g = gen_random(256, 4, seed=2)
-    base, _ = local_max_seq(g, 9)
-    matching, trace = bsp_local_max(g, 1, 9)
-    assert matching == base
-    assert all(rm.candidate_records == 0 for rm in trace.messages)
-    assert all(rm.bytes_estimate == 0 for rm in trace.messages)
-
-
-@pytest.mark.parametrize("p", [2, 4, 8])
-def test_matching_invariant_over_worker_count(p):
-    g = gen_rgg(12, 4)
-    base, _ = local_max_seq(g, 7)
-    matching, trace = bsp_local_max(g, p, 7)
-    assert matching == base
-    check = validate_matching(g, matching)
-    assert check.valid and check.maximal
-
-
-def test_all_equal_weights_invariant_over_p():
-    g = gen_random(256, 4, seed=6)
-    unit = build_graph(
-        [(u, v, 1.0) for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())],
-        num_vertices=g.num_vertices,
-    )
-    base, _ = local_max_seq(unit, 3)
-    for p in (1, 2, 4, 8):
-        matching, _ = bsp_local_max(unit, p, 3)
-        assert matching == base
-
-
 def test_messages_bounded_by_surviving_cut_edges():
     g = gen_random(512, 4, seed=8)
     _, trace = bsp_local_max(g, 8, 1)
@@ -142,14 +109,6 @@ def test_one_worker_per_vertex(path4):
     matching, trace = bsp_local_max(path4, 4, 2)
     assert matching == base
     assert trace.messages[0].candidate_records <= 2 * path4.num_edges
-
-
-def test_rerandomize_flag_respected():
-    g = gen_rgg(10, 1)
-    for flag in (True, False):
-        a, _ = local_max_seq(g, 4, rerandomize=flag)
-        b, _ = bsp_local_max(g, 4, 4, rerandomize=flag)
-        assert a == b
 
 
 def test_messages_invariant_under_edge_orientation():

@@ -26,10 +26,8 @@ from locmax import (
     local_max_seq,
     matching_from_edge_ids,
     pram_local_max,
-    pram_phase,
     rbm,
     read_graph,
-    round_seed,
     validate_matching,
     write_edge_list,
 )
@@ -318,16 +316,6 @@ def test_lazy_layout_of_generated_graphs_equals_the_reference(first):
         assert_lazy_layout(random_audit_instance(np.random.default_rng((3, t))), first)
 
 
-@given(tie_graphs(), st.integers(0, 2**32), st.booleans(), st.sampled_from(LAYOUT))
-@settings(max_examples=100, deadline=None)
-def test_lazy_layout_of_every_pram_rest_equals_the_reference(g, seed, rerandomize, first):
-    orig, rnd = np.arange(g.num_edges), 0
-    while g.num_edges:
-        _, g, orig = pram_phase(g, orig, round_seed(seed, rnd, rerandomize))
-        assert_lazy_layout(g, first)
-        rnd += 1
-
-
 # (matcher, whether it may read the offsets); every other array is unread
 HOT_PATHS = {
     "seq": (lambda g: local_max_seq(g, 1), False),
@@ -348,13 +336,3 @@ def test_no_hot_path_lays_out_the_slots(name):
         assert vars(g).keys() & CACHED == ({"offsets"} if reads_offsets else set())
 
 
-def test_unit_weights_keep_a_computed_layout():
-    g = gen_random(64, 2, seed=5)
-    assert not vars(with_unit_weights(g)).keys() & CACHED
-    assert g.offsets.size == g.num_vertices + 1
-    unit = with_unit_weights(g)
-    assert unit.offsets is g.offsets and vars(unit).keys() & CACHED == {"offsets"}
-    layout = [getattr(g, name) for name in LAYOUT]
-    unit = with_unit_weights(g)
-    assert all(getattr(unit, name) is a for name, a in zip(LAYOUT, layout))
-    assert unit.edge_u is g.edge_u and unit.edge_weight.tolist() == [1.0] * g.num_edges

@@ -11,15 +11,15 @@ from locmax import (
     assert_graph_invariants,
     build_graph,
     gen_random,
-    gen_rgg,
     local_max_seq,
     pram_local_max,
 )
 from locmax.pram import WriteLog, pram_phase
-from locmax.tiebreak import edge_salts, key_ranks, round_seed
+from locmax.tiebreak import round_seed
 
-from reference import assemble, check_progress, compaction_addresses, laid_out
+from reference import assemble, check_progress, laid_out
 from test_equivalence import tie_graphs
+from test_graph import CACHED, LAYOUT
 
 GRAPH_ARRAYS = ("offsets", "slot_vertex", "slot_edge", "edge_u", "edge_v", "edge_weight")
 
@@ -99,14 +99,6 @@ def test_phase_on_an_edgeless_state_matches_nothing():
     assert_graph_invariants(rest)
 
 
-def test_compaction_addresses_frozen_example():
-    flags = np.array([1, 0, 1, 1, 0, 0])
-    assert np.cumsum(flags).tolist() == [1, 1, 2, 3, 3, 3]
-    addresses = compaction_addresses(flags)
-    survivors = {k: int(addresses[k]) for k in (1, 4, 5)}
-    assert survivors == {1: 0, 4: 1, 5: 2}
-
-
 def test_phase_on_triangle_clears_graph(triangle):
     matched, rest, rest_orig = pram_phase(triangle, np.arange(3), round_seed(0, 0))
     assert matched.tolist() == [2]  # the weight-3 edge
@@ -129,12 +121,13 @@ def test_phase_without_ids_runs_on_the_input_numbering(g):
     assert log == want_log
 
 
-@given(tie_graphs(), st.integers(0, 10_000), st.booleans())
+@given(tie_graphs(), st.integers(0, 10_000), st.booleans(), st.sampled_from(LAYOUT))
 @settings(max_examples=100, deadline=None)
-def test_each_phase_returns_the_graph_of_its_surviving_edges(g0, seed, rerandomize):
+def test_each_phase_returns_the_graph_of_its_surviving_edges(g0, seed, rerandomize, first):
     """A phase's compacted graph equals the one its surviving input edges lay
     out afresh, array by array, so a compaction that reorders a vertex's
-    slots fails; the phase leaves its input graph as it was."""
+    slots fails. The rest computes its layout only when read, whichever
+    layout array is read first; the phase leaves its input graph as it was."""
     g, orig = g0, np.arange(g0.num_edges)
     rnd = 0
     while g.num_edges:
@@ -143,10 +136,11 @@ def test_each_phase_returns_the_graph_of_its_surviving_edges(g0, seed, rerandomi
         check_progress(rnd, g.num_edges, matched, g0.num_edges)
         for name, want in zip(GRAPH_ARRAYS, before):
             assert np.array_equal(getattr(g, name), want), name
+        assert not vars(rest).keys() & CACHED
         fresh = assemble(g0.edge_u[rest_orig], g0.edge_v[rest_orig],
                          g0.edge_weight[rest_orig], g0.num_vertices)
         assert rest.num_vertices == fresh.num_vertices
-        for name in GRAPH_ARRAYS:
+        for name in (first, *GRAPH_ARRAYS):
             got, want = getattr(rest, name), getattr(fresh, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
             assert not got.flags.writeable, name
@@ -165,42 +159,6 @@ def test_edge_with_salt_zero(monkeypatch, w0, matched):
     assert pram_phase(g, np.arange(2), round_seed(0, 0))[0].tolist() == matched
 
 
-def test_phase_matches_sequential_first_round():
-    for seed in range(5):
-        g = gen_random(256, 4, seed=seed)
-        matched, rest, _ = pram_phase(g, np.arange(g.num_edges), round_seed(seed, 0))
-        matched = set(matched.tolist())
-        # independent reconstruction of the round-1 matched set: an edge is
-        # matched iff it is the key-max at both endpoints
-        ids = np.arange(g.num_edges, dtype=np.int64)
-        ranks = key_ranks(g.edge_weight, edge_salts(round_seed(seed, 0), ids), ids)
-        best = np.full(g.num_vertices, -1, dtype=np.int64)
-        np.maximum.at(best, g.edge_u, ranks)
-        np.maximum.at(best, g.edge_v, ranks)
-        expect = set(
-            ids[(best[g.edge_u] == ranks) & (best[g.edge_v] == ranks)].tolist()
-        )
-        assert matched == expect
-        assert_graph_invariants(rest)
-
-
-def test_full_run_equals_sequential_engine():
-    cases = [
-        (gen_rgg(12, 7), 7),
-        (gen_random(512, 4, seed=3), 3),
-        (gen_random(512, 16, seed=4), 11),
-        (build_graph([(0, 1, 1.0)] ), 0),
-        # K12, unit weights: every key ties on weight
-        (build_graph([(u, v, 1.0) for u, v in zip(*np.triu_indices(12, k=1))]), 3),
-    ]
-    for g, seed in cases:
-        seq_matching, seq_trace = local_max_seq(g, seed)
-        par_matching, par_trace = pram_local_max(g, seed, checked=True)
-        assert par_matching == seq_matching
-        assert par_trace.total_rounds == seq_trace.total_rounds
-        assert par_trace.write_log.conflicts == 0
-
-
 def test_runs_leave_the_input_graph_unchanged_and_read_only():
     g = gen_random(512, 4, seed=6)
     before = [getattr(g, name).copy() for name in GRAPH_ARRAYS]
@@ -210,30 +168,6 @@ def test_runs_leave_the_input_graph_unchanged_and_read_only():
             got = getattr(g, name)
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), name
             assert not got.flags.writeable, name
-
-
-def test_empty_graph_zero_phases():
-    g = build_graph([], num_vertices=4)
-    matching, trace = pram_local_max(g, 0, checked=True)
-    assert matching.edges.tolist() == []
-    assert trace.total_rounds == 0
-
-
-def test_survivor_counts_weakly_decreasing():
-    g = gen_random(1024, 4, seed=9)
-    _, trace = pram_local_max(g, 9)
-    before = [r.edges_before for r in trace.rounds]
-    assert before == sorted(before, reverse=True)
-    assert before[0] == g.num_edges
-    # last round leaves nothing behind
-    assert trace.rounds[-1].edges_before == trace.rounds[-1].edges_removed
-
-
-def test_work_meter_under_budget():
-    for g in (gen_rgg(11, 1), gen_random(1024, 4, seed=2), gen_random(512, 16, seed=3)):
-        _, trace = pram_local_max(g, 13)
-        budget = 8 * (g.num_vertices + 2 * g.num_edges)
-        assert trace.slot_ops <= budget
 
 
 # ---------------------------------------------------------- unchecked runs
