@@ -26,8 +26,10 @@ from locmax import (
     local_max_seq,
     matching_from_edge_ids,
     pram_local_max,
+    pram_phase,
     rbm,
     read_graph,
+    round_seed,
     validate_matching,
     write_edge_list,
 )
@@ -35,7 +37,7 @@ from locmax.generate import with_unit_weights
 from locmax.oracle import random_audit_instance
 
 from conftest import random_graph_edges
-from reference import assemble, incident_edges, laid_out
+from reference import assemble, check_progress, incident_edges, laid_out
 from test_equivalence import GRAPH_ARRAYS, tie_graphs
 
 
@@ -314,6 +316,18 @@ def test_lazy_layout_of_generated_graphs_equals_the_reference(first):
         assert_lazy_layout(with_unit_weights(gen_random(64, 2, seed)), first)
     for t in range(200):
         assert_lazy_layout(random_audit_instance(np.random.default_rng((3, t))), first)
+
+
+@given(tie_graphs(), st.integers(0, 2**32), st.booleans(), st.sampled_from(LAYOUT))
+@settings(max_examples=100, deadline=None)
+def test_lazy_layout_of_every_pram_rest_equals_the_reference(g, seed, rerandomize, first):
+    orig, rnd, m = np.arange(g.num_edges), 0, g.num_edges
+    while g.num_edges:
+        before = g.num_edges
+        matched, g, orig = pram_phase(g, orig, round_seed(seed, rnd, rerandomize))
+        check_progress(rnd, before, matched, m)
+        assert_lazy_layout(g, first)
+        rnd += 1
 
 
 # (matcher, whether it may read the offsets); every other array is unread
