@@ -52,52 +52,3 @@ from .pram import WriteLog, pram_local_max, pram_phase
 from .tiebreak import edge_salts, key_ranks, round_seed
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuditReport",
-    "BenchRecord",
-    "InstanceSpec",
-    "ShrinkReport",
-    "approximation_audit",
-    "engine_cross_check",
-    "run_matcher",
-    "run_suite",
-    "shrink_report",
-    "Partition",
-    "RoundMessages",
-    "bsp_local_max",
-    "partition_graph",
-    "gen_random",
-    "gen_rgg",
-    "rgg_threshold",
-    "Graph",
-    "Matching",
-    "MatchingCheck",
-    "assert_graph_invariants",
-    "build_graph",
-    "build_graph_arrays",
-    "matching_from_edge_ids",
-    "validate_matching",
-    "read_edge_list",
-    "read_graph",
-    "read_matrix_market",
-    "write_csv",
-    "write_edge_list",
-    "MATCHERS",
-    "PhaseTrace",
-    "RoundStats",
-    "gpa",
-    "greedy",
-    "hem",
-    "local_max_seq",
-    "rbm",
-    "OracleResult",
-    "max_weight_matching_bruteforce",
-    "WriteLog",
-    "pram_local_max",
-    "pram_phase",
-    "edge_salts",
-    "key_ranks",
-    "round_seed",
-    "__version__",
-]

@@ -1,15 +1,17 @@
 """Benchmark harness: the suite, shrink statistics, the engine cross-check
 and the oracle audit.
 
-The suite, shrink and audit results are plain records convertible to CSV
-rows under one fixed, versioned schema; timing columns are informational
-only and are the one part of a record that is not reproducible across runs.
+The suite, shrink and audit results are plain records, and each record type
+declares its CSV table: the columns are the schema version and then its
+fields (:func:`csv_columns`, :func:`csv_rows`). Timing columns are
+informational only and are the one part of a record that is not
+reproducible across runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -18,21 +20,23 @@ import numpy as np
 from .bsp import bsp_local_max
 from .generate import gen_random, gen_rgg, with_unit_weights
 from .graph import Graph, Matching, undominated_edges, validate_matching
-from .graphio import read_graph, write_csv
+from .graphio import read_graph
 from .matchers import MATCHERS, PhaseTrace, local_max_seq
 from .oracle import max_weight_matching_bruteforce, random_audit_instance
 from .pram import pram_local_max
 
 CSV_SCHEMA_VERSION = "locmax-bench-1"
 
-SHRINK_COLUMNS = (
-    "schema",
-    "instance",
-    "round",
-    "seeds_alive",
-    "mean_removed_fraction",
-    "mean_survivor_fraction",
-)
+
+def csv_columns(record_type: type) -> tuple[str, ...]:
+    """The CSV header of a table of ``record_type`` records: the schema, then its fields."""
+    return ("schema", *(f.name for f in fields(record_type)))
+
+
+def csv_rows(records) -> list[dict[str, object]]:
+    """The records as CSV rows under :func:`csv_columns`; the csv module
+    writes a float as its repr and None as an empty cell."""
+    return [{"schema": CSV_SCHEMA_VERSION, **asdict(r)} for r in records]
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ class BenchRecord:
     ratio_vs_gpa: float | None  # None where no GPA baseline ran (``locmax match``)
     rounds: int
     mean_removed_fraction: float
-    millis: float
+    millis: str  # wall time in ms, to 3 decimals as the table shows it
     messages: int
 
     @classmethod
@@ -54,25 +58,7 @@ class BenchRecord:
         """The record of one run; rounds, timing and messages come from its trace."""
         messages = sum(rm.candidate_records for rm in trace.messages) if trace.messages else 0
         return cls(instance, algorithm, engine, seed, weight, ratio_vs_gpa, trace.total_rounds,
-                   trace.mean_removed_fraction(), trace.wall_millis, messages)
-
-    def as_row(self) -> dict[str, object]:
-        return {
-            "schema": CSV_SCHEMA_VERSION,
-            "instance": self.instance,
-            "algorithm": self.algorithm,
-            "engine": self.engine,
-            "seed": self.seed,
-            "weight": repr(self.weight),
-            "ratio_vs_gpa": "" if self.ratio_vs_gpa is None else repr(self.ratio_vs_gpa),
-            "rounds": self.rounds,
-            "mean_removed_fraction": repr(self.mean_removed_fraction),
-            "millis": f"{self.millis:.3f}",
-            "messages": self.messages,
-        }
-
-
-BENCH_COLUMNS = ("schema", *(f.name for f in fields(BenchRecord)))
+                   trace.mean_removed_fraction(), f"{trace.wall_millis:.3f}", messages)
 
 
 @dataclass(frozen=True)
@@ -182,11 +168,18 @@ def run_suite(instances: tuple[InstanceSpec, ...], algorithms: tuple[str, ...],
     return records
 
 
-def write_bench_csv(records: list[BenchRecord], path: str | Path, append: bool = False) -> int:
-    return write_csv((r.as_row() for r in records), path, BENCH_COLUMNS, append=append)
+@dataclass(frozen=True)
+class ShrinkRow:
+    """One round of a shrink report, over the seeds still running in it."""
+
+    instance: str
+    round: int
+    seeds_alive: int
+    mean_removed_fraction: float
+    mean_survivor_fraction: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShrinkReport:
     """Per-round shrink statistics of unit-weight local max, over many seeds.
 
@@ -197,51 +190,35 @@ class ShrinkReport:
     """
 
     instance: str
-    seeds: tuple[int, ...]
-    per_round_removed: list[float] = field(default_factory=list)
-    per_round_seeds: list[int] = field(default_factory=list)
+    rows: tuple[ShrinkRow, ...] = ()
     mean_removed_fraction: float = 0.0
     mean_survivor_fraction: float = 0.0
     max_rounds: int = 0
     max_edges: int = 0
 
-    def rows(self) -> list[dict[str, object]]:
-        return [
-            {
-                "schema": CSV_SCHEMA_VERSION,
-                "instance": self.instance,
-                "round": i,
-                "seeds_alive": self.per_round_seeds[i],
-                "mean_removed_fraction": repr(self.per_round_removed[i]),
-                "mean_survivor_fraction": repr(1.0 - self.per_round_removed[i]),
-            }
-            for i in range(len(self.per_round_removed))
-        ]
-
 
 def shrink_report(spec: InstanceSpec, seeds: tuple[int, ...], rerandomize: bool = True) -> ShrinkReport:
     """Run unit-weight local max per seed and aggregate shrink factors."""
     unit_spec = InstanceSpec(spec.family, spec.x, spec.alpha, "unit", spec.path)
-    report = ShrinkReport(unit_spec.label(seeds[0] if seeds else 0), tuple(seeds))
+    label = unit_spec.label(seeds[0] if seeds else 0)
     totals: list[list[int]] = []  # per round: edges before, edges removed, seeds alive
+    max_edges = 0
     for seed in seeds:
         g = unit_spec.build(seed)
-        report.max_edges = max(report.max_edges, g.num_edges)
+        max_edges = max(max_edges, g.num_edges)
         _, trace = local_max_seq(g, seed, rerandomize)
         totals += [[0, 0, 0] for _ in range(trace.total_rounds - len(totals))]
         for t, r in zip(totals, trace.rounds):
             t[0] += r.edges_before
             t[1] += r.edges_removed
             t[2] += 1
-    report.max_rounds = len(totals)
-    for before, removed, alive in totals:  # every round has live edges in some seed
-        report.per_round_seeds.append(alive)
-        report.per_round_removed.append(removed / before)
+    # every round has live edges in some seed
+    rows = tuple(ShrinkRow(label, i, alive, removed / before, 1.0 - removed / before)
+                 for i, (before, removed, alive) in enumerate(totals))
     total_before = sum(t[0] for t in totals)
-    if total_before:
-        report.mean_removed_fraction = sum(t[1] for t in totals) / total_before
-        report.mean_survivor_fraction = 1.0 - report.mean_removed_fraction
-    return report
+    removed = sum(t[1] for t in totals) / total_before if total_before else 0.0
+    survivor = 1.0 - removed if total_before else 0.0
+    return ShrinkReport(label, rows, removed, survivor, len(totals), max_edges)
 
 
 def round_bound(m: int) -> int:
@@ -321,29 +298,13 @@ class AuditReport:
     trials: int
     min_ratio: float
     mean_ratio: float
-    guarantee_violations: int  # ratio < 1/2 where the matcher promises it
+    violations: int  # ratio < 1/2 where the matcher promises it
     invalid: int
     non_maximal: int
 
     @property
     def passed(self) -> bool:
-        return self.guarantee_violations == 0 and self.invalid == 0 and self.non_maximal == 0
-
-    def as_row(self) -> dict[str, object]:
-        return {
-            "schema": CSV_SCHEMA_VERSION,
-            "matcher": self.matcher,
-            "trials": self.trials,
-            "min_ratio": repr(self.min_ratio),
-            "mean_ratio": repr(self.mean_ratio),
-            "violations": self.guarantee_violations,
-            "invalid": self.invalid,
-            "non_maximal": self.non_maximal,
-        }
-
-
-AUDIT_COLUMNS = ("schema", "matcher", "trials", "min_ratio", "mean_ratio", "violations",
-                 "invalid", "non_maximal")
+        return self.violations == 0 and self.invalid == 0 and self.non_maximal == 0
 
 
 # Matchers carrying the 1/2-approximation guarantee; others are report-only.

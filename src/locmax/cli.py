@@ -13,18 +13,18 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    AUDIT_COLUMNS,
-    BENCH_COLUMNS,
-    SHRINK_COLUMNS,
+    AuditReport,
     BenchRecord,
     InstanceSpec,
+    ShrinkRow,
     approximation_audit,
+    csv_columns,
+    csv_rows,
     engine_cross_check,
     round_bound,
     run_matcher,
     run_suite,
     shrink_report,
-    write_bench_csv,
 )
 from .graph import validate_matching
 from .graphio import check_csv_append, read_graph, write_csv, write_edge_list
@@ -74,7 +74,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_match(args) -> int:
     if args.out:
-        check_csv_append(args.out, BENCH_COLUMNS)
+        check_csv_append(args.out, csv_columns(BenchRecord))
     if args.input:
         g = read_graph(args.input)
         label = Path(args.input).name
@@ -92,11 +92,11 @@ def _cmd_match(args) -> int:
     print(
         f"{label} alg={args.alg} engine={args.engine} seed={args.seed} "
         f"weight={record.weight:.6f} size={matching.size} "
-        f"rounds={record.rounds} millis={record.millis:.2f} "
+        f"rounds={record.rounds} millis={trace.wall_millis:.2f} "
         f"messages={record.messages} valid={check.valid} maximal={check.maximal}"
     )
     if args.out:
-        write_bench_csv([record], args.out, append=True)
+        write_csv(csv_rows([record]), args.out, csv_columns(BenchRecord), append=True)
     return 0 if check.valid and check.maximal else 1
 
 
@@ -104,7 +104,7 @@ def _cmd_bench(args) -> int:
     records = run_suite(_instance_specs(args), tuple(args.alg), tuple(args.seeds),
                         args.engine, args.p, args.rerandomize)
     if args.out:
-        write_bench_csv(records, args.out)
+        write_csv(csv_rows(records), args.out, csv_columns(BenchRecord))
         print(f"wrote {len(records)} records to {args.out}")
     else:
         for r in records:
@@ -117,7 +117,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_shrink(args) -> int:
     if args.out:
-        check_csv_append(args.out, SHRINK_COLUMNS)
+        check_csv_append(args.out, csv_columns(ShrinkRow))
     spec_args = _instance_specs(args)
     failures = []
     for spec in spec_args:
@@ -137,7 +137,7 @@ def _cmd_shrink(args) -> int:
             if report.max_rounds > bound:
                 failures.append(f"{report.instance}: exceeded round bound {bound}")
         if args.out:
-            write_csv(report.rows(), args.out, SHRINK_COLUMNS, append=True)
+            write_csv(csv_rows(report.rows), args.out, csv_columns(ShrinkRow), append=True)
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
     return 1 if failures else 0
@@ -145,15 +145,15 @@ def _cmd_shrink(args) -> int:
 
 def _cmd_audit(args) -> int:
     if args.out:
-        check_csv_append(args.out, AUDIT_COLUMNS)
+        check_csv_append(args.out, csv_columns(AuditReport))
     report = approximation_audit(args.alg, args.trials, args.seed)
     print(
         f"audit {report.matcher}: trials={report.trials} min_ratio={report.min_ratio:.4f} "
-        f"mean_ratio={report.mean_ratio:.4f} violations={report.guarantee_violations} "
+        f"mean_ratio={report.mean_ratio:.4f} violations={report.violations} "
         f"invalid={report.invalid} non_maximal={report.non_maximal}"
     )
     if args.out:
-        write_csv([report.as_row()], args.out, AUDIT_COLUMNS, append=True)
+        write_csv(csv_rows([report]), args.out, csv_columns(AuditReport), append=True)
     return 0 if report.passed else 1
 
 

@@ -173,7 +173,7 @@ def assert_graph_invariants(g: Graph) -> None:
     Checks the offset monotonicity, the slot/edge cross-referencing (each
     edge id appearing exactly twice, once per endpoint), simplicity and the
     weight domain, reading (so computing) the layout. Used by tests and by
-    the PRAM engine's checked mode on every phase's graph.
+    the PRAM engine's checked mode on its input.
     """
     n, m = g.num_vertices, g.num_edges
     if g.offsets.shape != (n + 1,):

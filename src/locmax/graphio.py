@@ -49,19 +49,11 @@ def read_matrix_market(path: str | Path) -> Graph:
     if symmetry != "symmetric":
         raise ValueError(f"{path}: symmetry must be 'symmetric', got {symmetry!r}")
 
-    size_line = None
-    lineno = 1
-    pos = banner_end + 1
-    while pos < len(data):
-        end = _line_end(data, pos)
-        lineno += 1
-        s = data[pos:end].decode("ascii", "replace").strip()
-        pos = end + 1
-        if s and not s.startswith("%"):
-            size_line = s
-            break
-    if size_line is None:
+    found = _Lines(path, data, banner_end + 1, 2, "%", "ascii", "replace").first_data_line()
+    if found is None:
         raise ValueError(f"{path}: missing size line")
+    size_line, size_end = found
+    lineno = data.count(b"\n", 0, size_end) + 1
     try:  # a count of tokens other than 3 fails the unpacking
         rows, cols, nnz = (int(p) for p in size_line.split())
     except ValueError as exc:
@@ -87,7 +79,7 @@ def read_matrix_market(path: str | Path) -> Graph:
             return f"entry value must be finite, got {value!r}"
         return None
 
-    body = _Lines(path, data, min(pos, len(data)), lineno + 1, "%", "ascii", "replace")
+    body = _Lines(path, data, min(size_end + 1, len(data)), lineno + 1, "%", "ascii", "replace")
     entries, _ = body.parse(_EDGE_DTYPE if want_value else _PATTERN_DTYPE, entry_problem)
     i, j = entries["u"], entries["v"]
     value = entries["w"] if want_value else np.ones(i.size)
@@ -196,7 +188,7 @@ class _Lines:
                 raise self.first_bad_line(problem)
             comments.append(line)
             pos = self.data.find(mark, end)
-        if not self._has_data():
+        if self.first_data_line() is None:
             return np.empty(0, dtype=dtype), comments  # numpy would warn on no data
         stream = io.TextIOWrapper(io.BytesIO(self.data), encoding=self.encoding,
                                   errors=self.errors)
@@ -213,13 +205,15 @@ class _Lines:
         end = _line_end(self.data, pos)
         return self.data[start:end].decode(self.encoding, self.errors).strip(), end
 
-    def _has_data(self) -> bool:
+    def first_data_line(self) -> tuple[str, int] | None:
+        """The first data line, decoded and stripped, and its end; None if
+        there is no data line."""
         pos = self.start
         while (hit := _INK.search(self.data, pos)) is not None:
             line, pos = self._line_at(hit.start())
             if line and not line.startswith(self.mark):
-                return True
-        return False
+                return line, pos
+        return None
 
     def first_bad_line(self, problem: Callable[[str], str | None]) -> ValueError:
         """A ValueError naming the first data line that ``problem``

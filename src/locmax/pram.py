@@ -12,8 +12,9 @@ In checked mode a write log records the one step whose writes can land on
 one cell: step 4's marks, where two matched edges at a vertex would mark it
 twice, an exclusive-write violation (there should be none). Every other
 step writes only the cells of its own edge or slot. Checked mode also
-compacts the slots, checks them against that layout and validates it after
-every phase.
+validates the input's layout, and compacts the slots of every phase and
+checks them against the survivors' layout. A valid layout compacts to a
+valid layout, so that equality validates every phase's graph.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def pram_phase(g: Graph, edge_orig: np.ndarray | None, round_seed_value: int,
     offset drops by the slots deleted before it. Steps 1-4 are seq's round
     on fresh candidates and marks; its kernel reads the endpoint columns,
     which hold exactly a vertex's slots. Without a ``log`` only the edges
-    are compacted. With one, step 4's marks are recorded, the compacted slots
-    must equal the returned graph's (or RuntimeError), and its layout is
-    validated (:func:`assert_graph_invariants`).
+    are compacted. With one, step 4's marks are recorded and the compacted
+    slots must equal the returned graph's (or RuntimeError), which, for a
+    valid ``g``, makes its layout valid too.
     """
     n = g.num_vertices
     ids = np.arange(g.num_edges) if edge_orig is None else edge_orig
@@ -99,7 +100,6 @@ def pram_phase(g: Graph, edge_orig: np.ndarray | None, round_seed_value: int,
                 and np.array_equal(g.slot_vertex[keep_s], rest.slot_vertex)
                 and np.array_equal(new_edge_index[g.slot_edge[keep_s]], rest.slot_edge)):
             raise RuntimeError("pram: the compacted slots differ from the survivors' layout")
-        assert_graph_invariants(rest)
     if edge_orig is None:
         return matched_edges, rest, keep_e
     return edge_orig[matched_edges], rest, edge_orig[keep_e]
@@ -113,13 +113,14 @@ def pram_local_max(
 ) -> tuple[Matching, PhaseTrace]:
     """Parallel-phase local max; the matching equals the sequential one.
 
-    In checked mode the run also records each phase's endpoint marks, the
-    writes that could clash (``trace.write_log``), and validates the full
-    array layout after every phase. ``trace.slot_ops`` charges one unit per
-    live edge and per live incidence slot per phase (each phase makes a
-    constant number of passes over them) plus the one-off setup, so it
-    grows like the geometric sum of surviving edges: the linear-work
-    evidence.
+    In checked mode the run also validates the input's layout
+    (:func:`assert_graph_invariants`), records each phase's endpoint marks,
+    the writes that could clash (``trace.write_log``), and checks each
+    phase's compacted slots against its survivors' layout.
+    ``trace.slot_ops`` charges one unit per live edge and per live
+    incidence slot per phase (each phase makes a constant number of passes
+    over them) plus the one-off setup, so it grows like the geometric sum
+    of surviving edges: the linear-work evidence.
     """
     log = WriteLog() if checked else None
     trace = PhaseTrace(write_log=log)

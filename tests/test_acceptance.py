@@ -147,7 +147,7 @@ def test_c02_half_approximation_guarantee():
         ok = ok and report.passed and report.min_ratio >= 0.5 - 1e-9
         details.append(
             f"{alg}: min={report.min_ratio:.4f} mean={report.mean_ratio:.4f} "
-            f"violations={report.guarantee_violations}"
+            f"violations={report.violations}"
         )
     _report(2, ok, "; ".join(details))
 

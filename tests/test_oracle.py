@@ -92,14 +92,14 @@ def test_audit_counts_matchings_that_are_not_locally_dominant(salt_only):
         undominated += dominated
         violations += below or dominated
     assert undominated > below_half
-    assert approximation_audit("localmax", 200, 0).guarantee_violations == violations
+    assert approximation_audit("localmax", 200, 0).violations == violations
 
 
 def test_audit_hem_reports_without_half_bound():
     report = approximation_audit("hem", trials=200, seed=11)
     # maximality is still enforced; the 1/2 bound is not
     assert report.invalid == 0 and report.non_maximal == 0
-    assert report.guarantee_violations == 0  # never counted for hem
+    assert report.violations == 0  # never counted for hem
     assert 0.0 < report.min_ratio <= 1.0
 
 
@@ -118,7 +118,7 @@ def test_audit_counts_invalid_and_non_maximal_matchings(monkeypatch):
 
     monkeypatch.setitem(MATCHERS, "greedy", nothing)
     report = approximation_audit("greedy", trials, 0)
-    assert (report.invalid, report.non_maximal, report.guarantee_violations) == (
+    assert (report.invalid, report.non_maximal, report.violations) == (
         0, with_edges, with_edges)
     monkeypatch.setitem(MATCHERS, "greedy", unmated)
     assert approximation_audit("greedy", trials, 0).invalid == with_edges

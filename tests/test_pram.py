@@ -176,7 +176,8 @@ def test_runs_leave_the_input_graph_unchanged_and_read_only():
 @settings(max_examples=200, deadline=None)
 def test_unchecked_run_equals_checked_and_sequential(g, seed, rerandomize):
     """The unchecked run never validates its layout; it must still match
-    the checked run, which does after every phase."""
+    the checked run, which validates its input and checks every phase's
+    compacted slots."""
     got_m, got_t = pram_local_max(g, seed, rerandomize=rerandomize)
     want_m, want_t = pram_local_max(g, seed, checked=True, rerandomize=rerandomize)
     seq_m, seq_t = local_max_seq(g, seed, rerandomize)
