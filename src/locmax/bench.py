@@ -71,7 +71,7 @@ class InstanceSpec:
     weights: str = "default"     # "unit" | "random" | "euclidean" | "default"
     path: str | None = None
 
-    def label(self, seed: int) -> str:
+    def label(self, seed: int | str) -> str:
         if self.family == "file":
             return Path(self.path).name
         tail = f"-a{self.alpha}" if self.family == "random" else ""
@@ -198,9 +198,10 @@ class ShrinkReport:
 
 
 def shrink_report(spec: InstanceSpec, seeds: tuple[int, ...], rerandomize: bool = True) -> ShrinkReport:
-    """Run unit-weight local max per seed and aggregate shrink factors."""
+    """Run unit-weight local max per seed and aggregate shrink factors; the
+    label names every seed (``random-x7-a4-wunit-s0+1+2``)."""
     unit_spec = InstanceSpec(spec.family, spec.x, spec.alpha, "unit", spec.path)
-    label = unit_spec.label(seeds[0] if seeds else 0)
+    label = unit_spec.label("+".join(map(str, seeds)) or "0")
     totals: list[list[int]] = []  # per round: edges before, edges removed, seeds alive
     max_edges = 0
     for seed in seeds:
@@ -321,32 +322,57 @@ def approximation_audit(matcher_id: str, trials: int, seed: int) -> AuditReport:
     For matchers in HALF_APPROX_MATCHERS a ratio below 1/2, or a matching
     that is not locally dominant (the certificate of the 1/2 bound), counts
     as a guarantee violation; validity and maximality are enforced for all.
+    A matching that does not fit its instance (an edge id out of range or a
+    mate table of another length) weighs nothing, is invalid and, for those
+    matchers, a violation. All trials are checked at once, on their disjoint union, and
+    counted one by one only if that check fails.
     Zero trials give an empty audit; a negative count is a ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     matcher = MATCHERS[matcher_id]
     enforce_half = matcher_id in HALF_APPROX_MATCHERS
-    ratios: list[float] = []
-    violations = invalid = non_maximal = 0
+    graphs, matchings, fits, ratios = [], [], [], []
     for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        g = random_audit_instance(rng)
+        g = random_audit_instance(np.random.default_rng((seed, t)))
         opt = max_weight_matching_bruteforce(g)
         matching, _ = matcher(g, t)
-        check = validate_matching(g, matching)
-        if not check.valid:
-            invalid += 1
-        elif not check.maximal:
-            non_maximal += 1
-        got = matching.weight(g)
-        ratio = 1.0 if opt.opt_weight == 0.0 else got / opt.opt_weight
-        ratios.append(ratio)
-        if enforce_half and (ratio < 0.5 - RATIO_EPS or undominated_edges(g, matching)):
-            violations += 1
-    if ratios:
-        min_ratio = min(ratios)
-        mean_ratio = math.fsum(ratios) / len(ratios)
+        ids = matching.edges
+        fits.append(matching.mate.shape == (g.num_vertices,)
+                    and (not ids.size or (ids[0] >= 0 and ids[-1] < g.num_edges)))
+        got = matching.weight(g) if fits[-1] else 0.0
+        ratios.append(1.0 if opt.opt_weight == 0.0 else got / opt.opt_weight)
+        graphs.append(g)
+        matchings.append(matching)
+    violations = invalid = non_maximal = 0
+    if all(fits) and (not graphs or _union_passes(graphs, matchings, enforce_half)):
+        violations = sum(r < 0.5 - RATIO_EPS for r in ratios) if enforce_half else 0
     else:
-        min_ratio = mean_ratio = float("nan")
+        for g, matching, fit, ratio in zip(graphs, matchings, fits, ratios):
+            check = validate_matching(g, matching)
+            invalid += not check.valid
+            non_maximal += check.valid and not check.maximal
+            violations += enforce_half and (
+                not fit or ratio < 0.5 - RATIO_EPS or undominated_edges(g, matching) > 0)
+    min_ratio = min(ratios, default=float("nan"))
+    mean_ratio = math.fsum(ratios) / len(ratios) if ratios else float("nan")
     return AuditReport(matcher_id, trials, min_ratio, mean_ratio, violations, invalid, non_maximal)
+
+
+def _union_passes(graphs: list[Graph], matchings: list[Matching], dominance: bool) -> bool:
+    """Whether every matching, which fits its graph, is valid and maximal (and
+    locally dominant, if ``dominance``): one check of the disjoint union, with
+    ids offset by the graphs before. Mate entries < 0 stay, so no fault hides."""
+    n = np.array([g.num_vertices for g in graphs])
+    m = np.array([g.num_edges for g in graphs])
+    vbase, ebase = np.cumsum(n) - n, np.cumsum(m) - m
+    shift = np.repeat(vbase, m)
+    union = Graph(int(n.sum()), np.concatenate([g.edge_u for g in graphs]) + shift,
+                  np.concatenate([g.edge_v for g in graphs]) + shift,
+                  np.concatenate([g.edge_weight for g in graphs]))
+    mate = np.concatenate([mt.mate for mt in matchings])
+    mate += np.where(mate >= 0, np.repeat(vbase, n), 0)
+    ids = np.concatenate([mt.edges for mt in matchings])
+    matching = Matching(ids + np.repeat(ebase, [mt.edges.size for mt in matchings]), mate)
+    check = validate_matching(union, matching)
+    return check.valid and check.maximal and not (dominance and undominated_edges(union, matching))

@@ -128,6 +128,8 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
         # pass 3: drop edges with a matched endpoint, reset survivors' candidates
         alive = np.flatnonzero(~dead)
         yield before, won if live is None else live[won], alive.size
+        if not alive.size:
+            return
         live = alive if live is None else live[alive]
         us, vs, wbits, before = us[alive], vs[alive], _take(wbits, alive), alive.size
         _reset_candidates(cand, us, vs)
@@ -158,9 +160,9 @@ def _greedy_matching(g: Graph, order: np.ndarray) -> np.ndarray:
     suffice (Blelloch, Fineman and Shun 2012). Orders with a long
     dependency chain, such as rising weights along a path, would need a
     round per matched edge, so once a round matches fewer than
-    ``_SCAN_FRACTION`` of the live edges the survivors are scanned in
-    order. That finish is exact: the survivors are exactly the edges with
-    both endpoints free, and earlier edges decided the rest.
+    ``_SCAN_FRACTION`` of the live edges, or the survivors fit one ``_CHUNK``
+    (a small input runs no round), they are scanned in order. That finish
+    is exact: they are the edges with both endpoints free, in order.
     """
     n, size = g.num_vertices, order.size
     us, vs = g.edge_u[order], g.edge_v[order]
@@ -168,7 +170,7 @@ def _greedy_matching(g: Graph, order: np.ndarray) -> np.ndarray:
     flags = bytearray(n)  # matched vertices, as the scan reads them
     matched = np.frombuffer(flags, dtype=bool)  # the same flags, as the rounds do
     parts = [np.empty(0, dtype=np.int64)]
-    while pos.size:
+    while pos.size > _CHUNK:
         first = np.full(n, size)  # per vertex: its first live position
         np.minimum.at(first, us, pos)
         np.minimum.at(first, vs, pos)

@@ -28,8 +28,9 @@ def max_weight_matching_bruteforce(g: Graph) -> OracleResult:
     """Exact optimum by include/exclude branching over edges.
 
     Edges are visited in decreasing weight order; a branch is cut when the
-    remaining total weight cannot beat the incumbent. Refuses instances
-    with more than ``ORACLE_EDGE_CAP`` edges.
+    remaining total weight cannot beat the incumbent. Only the include
+    branch recurses; the exclude branch is the next pass of a loop, and each
+    pass is a node. Refuses instances with more than ``ORACLE_EDGE_CAP`` edges.
     """
     m = g.num_edges
     if m > ORACLE_EDGE_CAP:
@@ -49,18 +50,19 @@ def max_weight_matching_bruteforce(g: Graph) -> OracleResult:
 
     def walk(i: int, used: int, total: float) -> None:
         nonlocal best_weight, best_chosen, nodes
-        nodes += 1
-        if total > best_weight:
-            best_weight = total
-            best_chosen = tuple(chosen)
-        if i == m or total + suffix[i] <= best_weight:
-            return
-        bit = bits[i]
-        if not used & bit:
-            chosen.append(order[i])
-            walk(i + 1, used | bit, total + w[i])
-            chosen.pop()
-        walk(i + 1, used, total)
+        while True:
+            nodes += 1
+            if total > best_weight:
+                best_weight = total
+                best_chosen = tuple(chosen)
+            if i == m or total + suffix[i] <= best_weight:
+                return
+            bit = bits[i]
+            if not used & bit:
+                chosen.append(order[i])
+                walk(i + 1, used | bit, total + w[i])
+                chosen.pop()
+            i += 1
 
     walk(0, 0, 0.0)
     return OracleResult(max(best_weight, 0.0), tuple(sorted(best_chosen)), nodes)

@@ -144,13 +144,13 @@ def test_shrink_rows_byte_for_byte(tmp_path):
                  "--no-rerandomize", "--no-check", "--out", str(out)]) == 0
     assert out.read_bytes() == (
         b"schema,instance,round,seeds_alive,mean_removed_fraction,mean_survivor_fraction\r\n"
-        b"locmax-bench-1,random-x7-a4-wunit-s0,0,3,0.7708333333333334,0.22916666666666663\r\n"
-        b"locmax-bench-1,random-x7-a4-wunit-s0,1,3,0.7244318181818182,0.27556818181818177\r\n"
-        b"locmax-bench-1,random-x7-a4-wunit-s0,2,3,0.8762886597938144,0.12371134020618557\r\n"
-        b"locmax-bench-1,random-x7-a4-wunit-s0,3,2,1.0,0.0\r\n"
-        b"locmax-bench-1,rgg-x6-wunit-s3,0,2,0.7647058823529411,0.23529411764705888\r\n"
-        b"locmax-bench-1,rgg-x6-wunit-s3,1,2,0.8269230769230769,0.17307692307692313\r\n"
-        b"locmax-bench-1,rgg-x6-wunit-s3,2,2,1.0,0.0\r\n"
+        b"locmax-bench-1,random-x7-a4-wunit-s0+1+2,0,3,0.7708333333333334,0.22916666666666663\r\n"
+        b"locmax-bench-1,random-x7-a4-wunit-s0+1+2,1,3,0.7244318181818182,0.27556818181818177\r\n"
+        b"locmax-bench-1,random-x7-a4-wunit-s0+1+2,2,3,0.8762886597938144,0.12371134020618557\r\n"
+        b"locmax-bench-1,random-x7-a4-wunit-s0+1+2,3,2,1.0,0.0\r\n"
+        b"locmax-bench-1,rgg-x6-wunit-s3+4,0,2,0.7647058823529411,0.23529411764705888\r\n"
+        b"locmax-bench-1,rgg-x6-wunit-s3+4,1,2,0.8269230769230769,0.17307692307692313\r\n"
+        b"locmax-bench-1,rgg-x6-wunit-s3+4,2,2,1.0,0.0\r\n"
     )
 
 

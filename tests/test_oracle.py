@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from locmax import build_graph, gen_random, local_max_seq, max_weight_matching_bruteforce
 from locmax.graph import Matching, matching_from_edge_ids, undominated_edges
 from locmax.bench import approximation_audit
-from locmax.matchers import MATCHERS
+from locmax.matchers import MATCHERS, greedy
 from locmax.oracle import random_audit_instance
 
 import reference as ref
@@ -103,25 +103,63 @@ def test_audit_hem_reports_without_half_bound():
     assert 0.0 < report.min_ratio <= 1.0
 
 
-def test_audit_counts_invalid_and_non_maximal_matchings(monkeypatch):
+def _unmated(g, seed):  # lists edge 0 but leaves the mate table empty
+    ids = np.arange(min(g.num_edges, 1))
+    return Matching(ids, np.full(g.num_vertices, -1)), None
+
+
+def _wrong_in(alter):
+    """greedy, with its matching in trial t (seed t) replaced by
+    ``alter[t](g, matching)``; trial 0's instance has 11 vertices, 15 edges
+    and 3 free vertices, and trial 2's matching holds its edge 0."""
+    def matcher(g, seed):
+        matching, trace = greedy(g, seed)
+        return alter.get(seed, lambda g, mt: mt)(g, matching), trace
+    return matcher
+
+
+def _edge_id_m(g, matching):
+    return Matching(np.append(matching.edges, g.num_edges), matching.mate)
+
+
+def _mate_entry(matching, v, entry):
+    mate = matching.mate.copy()
+    mate[v] = entry
+    return Matching(matching.edges, mate)
+
+
+def _not_dominant(g, matching):
+    # maximal, 0.849 of the optimum, but leaves out the heaviest edge
+    alt = matching_from_edge_ids(g, [2, 6, 11, 13, 14])
+    assert undominated_edges(g, alt) == 1
+    assert alt.weight(g) >= 0.5 * max_weight_matching_bruteforce(g).opt_weight
+    return alt
+
+
+@pytest.mark.parametrize("wrong, counts", [
+    (lambda g, seed: (matching_from_edge_ids(g, []), None), lambda w: (0, w, w)),
+    (_unmated, lambda w: (w, 0, 43)),
+    # an edge id one past the instance's last: in range for the union of all trials
+    (_wrong_in({0: _edge_id_m}), lambda w: (1, 0, 1)),
+    # ... where it names the next trial's edge 0, whose mate entries that trial
+    # keeps while it leaves the edge out: the union alone would see a matching
+    (_wrong_in({1: _edge_id_m, 2: lambda g, mt: Matching(mt.edges[1:], mt.mate)}),
+     lambda w: (2, 0, 2)),
+    # a free vertex's mate entry is -2, which the union must not read as -1
+    (_wrong_in({0: lambda g, mt: _mate_entry(mt, int(np.flatnonzero(mt.mate < 0)[0]), -2)}),
+     lambda w: (1, 0, 0)),
+    (_wrong_in({0: _not_dominant}), lambda w: (0, 0, 1)),
+    (_wrong_in({0: lambda g, mt: matching_from_edge_ids(g, mt.edges[1:])}), lambda w: (0, 1, 1)),
+], ids=["nothing", "unmated", "edge-id-m", "edge-id-m-aliased", "mate-minus-2", "not-dominant",
+        "not-maximal"])
+def test_audit_counts_invalid_and_non_maximal_matchings(monkeypatch, wrong, counts):
     trials = 60
     with_edges = sum(random_audit_instance(np.random.default_rng((0, t))).num_edges > 0
                      for t in range(trials))
     assert 0 < with_edges < trials
-
-    def nothing(g, seed):
-        return matching_from_edge_ids(g, []), None
-
-    def unmated(g, seed):  # lists edge 0 but leaves the mate table empty
-        ids = np.arange(min(g.num_edges, 1))
-        return Matching(ids, np.full(g.num_vertices, -1)), None
-
-    monkeypatch.setitem(MATCHERS, "greedy", nothing)
+    monkeypatch.setitem(MATCHERS, "greedy", wrong)
     report = approximation_audit("greedy", trials, 0)
-    assert (report.invalid, report.non_maximal, report.violations) == (
-        0, with_edges, with_edges)
-    monkeypatch.setitem(MATCHERS, "greedy", unmated)
-    assert approximation_audit("greedy", trials, 0).invalid == with_edges
+    assert (report.invalid, report.non_maximal, report.violations) == counts(with_edges)
 
 
 def test_audit_zero_trials_is_empty():
