@@ -68,11 +68,6 @@ class Graph:
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         return int(self.edge_u[edge_id]), int(self.edge_v[edge_id])
 
-    def total_weight(self, edge_ids) -> float:
-        """Sum of the weights of an array of edge ids, added in ascending id order."""
-        ids = np.sort(np.asarray(edge_ids, dtype=np.int64))
-        return float(self.edge_weight[ids].sum()) if ids.size else 0.0
-
 
 def build_graph(
     edge_list: Iterable[tuple[int, int, float]],
@@ -171,7 +166,8 @@ def assert_graph_invariants(g: Graph) -> None:
     """Raise ValueError unless the adjacency-array layout is fully consistent.
 
     Checks the offset monotonicity, the slot/edge cross-referencing (each
-    edge id appearing exactly twice, once per endpoint), simplicity and the
+    edge id in exactly two slots, whose lowest and highest owners, by
+    per-edge min and max reductions, are its endpoints), simplicity and the
     weight domain, reading (so computing) the layout. Used by tests and by
     the PRAM engine's checked mode on its input.
     """
@@ -193,17 +189,16 @@ def assert_graph_invariants(g: Graph) -> None:
         counts = np.bincount(g.slot_edge, minlength=m)
         if not np.all(counts == 2):
             raise ValueError("every edge id must appear in exactly two slots")
-        order = np.argsort(g.slot_edge, kind="stable")
-        owners = g.slot_vertex[order].reshape(m, 2)
-        lo = np.minimum(g.edge_u, g.edge_v)
-        hi = np.maximum(g.edge_u, g.edge_v)
-        if not (np.array_equal(np.minimum(owners[:, 0], owners[:, 1]), lo)
-                and np.array_equal(np.maximum(owners[:, 0], owners[:, 1]), hi)):
+        low, high = np.full(m, n, dtype=np.int64), np.full(m, -1, dtype=np.int64)
+        np.minimum.at(low, g.slot_edge, g.slot_vertex)
+        np.maximum.at(high, g.slot_edge, g.slot_vertex)
+        if not (np.array_equal(low, np.minimum(g.edge_u, g.edge_v))
+                and np.array_equal(high, np.maximum(g.edge_u, g.edge_v))):
             raise ValueError("slot owners disagree with edge endpoints")
         # the owners lie in [0, n), so now the endpoints do too
         if np.any(g.edge_u == g.edge_v):
             raise ValueError("self-loop present")
-        packed = lo.astype(np.int64) * n + hi
+        packed = low * n + high
         if np.unique(packed).size != m:
             raise ValueError("duplicate edge pair present")
         if np.any(~np.isfinite(g.edge_weight)) or np.any(g.edge_weight < 0):
@@ -239,7 +234,8 @@ class Matching:
         return int(self.edges.size)
 
     def weight(self, g: Graph) -> float:
-        return g.total_weight(self.edges)
+        """The matched weight, added in ascending edge id order."""
+        return float(g.edge_weight[self.edges].sum())
 
 
 def matching_from_edge_ids(g: Graph, edge_ids) -> Matching:

@@ -113,15 +113,17 @@ def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
     runs on all edges, whose positions are their input ids, so it needs no
     id array; ``live``, the survivors' input ids, starts after it.
     """
-    live = None  # the input numbering
     before = g.num_edges
+    if not before:
+        return
+    live = None  # the input numbering
     us, vs = g.edge_u, g.edge_v
     cand = _new_candidates(g.num_vertices)
     vertex_matched = np.zeros(g.num_vertices, dtype=bool)
     wbits = _deciding_bits(g.edge_weight)
     salts = edge_salts(round_seed(seed, 0), np.arange(before))
     round_index = 0
-    while before:
+    while True:
         won, dead = _local_max_round(cand, vertex_matched, us, vs, wbits, salts)
         if not won.size:
             raise RuntimeError(f"seq: round {round_index} matched none of {before} live edges")
@@ -218,7 +220,7 @@ _last_key_order: tuple = (lambda: None, None, None)
 
 def _descending_key_order(g: Graph, seed: int) -> np.ndarray:
     """Edge ids by decreasing round-0 (weight, salt, id) key: a weight sort
-    in which only the runs of equal weights are sorted again by full key.
+    in which only the runs of equal weights are sorted again, by (weight, salt).
 
     The result is read-only, and the last one is reused while it is asked
     for again with the same graph object and seed.
@@ -236,7 +238,7 @@ def _descending_key_order(g: Graph, seed: int) -> np.ndarray:
     in_run[:-1] |= tie
     at = np.flatnonzero(in_run)
     ids = order[at]
-    order[at] = ids[np.lexsort((ids, edge_salts(salt_seed, ids), w[ids]))]
+    order[at] = ids[np.lexsort((edge_salts(salt_seed, ids), w[ids]))]
     order = order[::-1]
     order.setflags(write=False)
     _last_key_order = (weakref.ref(g), salt_seed, order)
@@ -306,27 +308,24 @@ def _gpa_pass(g: Graph, seed: int) -> Rounds:
     slot = np.full(2 * n, -1, dtype=np.int64)
     slot[2 * ends + (first[ends] != pos)] = accepted[pos >> 1]
 
-    # decompose into open paths and (even) cycles, each walked from its
-    # smallest vertex along that vertex's first accepted edge; a first walk
-    # round each cycle, from where it closed, finds that vertex
+    # walk the open paths, then the (even) cycles, each from its smallest
+    # vertex along that vertex's first accepted edge; a first walk round
+    # each cycle, from where it closed, finds that vertex
     walks = partial(_walks, far=g.edge_u ^ g.edge_v, slot=slot, slot_list=slot.tolist(),
                     deg=deg)
-    paths, path_base, path_len = walks(
-        np.flatnonzero((degree == 1) & (np.array(end) > np.arange(n))))
     around, around_base, _ = walks(np.array(closing, dtype=np.int64))
     lowest = np.minimum(g.edge_u[around], g.edge_v[around])
-    cycles, cycle_base, cycle_len = walks(
-        np.minimum.reduceat(lowest, around_base) if around.size else around)
+    path_starts = np.flatnonzero((degree == 1) & (np.array(end) > np.arange(n)))
+    walked, base, length = walks(np.concatenate(
+        [path_starts, np.minimum.reduceat(lowest, around_base) if around.size else around]))
 
     # A cycle walk lists its first edge again at the end, so the two paths
     # left by deleting either of two adjacent edges are runs of it; every
     # cycle matching misses one of them.
-    p, c = path_len.size, cycle_len.size
-    walked = np.concatenate([paths, cycles])
-    cycle_base += paths.size
+    p, c = path_starts.size, len(closing)
     best, chosen_path, chosen_at = _solve_paths(
-        walked, np.concatenate([path_base, cycle_base + 1, cycle_base + 2]),
-        np.concatenate([path_len, cycle_len - 2, cycle_len - 2]), g.edge_weight)
+        walked, np.concatenate([base[:p], base[p:] + 1, base[p:] + 2]),
+        np.concatenate([length[:p], length[p:] - 2, length[p:] - 2]), g.edge_weight)
     first_wins = best[p:p + c] >= best[p + c:]
     kept = np.concatenate([np.ones(p, dtype=bool), first_wins, ~first_wins])
     solved = walked[chosen_at[kept[chosen_path]]]

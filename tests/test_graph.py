@@ -241,9 +241,12 @@ def _pair_graph(us, vs) -> Graph:
     ({"slot_vertex": [0, 2, 2, 3]}, "slot_vertex disagrees with the offsets segmentation"),
     *(({"slot_edge": [e, 0, 1, 1]}, "slot_edge references an edge id out of range")
       for e in (-1, -6, 2, 7)),
+    # each id twice and each slot at an end of some edge, but edge 0's sit at 0 and 2
+    ({"slot_edge": [0, 1, 0, 1]}, "slot owners disagree with edge endpoints"),
 ], ids=["offsets-length", "offsets-ends", "offsets-order", "slot-length", "edge-slot-count",
         "slot-owners", "nan-weight", "negative-weight", "both-slots-at-one-end",
-        "slot-at-neither-end", *(f"slot-edge-{e}" for e in (-1, -6, 2, 7))])
+        "slot-at-neither-end", *(f"slot-edge-{e}" for e in (-1, -6, 2, 7)),
+        "slot-edges-interleaved"])
 def test_invariants_reject_each_inconsistent_layout(fields, message):
     # edges (0, 1) and (2, 3): offsets [0, 1, 2, 3, 4], slot_edge [0, 0, 1, 1]
     g = build_graph([(0, 1, 1.0), (2, 3, 2.0)])

@@ -1,4 +1,5 @@
-"""No module of the package or its tests imports a name it never uses.
+"""No module of the package or its tests imports a name it never uses, and
+the package defines no private name that it never reads.
 
 A stale-import check on the standard library's ``ast``: a name counts as
 used where the module reads it, or where a string that is not a docstring
@@ -10,12 +11,14 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "locmax").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "locmax").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str, reexports: bool = False) -> list[str]:
@@ -51,3 +54,41 @@ def test_an_unused_import_is_found():
               '    monkeypatch.setattr("pathlib.Path", None)\n')
     assert unused_imports(source) == ["np", "Graph"]
     assert unused_imports(source, reexports=True) == ["np"]
+
+
+def dead_private_names(sources: list[str]) -> list[str]:
+    """The module-level private functions, classes and constants (one
+    leading underscore) of the modules ``sources`` that no module reads,
+    by name or as an attribute, outside the statement defining them."""
+    defined = []  # (name, id of its top-level statement)
+    readers = defaultdict(set)  # name -> ids of the top-level statements reading it
+    for tree in map(ast.parse, sources):
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(name, id(stmt)) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers[node.id].add(id(stmt))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    readers[node.attr].add(id(stmt))
+    return [name for name, stmt in defined if not readers[name] - {stmt}]
+
+
+def test_every_private_name_of_the_package_is_read():
+    assert dead_private_names([path.read_text() for path in PACKAGE]) == []
+
+
+def test_a_dead_private_name_is_found():
+    a = ('_LIMIT = 3\n_unused = 4\n\n'
+         'def _helper(x):\n    return _helper(x - 1) if x else _LIMIT\n\n'
+         'class _Kept:\n    pass\n\n'
+         'def _shared():\n    return _Kept\n')
+    b = 'from .a import _shared\n\ndef public():\n    return _shared()\n'
+    assert dead_private_names([a, b]) == ["_unused", "_helper"]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locmax.matchers
+import locmax.pram
 import locmax.tiebreak
 import reference as ref
 from locmax import (
@@ -335,10 +336,15 @@ EMPTY_GRAPH_ENGINES = {
 
 
 @pytest.mark.parametrize("engine", sorted(EMPTY_GRAPH_ENGINES))
-def test_every_engine_handles_empty_graph(engine):
-    """No edges means no rounds; bsp's ledger then holds no messages."""
+def test_every_engine_handles_empty_graph(engine, monkeypatch):
+    """No edges means no rounds and no salts; bsp's ledger then holds no
+    messages."""
     g = build_graph([], num_vertices=4)
+    salted = []
+    for module in (locmax.matchers, locmax.pram):
+        monkeypatch.setattr(module, "edge_salts", lambda *args: salted.append(args))
     matching, trace = EMPTY_GRAPH_ENGINES[engine](g)
+    assert salted == []
     assert matching.edges.tolist() == []
     assert trace.rounds == []
     assert trace.messages == ([] if engine.startswith("bsp") else None)
