@@ -144,9 +144,6 @@ def _take(wbits: np.ndarray | None, at: np.ndarray) -> np.ndarray | None:
     return None if wbits is None else wbits[at]
 
 
-#: The greedy kernel's rounds give way to its scan once a round matches
-#: fewer than this share of the live edges.
-_SCAN_FRACTION = 1 / 128
 #: Edges per chunk of a Python scan; each chunk first drops the edges that
 #: an earlier chunk has ruled out, with one array test.
 _CHUNK = 4096
@@ -154,57 +151,32 @@ _CHUNK = 4096
 
 def _greedy_matching(g: Graph, order: np.ndarray) -> np.ndarray:
     """The edges of ``order`` that a first-to-last scan matches, taking each
-    edge whose endpoints are both free.
+    edge whose endpoints are both free: greedy, HEM and GPA's sweep.
 
-    Runs local max rounds on the fixed priority of each edge's position in
-    ``order``: an edge first at both its endpoints among the live edges is
-    one the scan takes (Preis 1999), and with a random order few rounds
-    suffice (Blelloch, Fineman and Shun 2012). Orders with a long
-    dependency chain, such as rising weights along a path, would need a
-    round per matched edge, so once a round matches fewer than
-    ``_SCAN_FRACTION`` of the live edges, or the survivors fit one ``_CHUNK``
-    (a small input runs no round), they are scanned in order. That finish
-    is exact: they are the edges with both endpoints free, in order.
+    The scan runs in chunks of ``_CHUNK`` edges, in Python; each chunk skips
+    at once, with one array test, the edges that earlier chunks ruled out.
     """
-    n, size = g.num_vertices, order.size
-    us, vs = g.edge_u[order], g.edge_v[order]
-    pos = np.arange(size)
-    flags = bytearray(n)  # matched vertices, as the scan reads them
-    matched = np.frombuffer(flags, dtype=bool)  # the same flags, as the rounds do
+    flags = bytearray(g.num_vertices)  # matched vertices, as the loop reads them
+    matched = np.frombuffer(flags, dtype=bool)  # the same flags, as arrays read them
     parts = [np.empty(0, dtype=np.int64)]
-    while pos.size > _CHUNK:
-        first = np.full(n, size)  # per vertex: its first live position
-        np.minimum.at(first, us, pos)
-        np.minimum.at(first, vs, pos)
-        won = np.flatnonzero((first[us] == pos) & (first[vs] == pos))
-        matched[us[won]] = True
-        matched[vs[won]] = True
-        alive = np.flatnonzero(~(matched[us] | matched[vs]))
-        parts.append(pos[won])
-        few = won.size < _SCAN_FRACTION * pos.size
-        # one array at a time, so each old array is freed before the next gather
-        pos = pos[alive]
-        us = us[alive]
-        vs = vs[alive]
-        if few:
-            break
-    for at in range(0, pos.size, _CHUNK):
-        cu, cv, cp = us[at:at + _CHUNK], vs[at:at + _CHUNK], pos[at:at + _CHUNK]
+    for at in range(0, order.size, _CHUNK):
+        ids = order[at:at + _CHUNK]
+        cu, cv = g.edge_u[ids], g.edge_v[ids]
         keep = ~(matched[cu] | matched[cv])
         new = []
-        for u, v, p in zip(cu[keep].tolist(), cv[keep].tolist(), cp[keep].tolist()):
+        for u, v, k in zip(cu[keep].tolist(), cv[keep].tolist(), ids[keep].tolist()):
             if not (flags[u] or flags[v]):
                 flags[u] = flags[v] = 1
-                new.append(p)
+                new.append(k)
         parts.append(np.array(new, dtype=np.int64))
-    return order[np.concatenate(parts)]
+    return np.concatenate(parts)
 
 
 def greedy(g: Graph, seed: int) -> tuple[Matching, PhaseTrace]:
     """Match edges by decreasing round-0 key whenever both endpoints are free.
 
-    Computed by the fixed-order kernel :func:`_greedy_matching`; the trace
-    reports it as one pass over all edges.
+    Computed by the greedy scan :func:`_greedy_matching`; the trace reports
+    it as one pass over all edges.
     """
     return _drive(g, _greedy_pass(g, seed))
 

@@ -5,7 +5,7 @@ the grid neighbour search, the generators and the matching validator that
 the array-based code in ``locmax`` replaced, the rank-based PRAM, BSP
 and red-blue engines that sorted every round's keys before the staged
 (weight, salt, id) maximum replaced the sort, the edge-scan greedy,
-per-vertex HEM and union-find GPA that the fixed-order greedy kernel and
+per-vertex HEM and union-find GPA that the chunked greedy scan and
 the path-end tables replaced, pram's ``reduceat`` vertex totals and the
 one-pass SplitMix64 finalizer that a scatter-max and a blocked mix
 replaced, and the brute-force oracle as it was before its bookkeeping was

@@ -102,6 +102,16 @@ def test_local_max_rerandomize_off_still_maximal_and_close():
         w_on, w_off = _weights(g, m_on), _weights(g, m_off)
         diffs.append(abs(w_on - w_off) / w_on)
     assert sum(diffs) / len(diffs) <= 0.03
+    # with fixed keys, every engine's local max is greedy (Preis 1999)
+    fixed_key_cases = [(gen_rgg(10, seed), seed) for seed in range(5)]
+    fixed_key_cases += [(with_unit_weights(gen_random(1 << 10, 4, 5)), 5),
+                        (gen_random(1 << 10, 4, 6), 6),
+                        (build_graph([(i, i + 1, float(i)) for i in range(1023)]), 7)]
+    for g, seed in fixed_key_cases:
+        expected = greedy(g, seed)[0]
+        assert local_max_seq(g, seed, rerandomize=False)[0] == expected
+        assert bsp_local_max(g, 4, seed, rerandomize=False)[0] == expected
+        assert pram_local_max(g, seed, rerandomize=False)[0] == expected
 
 
 # ------------------------------------------------------------------- greedy
