@@ -248,9 +248,9 @@ def engine_cross_check(instances: tuple[InstanceSpec, ...], seeds: tuple[int, ..
 
     Runs the sequential engine, the simulated-parallel engine (in checked
     mode, recording write conflicts and the work meter) and the
-    bulk-synchronous engine for every requested worker count. bsp runs
-    seq's rounds and pram shares their round, so agreement cannot catch a
-    kernel defect: every matching must also be locally dominant, a
+    bulk-synchronous engine for every requested worker count. The three run
+    one loop of local max rounds, so agreement cannot catch a kernel
+    defect: every matching must also be locally dominant, a
     certificate shared with no engine (as are the tests' reference engines).
     A run whose matching differs from seq's is flagged by its engine
     (``bsp-p4``), one whose ``RoundStats`` differ by its engine and

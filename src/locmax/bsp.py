@@ -6,12 +6,12 @@ settles the candidate of any vertex it owns from local data alone. A BSP
 round is therefore a round of the sequential engine: the same staged
 (weight, salt) maximum, the same win rule and the same survivors, and the
 matching is identical for every worker count. The engine runs those rounds
-(:func:`locmax.matchers._local_max_rounds`) and adds a ledger of what
-would cross the network between the p workers in each round: (a) candidate
-records for the endpoints of surviving cut edges, exchanged at the first
-barrier so both owners of a cut edge reach the same match verdict, and
-(b) matched-status flags for cut-edge endpoints at the second barrier so
-both owners agree which edges die.
+(:func:`locmax.matchers._local_max_rounds`, pram's loop too) and adds a
+ledger of what would cross the network between the p workers in each
+round: (a) candidate records for the endpoints of surviving cut edges,
+exchanged at the first barrier so both owners of a cut edge reach the same
+match verdict, and (b) matched-status flags for cut-edge endpoints at the
+second barrier so both owners agree which edges die.
 
 Workers here are logical. The ledger is computed once per run from the
 round in which each vertex was matched: a cut edge survives into every
@@ -108,7 +108,7 @@ def bsp_local_max(
 
 def _bsp_rounds(g: Graph, p: int, seed: int, rerandomize: bool,
                 messages: list[RoundMessages]) -> Rounds:
-    """Seq's rounds, passed through unchanged, then the run's message ledger."""
+    """The rounds of seq and pram, passed through unchanged, then the ledger."""
     part = partition_graph(g, p)
     # an unmatched vertex keeps n, later than any round
     matched_round = np.full(g.num_vertices, g.num_vertices, dtype=np.int64)

@@ -8,7 +8,7 @@ slot per endpoint: the layout the PRAM model's segmented operations use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -30,8 +30,8 @@ class Graph:
     edge_weight: np.ndarray  # (m,) float64
 
     def __post_init__(self) -> None:
-        for f in fields(self)[1:]:
-            getattr(self, f.name).setflags(write=False)
+        for column in (self.edge_u, self.edge_v, self.edge_weight):
+            column.setflags(write=False)
 
     @cached_property
     def offsets(self) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .graph import Graph, Matching, matching_from_edge_ids
-from .tiebreak import _deciding_bits, _new_candidates, _raise_candidates, _reset_candidates
+from .tiebreak import _deciding_bits, _new_candidates, _raise_candidates
 from .tiebreak import edge_salts, round_seed, vertex_coins
 
 #: One round of an engine: live edges before it, the edge ids it matched,
@@ -79,64 +79,52 @@ def _drive(g: Graph, rounds: Rounds,
 def local_max_seq(g: Graph, seed: int, rerandomize: bool = True) -> tuple[Matching, PhaseTrace]:
     """Repeatedly match every edge that is heaviest at both its endpoints.
 
-    Each round makes three passes over the surviving edges: pass 1 raises
-    per-vertex candidates to the heaviest incident edge, pass 2 matches
-    edges that are the candidate of both endpoints (both are
-    :func:`_local_max_round`, pram's round too), pass 3 drops edges with a
-    matched endpoint and resets the candidates of surviving endpoints to
-    the dummy. Candidates are allocated once up front; rounds touch only
-    surviving edges (no sorting, no vertex scans), so total work stays
-    linear under geometric shrinkage.
+    Each round is one phase, :func:`_local_max_phase` (bsp's and pram's
+    round too), on the graph of the surviving edges, with fresh candidates
+    and marks: it raises them to each vertex's heaviest edge, matches the
+    edges that are the candidate of both endpoints and keeps the edges with
+    no matched endpoint. Rounds pass over surviving edges only, unsorted.
     """
     return _drive(g, _local_max_rounds(g, seed, rerandomize))
 
 
-def _local_max_round(cand, vertex_matched, us, vs, wbits, salts):
-    """The round of seq, bsp and pram over the live edges ``(us, vs)``: the
-    edges that :func:`_raise_candidates` returns as winners at both ends,
-    whose endpoints it marks in ``vertex_matched``, and the mask of the
-    edges with a matched endpoint."""
-    won = _raise_candidates(cand, (us, vs), wbits, salts)
-    vertex_matched[us[won]] = True
-    vertex_matched[vs[won]] = True
-    return won, vertex_matched[us] | vertex_matched[vs]
+def _local_max_phase(g: Graph, ids: np.ndarray | None,
+                     rs: int) -> tuple[np.ndarray, np.ndarray, Graph]:
+    """The round of seq, bsp and pram on all edges of ``g``, whose edge k is
+    input edge ``ids[k]`` (input edge k when ``ids`` is None), salted by
+    round seed ``rs``: the edges that :func:`_raise_candidates` returns as
+    winners at both ends, the edges with no matched endpoint, and the
+    graph of those survivors. A function of its arguments alone."""
+    n, us, vs = g.num_vertices, g.edge_u, g.edge_v
+    won = _raise_candidates(_new_candidates(n), (us, vs), _deciding_bits(g.edge_weight),
+                            edge_salts(rs, np.arange(g.num_edges) if ids is None else ids))
+    matched = np.zeros(n, dtype=bool)
+    matched[us[won]] = True
+    matched[vs[won]] = True
+    keep = np.flatnonzero(~(matched[us] | matched[vs]))
+    return won, keep, Graph(n, us[keep], vs[keep], g.edge_weight[keep])
 
 
-def _local_max_rounds(g: Graph, seed: int, rerandomize: bool) -> Rounds:
-    """Local max on all edges of ``g``: the rounds of both ``local_max_seq``
-    and ``bsp_local_max``, which adds its message ledger around them.
-
-    Endpoints and weight bits are gathered once and filtered with the live
-    set, and so are the salts unless ``rerandomize`` draws new ones every
-    round. Each round is :func:`_local_max_round` on the survivors; when
-    all weights are equal, no round runs the kernel's weight stage. Round 1
-    runs on all edges, whose positions are their input ids, so it needs no
-    id array; ``live``, the survivors' input ids, starts after it.
+def _local_max_rounds(g: Graph, seed: int, rerandomize: bool,
+                      check: Callable | None = None) -> Rounds:
+    """The rounds of seq, bsp and pram: :func:`_local_max_phase` on the
+    survivors of the round before, each passed with its results to
+    ``check(g, won, keep, rest)`` if given (checked pram's). Round 1 runs
+    on the input numbering, so ``ids``, the input ids, starts after it.
     """
-    before = g.num_edges
-    if not before:
-        return
-    live = None  # the input numbering
-    us, vs = g.edge_u, g.edge_v
-    cand = _new_candidates(g.num_vertices)
-    vertex_matched = np.zeros(g.num_vertices, dtype=bool)
-    wbits = _deciding_bits(g.edge_weight)
-    salts = edge_salts(round_seed(seed, 0), np.arange(before))
+    ids = None
     round_index = 0
-    while True:
-        won, dead = _local_max_round(cand, vertex_matched, us, vs, wbits, salts)
+    while g.num_edges:
+        before = g.num_edges
+        won, keep, rest = _local_max_phase(g, ids, round_seed(seed, round_index, rerandomize))
         if not won.size:
-            raise RuntimeError(f"seq: round {round_index} matched none of {before} live edges")
-        # pass 3: drop edges with a matched endpoint, reset survivors' candidates
-        alive = np.flatnonzero(~dead)
-        yield before, won if live is None else live[won], alive.size
-        if not alive.size:
-            return
-        live = alive if live is None else live[alive]
-        us, vs, wbits, before = us[alive], vs[alive], _take(wbits, alive), alive.size
-        _reset_candidates(cand, us, vs)
+            raise RuntimeError(f"local max: round {round_index} matched none of {before} "
+                               "live edges")
+        if check is not None:
+            check(g, won, keep, rest)
+        yield before, won if ids is None else ids[won], rest.num_edges
+        g, ids = rest, keep if ids is None else ids[keep]
         round_index += 1
-        salts = edge_salts(round_seed(seed, round_index), live) if rerandomize else salts[alive]
 
 
 def _take(wbits: np.ndarray | None, at: np.ndarray) -> np.ndarray | None:
@@ -468,10 +456,6 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
     round with one matches an edge, as each blue proposer sends one offer
     and each red receiver of an offer takes one, so it raises if none is."""
     n = g.num_vertices
-    # a blue vertex's heaviest outgoing proposal and a red one's heaviest
-    # incoming one share a table: a round's blue and red vertices are disjoint
-    cand = _new_candidates(n)
-    vertex_matched = np.zeros(n, dtype=bool)
     live = np.arange(g.num_edges, dtype=np.int64)
     us, vs, wbits = g.edge_u, g.edge_v, _deciding_bits(g.edge_weight)
     round_index = idle = 0
@@ -487,15 +471,17 @@ def _rbm_rounds(g: Graph, seed: int) -> Rounds:
         red = np.where(u_blue, vs[bi], us[bi])
         ids, wb = live[bi], _take(wbits, bi)
         salts = edge_salts(rs, ids)
+        # blue proposers and red receivers share a fresh table: a round's
+        # blue and red vertices are disjoint
+        cand = _new_candidates(n)
         sent = _raise_candidates(cand, (blue,), wb, salts)
         to, sent_ids = red[sent], ids[sent]
         took = _raise_candidates(cand, (to,), _take(wb, sent), salts[sent])
         if bi.size and not took.size:
             raise RuntimeError(f"rbm: round {round_index} matched none of {live.size} live edges")
+        vertex_matched = np.zeros(n, dtype=bool)
         vertex_matched[blue[sent[took]]] = True
         vertex_matched[to[took]] = True
-        # every red receiver took an offer and is matched, so its entry is never read again
-        _reset_candidates(cand, blue)
         alive = np.flatnonzero(~(vertex_matched[us] | vertex_matched[vs]))
         yield live.size, sent_ids[took], alive.size
         live, us, vs, wbits = live[alive], us[alive], vs[alive], _take(wbits, alive)

@@ -3,10 +3,10 @@
 A phase maps a graph in the adjacency-array layout (edge records plus
 per-vertex incidence slots) to the smaller graph of its surviving edges, on
 which the next phase runs. It is a fixed sequence of whole-array passes,
-one simulated parallel step each (listed in :func:`pram_phase`): seq's
-round, then the compaction of the edges and the slots. Survivors keep
-their order, so their compacted slots are the smaller graph's own layout,
-and the simulation copies only the edge records.
+one simulated parallel step each (listed in :func:`pram_phase`): the
+local max phase that seq and bsp run too, then the compaction of the edges
+and the slots. Survivors keep their order, so their compacted slots are
+the smaller graph's own layout, and the simulation copies only the edges.
 
 In checked mode a write log records the one step whose writes can land on
 one cell: step 4's marks, where two matched edges at a vertex would mark it
@@ -20,12 +20,12 @@ valid layout, so that equality validates every phase's graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .graph import Graph, Matching, assert_graph_invariants
-from .matchers import PhaseTrace, Rounds, _drive, _local_max_round
-from .tiebreak import _deciding_bits, _new_candidates, edge_salts, round_seed
+from .matchers import PhaseTrace, _drive, _local_max_phase, _local_max_rounds
 
 
 @dataclass
@@ -70,39 +70,41 @@ def pram_phase(g: Graph, edge_orig: np.ndarray | None, round_seed_value: int,
     list of survivors, and an exclusive prefix sum over the slot deletion
     flags, written in place, gives the slots theirs, (6) survivors copy
     over, slot edge ids are rewritten through the new addresses, and each
-    offset drops by the slots deleted before it. Steps 1-4 are seq's round
-    on fresh candidates and marks; its kernel reads the endpoint columns,
-    which hold exactly a vertex's slots. Without a ``log`` only the edges
-    are compacted. With one, step 4's marks are recorded and the compacted
-    slots must equal the returned graph's (or RuntimeError), which, for a
-    valid ``g``, makes its layout valid too.
+    offset drops by the slots deleted before it. Steps 1-4 are the round of
+    seq and bsp (:func:`locmax.matchers._local_max_phase`) on fresh tables;
+    its kernel reads the endpoint columns, which hold exactly a vertex's
+    slots. Without a ``log`` only the edges are compacted. With one, step
+    4's marks are recorded and the compacted slots must equal the returned
+    graph's (or RuntimeError), which, for a valid ``g``, makes its layout
+    valid too.
     """
-    n = g.num_vertices
-    ids = np.arange(g.num_edges) if edge_orig is None else edge_orig
-    # steps 1-4: seq's round, on fresh candidates and marks
-    matched_vertex = np.zeros(n, dtype=bool)
-    matched_edges, dead_edge = _local_max_round(
-        _new_candidates(n), matched_vertex, g.edge_u, g.edge_v,
-        _deciding_bits(g.edge_weight), edge_salts(round_seed_value, ids))
-    keep_e = np.flatnonzero(~dead_edge)
-    rest = Graph(n, g.edge_u[keep_e], g.edge_v[keep_e], g.edge_weight[keep_e])
+    won, keep, rest = _local_max_phase(g, edge_orig, round_seed_value)
     if log is not None:
-        # step 4: two matched edges at one vertex would both write its mark
-        log.record(np.concatenate((g.edge_u[matched_edges], g.edge_v[matched_edges])))
-        # step 5: each surviving edge writes its own new address, its index in keep_e;
-        # the slots' exclusive prefix sum moves slots and offsets
-        new_edge_index = np.cumsum(~dead_edge) - 1
-        dead_slot = dead_edge[g.slot_edge]
-        dead_before = np.concatenate(([0], np.cumsum(dead_slot)))
-        keep_s = np.flatnonzero(~dead_slot)
-        # step 6: copy the slots, rewrite their edge ids, shift the offsets
-        if not (np.array_equal(g.offsets - dead_before[g.offsets], rest.offsets)
-                and np.array_equal(g.slot_vertex[keep_s], rest.slot_vertex)
-                and np.array_equal(new_edge_index[g.slot_edge[keep_s]], rest.slot_edge)):
-            raise RuntimeError("pram: the compacted slots differ from the survivors' layout")
+        _check_phase(log, g, won, keep, rest)
     if edge_orig is None:
-        return matched_edges, rest, keep_e
-    return edge_orig[matched_edges], rest, edge_orig[keep_e]
+        return won, rest, keep
+    return edge_orig[won], rest, edge_orig[keep]
+
+
+def _check_phase(log, g, won, keep, rest) -> None:
+    """Checked mode's share of a phase on ``g`` that matched ``won`` and kept
+    ``keep`` as ``rest``: step 4's marks go to ``log``, and steps 5-6's
+    compacted slots must equal ``rest``'s (or RuntimeError)."""
+    # step 4: two matched edges at one vertex would both write its mark
+    log.record(np.concatenate((g.edge_u[won], g.edge_v[won])))
+    # step 5: each surviving edge writes its own new address, its index in keep;
+    # the slots' exclusive prefix sum moves slots and offsets
+    dead_edge = np.ones(g.num_edges, dtype=bool)
+    dead_edge[keep] = False
+    new_edge_index = np.cumsum(~dead_edge) - 1
+    dead_slot = dead_edge[g.slot_edge]
+    dead_before = np.concatenate(([0], np.cumsum(dead_slot)))
+    keep_s = np.flatnonzero(~dead_slot)
+    # step 6: copy the slots, rewrite their edge ids, shift the offsets
+    if not (np.array_equal(g.offsets - dead_before[g.offsets], rest.offsets)
+            and np.array_equal(g.slot_vertex[keep_s], rest.slot_vertex)
+            and np.array_equal(new_edge_index[g.slot_edge[keep_s]], rest.slot_edge)):
+        raise RuntimeError("pram: the compacted slots differ from the survivors' layout")
 
 
 def pram_local_max(
@@ -123,24 +125,12 @@ def pram_local_max(
     of surviving edges: the linear-work evidence.
     """
     log = WriteLog() if checked else None
+    if checked:
+        assert_graph_invariants(g)
     trace = PhaseTrace(write_log=log)
-    matching, _ = _drive(g, _pram_rounds(g, seed, rerandomize, log), trace)
+    check = partial(_check_phase, log) if checked else None
+    matching, _ = _drive(g, _local_max_rounds(g, seed, rerandomize, check), trace)
     # the layout and the edge_orig ids, then each phase's live edges and their 2 slots each
     live_edges = sum(r.edges_before for r in trace.rounds)
     trace.slot_ops = g.num_vertices + 3 * g.num_edges + 3 * live_edges
     return matching, trace
-
-
-def _pram_rounds(g: Graph, seed: int, rerandomize: bool, log: WriteLog | None) -> Rounds:
-    """The phases of :func:`pram_local_max`; a write log means checked mode."""
-    orig = None  # phase 1 runs on the input numbering
-    if log is not None:
-        assert_graph_invariants(g)
-    round_index = 0
-    while g.num_edges:
-        before = g.num_edges
-        matched, g, orig = pram_phase(g, orig, round_seed(seed, round_index, rerandomize), log)
-        if not matched.size:
-            raise RuntimeError(f"pram: round {round_index} matched none of {before} live edges")
-        yield before, matched, g.num_edges
-        round_index += 1

@@ -127,10 +127,10 @@ def _deciding_bits(weights: np.ndarray) -> np.ndarray | None:
     hold at most one weight; -0.0 and 0.0 are one.
 
     Equal weights decide no key, so the kernel given None skips its weight
-    stage. The survivors of one weight hold one weight too, so a caller
-    decides once for all the rounds it runs on the same edges.
+    stage. A local max phase decides for its own edges; rbm decides once
+    per run, as the survivors of one weight hold one weight too.
     """
-    return None if not weights.size or np.all(weights == weights[0]) else weight_bits(weights)
+    return None if not weights.size or (weights == weights[0]).all() else weight_bits(weights)
 
 
 def _raise_candidates(cand, ends, wbits, salts) -> np.ndarray:
@@ -143,10 +143,11 @@ def _raise_candidates(cand, ends, wbits, salts) -> np.ndarray:
     over all columns before the next reads it. When ``wbits`` is None (one
     weight, see :func:`_deciding_bits`), stage 1 is skipped and ``cand``'s
     weights are left as they are. The offered vertices' candidates must
-    start at the dummy and salts be distinct per offer (one round's are per
-    edge), so an offer holds its vertex's key iff it holds its salt: the
-    first column is read only at the weight-maximal offers, and a later one
-    only at the offers that still win.
+    start at the dummy (every caller passes a fresh table) and salts be
+    distinct per offer (one round's are per edge), so an offer holds its
+    vertex's key iff it holds its salt: the first column is read only at
+    the weight-maximal offers, and a later one only at the offers that
+    still win.
     """
     cand_w, cand_s = cand
     won = None  # the offers still winning; None for all of them
@@ -164,11 +165,3 @@ def _raise_candidates(cand, ends, wbits, salts) -> np.ndarray:
         won = (np.flatnonzero(cand_s[e] == salts) if won is None
                else won.compress(cand_s[e[won]] == salts[won]))
     return won
-
-
-def _reset_candidates(cand, *ends: np.ndarray) -> None:
-    """Put the candidates of the given vertices back to the dummy."""
-    cand_w, cand_s = cand
-    for e in ends:
-        cand_w[e] = 0
-        cand_s[e] = 0

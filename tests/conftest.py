@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import locmax.matchers
-import locmax.pram
 from locmax import Graph, build_graph
 
 
@@ -64,7 +63,6 @@ def salt_only(monkeypatch) -> None:
     def one_weight(weights):
         return None
     monkeypatch.setattr(locmax.matchers, "_deciding_bits", one_weight)
-    monkeypatch.setattr(locmax.pram, "_deciding_bits", one_weight)
 
 
 def random_graph_edges(rng: np.random.Generator, n: int, m: int) -> list[tuple[int, int, float]]:

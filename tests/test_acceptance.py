@@ -210,28 +210,34 @@ def test_c05_quality_vs_gpa():
     )
 
 
+def _cross_check_faults(rows) -> tuple[list[str], int, list[tuple]]:
+    """c06-c08's findings on cross-check rows: the cells whose engines
+    disagree, the checked-mode write conflicts, and the runs over the work
+    budget."""
+    return ([f"{r.instance}/s{r.seed}:{r.detail}" for r in rows if not r.matched],
+            sum(r.crew_conflicts for r in rows),
+            [(r.instance, r.seed, r.slot_ops, r.work_budget)
+             for r in rows if r.slot_ops > r.work_budget])
+
+
 def test_c06_engine_equivalence(crosscheck):
-    bad = [r for r in crosscheck if not r.matched]
+    bad = _cross_check_faults(crosscheck)[0]
     runs = len(crosscheck)
     _report(
         6,
         not bad and runs == 100,
         f"{runs} instance/seed cells, engines seq=pram=bsp(p in 1,2,4,8) identical; "
-        f"mismatches: {[f'{r.instance}/s{r.seed}:{r.detail}' for r in bad] or 'none'}",
+        f"mismatches: {bad or 'none'}",
     )
 
 
 def test_c07_exclusive_write_compliance(crosscheck):
-    conflicts = sum(r.crew_conflicts for r in crosscheck)
+    conflicts = _cross_check_faults(crosscheck)[1]
     _report(7, conflicts == 0, f"checked-mode write conflicts across all runs: {conflicts}")
 
 
 def test_c08_linear_work_evidence(crosscheck):
-    over = [
-        (r.instance, r.seed, r.slot_ops, r.work_budget)
-        for r in crosscheck
-        if r.slot_ops > r.work_budget
-    ]
+    over = _cross_check_faults(crosscheck)[2]
     worst = max((r.slot_ops / r.work_budget) for r in crosscheck if r.work_budget)
     _report(
         8,
@@ -239,6 +245,14 @@ def test_c08_linear_work_evidence(crosscheck):
         f"slot operations <= 8*(n+2m) on every run; worst ratio {worst:.3f}; "
         f"over budget: {over or 'none'}",
     )
+
+
+def test_c06_to_c08_at_the_benchmark_scale():
+    # the engines on the 2^16-vertex graphs the benchmark runs, checked pram included
+    rows = engine_cross_check((InstanceSpec("rgg", 16), InstanceSpec("random", 16, 4, "unit")),
+                              seeds=(0,), workers=(1, 2, 4, 8))
+    assert len(rows) == 2
+    assert _cross_check_faults(rows) == ([], 0, [])
 
 
 def test_c09_compaction_correctness():

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locmax.matchers
-import locmax.pram
 import locmax.tiebreak
 import reference as ref
 from locmax import (
@@ -351,8 +350,7 @@ def test_every_engine_handles_empty_graph(engine, monkeypatch):
     messages."""
     g = build_graph([], num_vertices=4)
     salted = []
-    for module in (locmax.matchers, locmax.pram):
-        monkeypatch.setattr(module, "edge_salts", lambda *args: salted.append(args))
+    monkeypatch.setattr(locmax.matchers, "edge_salts", lambda *args: salted.append(args))
     matching, trace = EMPTY_GRAPH_ENGINES[engine](g)
     assert salted == []
     assert matching.edges.tolist() == []
@@ -509,7 +507,7 @@ def test_engines_match_reference_when_one_edge_is_heavier(light, heavy):
 
 
 # the runs that decide from the float weights whether to build weight bits
-# (seq, bsp and rbm once per run, pram once per phase)
+# (seq, bsp and pram once per phase, rbm once per run)
 BITS_RUNS = {
     "seq": lambda g: local_max_seq(g, 3),
     "pram": lambda g: pram_local_max(g, 3, checked=True),
@@ -522,7 +520,7 @@ BITS_RUNS = {
 @pytest.mark.parametrize("engine", sorted(BITS_RUNS))
 def test_one_weight_builds_no_weight_bits(monkeypatch, engine):
     """On unit weights no run builds weight bits. With one heavier edge
-    each run builds them once: the heavier edge wins pram's first phase,
+    each run builds them once: the heavier edge wins the first phase,
     which leaves later phases one weight."""
     built = []
     bits = locmax.tiebreak.weight_bits
@@ -547,18 +545,18 @@ def _no_flags(cand, ends, wbits, salts):
 
 # engine: (module, the kernel it calls, a broken kernel under which nothing
 # wins, the run, kernel calls per round, the round loop named in the error).
-# bsp runs seq's rounds, so its row checks that the error passes through;
-# pram runs seq's round under its own guard; rbm calls the kernel to propose
-# and to accept.
+# seq, bsp and pram run the one local max loop, so their rows check that its
+# error passes through each engine; rbm calls the kernel to propose and to
+# accept.
 NOTHING_WINS = {
     "seq": (locmax.matchers, "_raise_candidates", _no_flags,
-            lambda g: local_max_seq(g, 1), 1, "seq"),
+            lambda g: local_max_seq(g, 1), 1, "local max"),
     "pram": (locmax.matchers, "_raise_candidates", _no_flags,
-             lambda g: pram_local_max(g, 1, checked=True), 1, "pram"),
+             lambda g: pram_local_max(g, 1, checked=True), 1, "local max"),
     "pram-unchecked": (locmax.matchers, "_raise_candidates", _no_flags,
-                       lambda g: pram_local_max(g, 1), 1, "pram"),
+                       lambda g: pram_local_max(g, 1), 1, "local max"),
     "bsp": (locmax.matchers, "_raise_candidates", _no_flags,
-            lambda g: bsp_local_max(g, 4, 1), 1, "seq"),
+            lambda g: bsp_local_max(g, 4, 1), 1, "local max"),
     "rbm": (locmax.matchers, "_raise_candidates", _no_flags, lambda g: rbm(g, 1), 2, "rbm"),
 }
 

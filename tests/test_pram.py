@@ -153,7 +153,7 @@ def test_each_phase_returns_the_graph_of_its_surviving_edges(g0, seed, rerandomi
 def test_edge_with_salt_zero(monkeypatch, w0, matched):
     # on the path (0,1), (1,2) edge 0 gets salt 0 (the value masked offers
     # take) and edge 1 salt 5; edge 1 weighs 2
-    monkeypatch.setattr("locmax.pram.edge_salts",
+    monkeypatch.setattr("locmax.matchers.edge_salts",
                         lambda seed, ids: np.array([0, 5], dtype=np.uint64)[ids])
     g = build_graph([(0, 1, w0), (1, 2, 2.0)])
     assert pram_phase(g, np.arange(2), round_seed(0, 0))[0].tolist() == matched
